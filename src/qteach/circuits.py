@@ -398,6 +398,35 @@ def _bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:
     return 1 << qubit, 1 << (n_qubits - 1 - qubit)
 
 
+def _lowered_angles(op: SlotOp, xs: np.ndarray, ws: np.ndarray):
+    """(mode, angles) of a rotation op: the matrix-builder input and whether
+    it indexes by data point, by parameter set, or, when data and
+    parameters mix, by row."""
+    has_data = any(isinstance(a, DataRef) for a in op.angles)
+    has_param = any(isinstance(a, ParamRef) for a in op.angles)
+
+    def resolve(angle: AngleExpr):
+        if isinstance(angle, Const):
+            return angle.value
+        if isinstance(angle, DataRef):
+            return xs[:, angle.component]          # (B,)
+        return ws[:, angle.index]                  # (S,)
+
+    if has_data and has_param:
+        # not produced by the builders; lower to one matrix per row
+        def expand(angle: AngleExpr):
+            v = resolve(angle)
+            if isinstance(angle, DataRef):
+                return np.broadcast_to(v[None, :], (len(ws), len(xs)))
+            if isinstance(angle, ParamRef):
+                return np.broadcast_to(v[:, None], (len(ws), len(xs)))
+            return np.full((len(ws), len(xs)), v)
+
+        return kernels.MODE_PER_ROW, [expand(a).ravel() for a in op.angles]
+    mode = kernels.MODE_PER_B if has_data else kernels.MODE_PER_S
+    return mode, [resolve(a) for a in op.angles]
+
+
 def _plan_op(op: SlotOp, n_qubits: int, xs: np.ndarray, ws: np.ndarray) -> kernels.PlannedOp:
     """Lower one SlotOp to a kernel call for the given points/parameters."""
     target = op.targets[0]
@@ -410,36 +439,14 @@ def _plan_op(op: SlotOp, n_qubits: int, xs: np.ndarray, ws: np.ndarray) -> kerne
     left, right = _bit_split(n_qubits, target)
     if op.kind is GateKind.H:
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, qsim.HADAMARD)
-    has_data = any(isinstance(a, DataRef) for a in op.angles)
-    has_param = any(isinstance(a, ParamRef) for a in op.angles)
-
-    def resolve(angle: AngleExpr):
-        if isinstance(angle, Const):
-            return angle.value
-        if isinstance(angle, DataRef):
-            return xs[:, angle.component]          # (B,)
-        return ws[:, angle.index]                  # (S,)
-
-    builder = qsim.matrix_builder(op.kind)
-    if has_data and has_param:
-        # not produced by the builders; lower to one matrix per row
-        def expand(angle: AngleExpr):
-            v = resolve(angle)
-            if isinstance(angle, DataRef):
-                return np.broadcast_to(v[None, :], (len(ws), len(xs)))
-            if isinstance(angle, ParamRef):
-                return np.broadcast_to(v[:, None], (len(ws), len(xs)))
-            return np.full((len(ws), len(xs)), v)
-
-        mats = builder([expand(a).ravel() for a in op.angles])
-        return kernels.PlannedOp(kernels.MODE_PER_ROW, left, right, mats)
-    angles = [resolve(a) for a in op.angles]
-    mats = builder(angles)
+    mode, angles = _lowered_angles(op, xs, ws)
+    mats = qsim.matrix_builder(op.kind)(angles)
+    if mode == kernels.MODE_PER_ROW:
+        return kernels.PlannedOp(mode, left, right, mats)
     if mats.ndim == 2:
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats)
     if mats.shape[0] == 1:
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats[0])
-    mode = kernels.MODE_PER_B if has_data else kernels.MODE_PER_S
     return kernels.PlannedOp(mode, left, right, np.ascontiguousarray(mats))
 
 
@@ -447,21 +454,41 @@ def _plan(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> list[kernels.
     return [_plan_op(op, circuit.n_qubits, xs, ws) for op in circuit.ops]
 
 
+def _evolve(plans: Sequence[kernels.PlannedOp], amps: np.ndarray, n_points: int) -> np.ndarray:
+    """Apply lowered gates in order to ``amps`` in place; returns ``amps``."""
+    for planned in plans:
+        kernels.apply_planned(planned, amps, n_points)
+    return amps
+
+
+# Bytes of amplitudes forward_many evolves at once.  Rows evolve
+# independently, so splitting the points into blocks leaves every output
+# bit-identical; it bounds the working set (a block's state plus the
+# kernels' temporaries) at a few MiB however many points a call asks
+# for, so peak memory no longer grows with the map resolution.
+_BLOCK_BYTES = 1 << 20
+
+
 def forward_many(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """Model outputs for every (parameter vector, data point) pair.
 
     ``xs``: (B, 2) points; ``ws``: (S, P) parameter vectors.  Returns an
-    (S, B) array of ancilla Z expectations.
+    (S, B) array of ancilla Z expectations.  The points are evolved in
+    blocks of about ``_BLOCK_BYTES`` of amplitudes.
     """
     xs, ws = _check_bind_args(circuit, xs, ws)
     if xs.ndim != 2 or ws.ndim != 2:
         raise ConfigurationError("forward_many takes (B, 2) points and (S, P) parameters")
-    n_points = xs.shape[0]
-    amps = kernels.fresh_rows(ws.shape[0] * n_points, 1 << circuit.n_qubits)
-    for planned in _plan(circuit, xs, ws):
-        kernels.apply_planned(planned, amps, n_points)
-    vals = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
-    return vals.reshape(ws.shape[0], n_points)
+    n_sets, dim = ws.shape[0], 1 << circuit.n_qubits
+    step = max(1, _BLOCK_BYTES // (16 * dim * max(n_sets, 1)))
+    vals = np.empty((n_sets, xs.shape[0]))
+    for start in range(0, xs.shape[0], step):
+        block = xs[start:start + step]
+        amps = _evolve(_plan(circuit, block, ws), kernels.fresh_rows(n_sets * len(block), dim),
+                       len(block))
+        block_vals = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
+        vals[:, start:start + step] = block_vals.reshape(n_sets, len(block))
+    return vals
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -489,7 +516,8 @@ def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray
     dpreds (P, B) where dpreds[j] = (preds(w_j + pi/2) - preds(w_j -
     pi/2)) / 2.  The base evolution caches the state entering every
     trainable gate, so each shifted evaluation only replays the circuit
-    suffix behind that gate.
+    suffix behind that gate.  Training uses ``forward_with_adjoint``;
+    this is the reference the tests check it against.
     """
     xs = np.asarray(xs, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -500,13 +528,14 @@ def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray
     plans = _plan(circuit, xs, ws)
 
     shift_ops = [(i, op, _param_slots(op)) for i, op in enumerate(circuit.ops) if _param_slots(op)]
-    shift_positions = {i for i, _, _ in shift_ops}
     cached: dict[int, np.ndarray] = {}
     amps = kernels.fresh_rows(n_points, dim)
-    for i, planned in enumerate(plans):
-        if i in shift_positions:
-            cached[i] = amps.copy()
-        kernels.apply_planned(planned, amps, n_points)
+    done = 0
+    for i, _, _ in shift_ops:
+        _evolve(plans[done:i], amps, n_points)
+        cached[i] = amps.copy()
+        done = i
+    _evolve(plans[done:], amps, n_points)
     preds = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
 
     dpreds = np.zeros((circuit.n_params, n_points))
@@ -534,8 +563,11 @@ def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray
             kernels.PlannedOp(kernels.MODE_PER_ROW, left, right, np.ascontiguousarray(mats)),
             stack, n_points,
         )
-        for planned in plans[i + 1:]:
-            kernels.apply_planned(planned, stack, n_points)
+        # the stack holds n_var copies of one parameter set; per-row
+        # payloads must be lowered for that many
+        stacked_ws = np.repeat(ws, n_var, axis=0)
+        _evolve([_plan_op(later, circuit.n_qubits, xs, stacked_ws) for later in circuit.ops[i + 1:]],
+                stack, n_points)
         vals = qsim.expectation_z_kernel(
             stack, circuit.n_qubits, circuit.measured_qubit
         ).reshape(n_var, n_points)
@@ -544,13 +576,90 @@ def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray
     return preds, dpreds
 
 
+def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
+    """The adjoint of a lowered gate: FLIP and PHASE are their own
+    inverses, a 2x2 payload is conjugate-transposed."""
+    if planned.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE):
+        return planned
+    dagger = np.ascontiguousarray(np.conj(np.swapaxes(planned.payload, -1, -2)))
+    return kernels.PlannedOp(planned.mode, planned.left, planned.right, dagger)
+
+
+def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """dU/dw for each trainable angle of a rotation op, stacked on axis 0.
+
+    Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
+    derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle of
+    Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
+    M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M.  The
+    angles come from the op's own lowering, so a rotation mixing data
+    and parameters gets one matrix per row.
+    """
+    _, angles = _lowered_angles(op, xs, ws)
+    shape = (len(slots),) + np.broadcast(*angles).shape
+    shifted = [np.broadcast_to(a, shape).copy() for a in angles]
+    for t, (pos, _) in enumerate(slots):
+        shifted[pos][t] += np.pi
+    return 0.5 * qsim.matrix_builder(op.kind)(shifted)
+
+
+def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
+    """(B, 2, 2) per-row S_ij = sum of conj(lam) on target bit i times psi
+    on target bit j, over the other qubits."""
+    lam4 = lam.conj().reshape(lam.shape[0], left, 2, right)
+    psi4 = psi.reshape(psi.shape[0], left, 2, right)
+    pairs = [np.einsum("blr,blr->b", lam4[:, :, i], psi4[:, :, j]) for i in (0, 1) for j in (0, 1)]
+    return np.stack(pairs, axis=-1).reshape(-1, 2, 2)
+
+
+def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
+    """Predictions and their exact derivatives by the adjoint method.
+
+    Same contract as ``forward_with_param_shift``: preds (B,) equal
+    ``forward_many`` at ``w`` bit for bit, and dpreds (P, B) holds
+    d preds / d w_j.  After one forward sweep, a backward sweep (Jones
+    & Gacon, arXiv:2009.02823) carries the state psi and lam = Z psi
+    back through the gate inverses.  At trainable gate k, with psi the
+    state entering it and lam the measured Z pulled back to its output,
+    d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
+    sums conj(lam) on target bit i times psi on target bit j.
+    """
+    xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
+    if xs.ndim != 2 or w.ndim != 1:
+        raise ConfigurationError("forward_with_adjoint takes (B, 2) points and (P,) parameters")
+    n_qubits, measured = circuit.n_qubits, circuit.measured_qubit
+    n_points = xs.shape[0]
+    ws = w[None, :]
+    plans = _plan(circuit, xs, ws)
+    psi = _evolve(plans, kernels.fresh_rows(n_points, 1 << n_qubits), n_points)
+    preds = qsim.expectation_z_kernel(psi, n_qubits, measured)
+
+    dpreds = np.zeros((circuit.n_params, n_points))
+    op_slots = [_param_slots(op) for op in circuit.ops]
+    trainable = [i for i, slots in enumerate(op_slots) if slots]
+    if not trainable:
+        return preds, dpreds
+    lam = psi * qsim._z_signs(n_qubits, measured)
+    for i in range(len(plans) - 1, trainable[0] - 1, -1):
+        inverse = _inverse(plans[i])
+        kernels.apply_planned(inverse, psi, n_points)
+        op, slots = circuit.ops[i], op_slots[i]
+        if slots:
+            left, right = _bit_split(n_qubits, op.targets[0])
+            derivs = _derivative_matrices(op, slots, xs, ws)
+            overlaps = _overlaps(lam, psi, left, right)
+            dpreds[[index for _, index in slots]] = 2.0 * (derivs * overlaps).sum(axis=(-2, -1)).real
+        if i > trainable[0]:
+            kernels.apply_planned(inverse, lam, n_points)
+    return preds, dpreds
+
+
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point."""
     xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
     n_points = xs.shape[0]
-    amps = kernels.fresh_rows(n_points, 1 << circuit.n_qubits)
-    for planned in _plan(circuit, xs, w[None, :]):
-        kernels.apply_planned(planned, amps, n_points)
+    amps = _evolve(_plan(circuit, xs, w[None, :]), kernels.fresh_rows(n_points, 1 << circuit.n_qubits),
+                   n_points)
     return qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
 
 

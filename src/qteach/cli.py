@@ -325,15 +325,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seeds is not None and args.seeds < 1:
+            raise ConfigParseError(f"--seeds must be >= 1, got {args.seeds}")
+        if args.threads < 1:
+            raise ConfigParseError(f"--threads must be >= 1, got {args.threads}")
         config = parse_config(Path(args.config).read_text())
     except (OSError, ConfigParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         config.out = args.out
-    if args.seeds:
+    if args.seeds is not None:
         config.n_seeds = args.seeds
-    return run(config, n_workers=max(1, args.threads))
+    return run(config, n_workers=args.threads)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,9 @@
 
 Amplitudes live in a C-contiguous (rows, 2^n) complex128 array, one row
 per (parameter set, data point) pair with row = s * n_points + b.  Every
-kernel mutates the array in place.  Row-dependent 2x2 matrices index by
-data point (row % n_points), by parameter set (row // n_points), or by
-row.  Numba compiles the loops when available; the numpy fallback
-evaluates the same expressions, so results are bit-identical either way.
+kernel mutates the array in place with numpy.  Row-dependent 2x2
+matrices index by data point (row % n_points), by parameter set (row //
+n_points), or by row.
 
 With qubit 0 as MSB, a basis index splits as l * (2 * right) + bit *
 right + r where left = 2^qubit and right = 2^(n - 1 - qubit); kernels
@@ -16,135 +15,50 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    HAVE_NUMBA = False
+def _split(amps, left, right):
+    a = amps.reshape(amps.shape[0], left, 2, right)
+    return a, a[:, :, 0, :], a[:, :, 1, :]
 
 
-def _mat_const_loop(amps, left, right, m00, m01, m10, m11):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        for l in range(left):
-            base = l * 2 * right
-            for r in range(right):
-                i0 = base + r
-                i1 = i0 + right
-                a0 = row[i0]
-                a1 = row[i1]
-                row[i0] = m00 * a0 + m01 * a1
-                row[i1] = m10 * a0 + m11 * a1
+def _apply_np(a, a0, a1, m00, m01, m10, m11):
+    old0 = a0.copy()
+    a[:, :, 0, :] = m00 * a0 + m01 * a1
+    a[:, :, 1, :] = m10 * old0 + m11 * a1
 
 
-def _mat_per_b_loop(amps, left, right, mats, n_points):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        m = mats[n % n_points]
-        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        for l in range(left):
-            base = l * 2 * right
-            for r in range(right):
-                i0 = base + r
-                i1 = i0 + right
-                a0 = row[i0]
-                a1 = row[i1]
-                row[i0] = m00 * a0 + m01 * a1
-                row[i1] = m10 * a0 + m11 * a1
+def _mat_const(amps, left, right, m00, m01, m10, m11):
+    a, a0, a1 = _split(amps, left, right)
+    _apply_np(a, a0, a1, m00, m01, m10, m11)
 
 
-def _mat_per_s_loop(amps, left, right, mats, n_points):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        m = mats[n // n_points]
-        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        for l in range(left):
-            base = l * 2 * right
-            for r in range(right):
-                i0 = base + r
-                i1 = i0 + right
-                a0 = row[i0]
-                a1 = row[i1]
-                row[i0] = m00 * a0 + m01 * a1
-                row[i1] = m10 * a0 + m11 * a1
+def _mat_rows_np(amps, left, right, row_mats):
+    a, a0, a1 = _split(amps, left, right)
+    m = row_mats[:, :, :, None, None]  # (N, 2, 2, 1, 1)
+    _apply_np(a, a0, a1, m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
 
 
-def _mat_per_row_loop(amps, left, right, mats):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        m = mats[n]
-        m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        for l in range(left):
-            base = l * 2 * right
-            for r in range(right):
-                i0 = base + r
-                i1 = i0 + right
-                a0 = row[i0]
-                a1 = row[i1]
-                row[i0] = m00 * a0 + m01 * a1
-                row[i1] = m10 * a0 + m11 * a1
+def _mat_per_b(amps, left, right, mats, n_points):
+    reps = amps.shape[0] // n_points
+    _mat_rows_np(amps, left, right, np.tile(mats, (reps, 1, 1)))
 
 
-def _flip_pairs_loop(amps, idx0, idx1):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        for j in range(idx0.shape[0]):
-            i0 = idx0[j]
-            i1 = idx1[j]
-            row[i0], row[i1] = row[i1], row[i0]
+def _mat_per_s(amps, left, right, mats, n_points):
+    _mat_rows_np(amps, left, right, np.repeat(mats, n_points, axis=0))
 
 
-def _phase_flip_loop(amps, idx):
-    for n in range(amps.shape[0]):
-        row = amps[n]
-        for j in range(idx.shape[0]):
-            row[idx[j]] = -row[idx[j]]
+def _mat_per_row(amps, left, right, mats):
+    _mat_rows_np(amps, left, right, mats)
 
 
-if HAVE_NUMBA:
-    _mat_const = njit(cache=True)(_mat_const_loop)
-    _mat_per_b = njit(cache=True)(_mat_per_b_loop)
-    _mat_per_s = njit(cache=True)(_mat_per_s_loop)
-    _mat_per_row = njit(cache=True)(_mat_per_row_loop)
-    _flip_pairs = njit(cache=True)(_flip_pairs_loop)
-    _phase_flip = njit(cache=True)(_phase_flip_loop)
-else:
-    def _split(amps, left, right):
-        a = amps.reshape(amps.shape[0], left, 2, right)
-        return a, a[:, :, 0, :], a[:, :, 1, :]
+def _flip_pairs(amps, idx0, idx1):
+    tmp = amps[:, idx0].copy()
+    amps[:, idx0] = amps[:, idx1]
+    amps[:, idx1] = tmp
 
-    def _apply_np(a, a0, a1, m00, m01, m10, m11):
-        old0 = a0.copy()
-        a[:, :, 0, :] = m00 * a0 + m01 * a1
-        a[:, :, 1, :] = m10 * old0 + m11 * a1
 
-    def _mat_const(amps, left, right, m00, m01, m10, m11):
-        a, a0, a1 = _split(amps, left, right)
-        _apply_np(a, a0, a1, m00, m01, m10, m11)
-
-    def _mat_rows_np(amps, left, right, row_mats):
-        a, a0, a1 = _split(amps, left, right)
-        m = row_mats[:, :, :, None, None]  # (N, 2, 2, 1, 1)
-        _apply_np(a, a0, a1, m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
-
-    def _mat_per_b(amps, left, right, mats, n_points):
-        reps = amps.shape[0] // n_points
-        _mat_rows_np(amps, left, right, np.tile(mats, (reps, 1, 1)))
-
-    def _mat_per_s(amps, left, right, mats, n_points):
-        _mat_rows_np(amps, left, right, np.repeat(mats, n_points, axis=0))
-
-    def _mat_per_row(amps, left, right, mats):
-        _mat_rows_np(amps, left, right, mats)
-
-    def _flip_pairs(amps, idx0, idx1):
-        tmp = amps[:, idx0].copy()
-        amps[:, idx0] = amps[:, idx1]
-        amps[:, idx1] = tmp
-
-    def _phase_flip(amps, idx):
-        amps[:, idx] *= -1.0
+def _phase_flip(amps, idx):
+    amps[:, idx] *= -1.0
 
 
 # dispatch modes for planned operations

@@ -4,11 +4,13 @@ The loss is the mean squared error between the labels and the ancilla Z
 expectations (the mean is a constant rescaling of the summed cost; the
 argmin is unchanged and magnitudes stay comparable across grid sizes).
 
-Gradients use the parameter-shift rule: every trainable angle sits on a
-Pauli-generated rotation, so d<Z>/dw_j = (<Z>(w_j + pi/2) - <Z>(w_j -
-pi/2)) / 2 exactly, chained through the squared error.  All 2P+1 shifted
-parameter vectors are evaluated over the full dataset in a single
-vectorized pass.
+Gradients are exact and come from the adjoint method
+(``circuits.forward_with_adjoint``): one forward sweep over the full
+dataset, then one backward sweep through the gate inverses that yields
+d<Z>/dw_j for every trainable angle at every point, chained through the
+squared error.  The parameter-shift rule
+(``circuits.forward_with_param_shift``) gives the same derivatives and is
+kept as the reference the tests check the adjoint against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import ArchitectureId, CircuitSpec, ParamRef, forward_many, forward_with_param_shift
+from .circuits import ArchitectureId, CircuitSpec, ParamRef, forward_many, forward_with_adjoint
 from .errors import ConfigurationError, TrainingDivergedError, UnsupportedArchitectureError
 from .qsim import SHIFTABLE_KINDS
 
@@ -107,15 +109,15 @@ def _check_shiftable(circuit: CircuitSpec) -> None:
 
 
 def _loss_grad_preds(circuit, w, points, y):
-    """Loss, its gradient, and the unshifted predictions in one evaluation."""
-    preds, dpreds = forward_with_param_shift(circuit, points, w)
+    """Loss, its gradient, and the predictions in one evaluation."""
+    preds, dpreds = forward_with_adjoint(circuit, points, w)
     residual = preds - y
     grad = 2.0 * np.mean(residual[None, :] * dpreds, axis=1)
     return float(np.mean(residual**2)), grad, preds
 
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:
-    """Exact gradient of ``loss`` via the parameter-shift rule."""
+    """Exact gradient of ``loss`` via the adjoint method."""
     _check_shiftable(circuit)
     y = _targets(data, label_kind)
     w = np.asarray(w, dtype=float)

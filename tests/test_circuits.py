@@ -1,15 +1,20 @@
 """Architecture builders, slot binding, and model evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qteach import qsim
+from qteach import circuits, qsim
 from qteach.circuits import (
     ArchitectureId,
+    CircuitSpec,
+    Const,
     DataRef,
     Encoding,
     Family,
     ParamRef,
+    SlotOp,
     append_x_on_measured,
     bind,
     build,
@@ -18,6 +23,8 @@ from qteach.circuits import (
     forward,
     forward_batch,
     forward_many,
+    forward_with_adjoint,
+    forward_with_param_shift,
     parse_architecture,
     reuploading,
 )
@@ -214,6 +221,81 @@ class TestForward:
         batched = forward_batch(circuit, xs, w)
         singles = np.array([forward(circuit, x, w) for x in xs])
         np.testing.assert_array_equal(batched, singles)
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_point_blocks_bit_identical(self, block_rows, rng, monkeypatch):
+        """forward_many's point blocks, ragged last one included, must not
+        change any output."""
+        circuit = build(ArchitectureId(Family.QNN_TWO_QP))
+        xs = rng.uniform(-np.pi, np.pi, (50, 2))
+        ws = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
+        whole = forward_many(circuit, xs, ws)
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 2 * 16 << circuit.n_qubits)
+        np.testing.assert_array_equal(forward_many(circuit, xs, ws), whole)
+
+    def test_working_set_bounded_by_block(self, rng):
+        """A large map allocates a few blocks' worth, not its whole state."""
+        circuit = build(ArchitectureId(Family.QNN_TWO_QP))
+        xs = rng.uniform(-np.pi, np.pi, (8000, 2))
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        tracemalloc.start()
+        try:
+            forward_batch(circuit, xs, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole_state = xs.shape[0] * 16 << circuit.n_qubits  # 16 MB
+        assert peak < 8 * circuits._BLOCK_BYTES < whole_state
+
+
+def _mixed_spec() -> CircuitSpec:
+    """Trainable RX, RY and RZ, and ROTs mixing data, parameter and constant
+    angles (lowered to one matrix per row)."""
+    ops = (
+        SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
+        SlotOp(GateKind.H, (1,)),
+        SlotOp(GateKind.RX, (0,), angles=(ParamRef(0),)),
+        SlotOp(GateKind.RY, (1,), angles=(ParamRef(1),)),
+        SlotOp(GateKind.CNOT, (1,), controls=(0,)),
+        SlotOp(GateKind.RZ, (1,), angles=(ParamRef(2),)),
+        SlotOp(GateKind.ROT, (0,), angles=(DataRef(1), ParamRef(3), Const(0.3))),
+        SlotOp(GateKind.CZ, (1,), controls=(0,)),
+        SlotOp(GateKind.ROT, (1,), angles=(ParamRef(4), DataRef(0), ParamRef(5))),
+        SlotOp(GateKind.MCX, (2,), controls=(0, 1)),
+        SlotOp(GateKind.RY, (2,), angles=(ParamRef(6),)),
+    )
+    return CircuitSpec(n_qubits=3, ops=ops, measured_qubit=2, n_params=7, encoding_count=1)
+
+
+class TestAdjoint:
+    """The adjoint gradients against the parameter-shift reference."""
+
+    def _check(self, circuit, rng):
+        xs = rng.uniform(-np.pi, np.pi, (25, 2))
+        for _ in range(2):
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            preds, dpreds = forward_with_adjoint(circuit, xs, w)
+            ref_preds, ref_dpreds = forward_with_param_shift(circuit, xs, w)
+            assert dpreds.shape == (circuit.n_params, len(xs))
+            np.testing.assert_array_equal(preds, forward_many(circuit, xs, w[None, :])[0])
+            np.testing.assert_array_equal(preds, ref_preds)
+            np.testing.assert_allclose(dpreds, ref_dpreds, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda e: e.value)
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES, ids=lambda a: a.name)
+    def test_matches_param_shift(self, arch, encoding, rng):
+        self._check(build(ArchitectureId(arch.family, arch.layers, encoding)), rng)
+
+    def test_every_trainable_kind_and_mixed_rotation(self, rng):
+        circuit = _mixed_spec()
+        trainable = {op.kind for op in circuit.ops if any(isinstance(a, ParamRef) for a in op.angles)}
+        assert trainable == set(qsim.SHIFTABLE_KINDS)
+        self._check(circuit, rng)
+
+    def test_rejects_parameter_batch(self):
+        circuit = build(dissipative_qp())
+        with pytest.raises(ConfigurationError):
+            forward_with_adjoint(circuit, np.zeros((3, 2)), np.zeros((2, circuit.n_params)))
 
 
 class TestAppendX:

@@ -193,3 +193,12 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text("experiment = teleportation\n")
         assert main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("override", [["--seeds", "0"], ["--seeds", "-2"], ["--threads", "0"]])
+    def test_bad_override_fails_without_writing(self, tmp_path, capsys, override):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_RUN)
+        out = tmp_path / "results"
+        assert main(["--config", str(config_path), "--out", str(out), *override]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,6 @@
-"""Loss, parameter-shift gradients (checked against central finite
-differences), and the training loop."""
+"""Loss, adjoint-method gradients (checked against central finite
+differences here, and against the parameter-shift reference in
+test_circuits.py), and the training loop."""
 
 import numpy as np
 import pytest
