@@ -2,6 +2,8 @@
 
 A prediction map is the model output evaluated on a dense square grid of
 input points; it is the object the relative-entropy comparison works on.
+It is summed from the model's exact Fourier series, which a few circuit
+evaluations fix whatever the resolution.
 To compare two maps they are first offset and renormalized into strictly
 positive distributions, then S(P||Q) = sum p ln(p/q) with P the teacher
 map and Q the student map (S is asymmetric; this order is fixed
@@ -16,13 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitSpec, forward_batch
+from .circuits import CircuitSpec, DataRef, forward_batch
 from .errors import ConfigurationError, StructuralError
 from .training import binarize
 
 #: offset floor: keeps the normalized distribution strictly positive even
 #: when the offset map is zero everywhere (constant maps)
 EPSILON = 1e-9
+
+#: Fourier coefficients below this magnitude are the rounding noise of the
+#: circuit samples and are dropped, so a map that does not depend on the
+#: input comes out exactly constant
+COEFFICIENT_CUT = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,8 @@ class PredictionMap:
             raise StructuralError(
                 f"values must be {self.resolution}x{self.resolution}, got {self.values.shape}"
             )
-        if np.any(np.abs(self.values) > 1.0):
-            raise StructuralError("prediction-map values must lie in [-1, 1]")
+        if not np.all(np.abs(self.values) <= 1.0):  # also rejects NaN
+            raise StructuralError("prediction-map values must be finite and lie in [-1, 1]")
 
     def axis(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.resolution)
@@ -54,17 +61,52 @@ class PredictionMap:
         return (self.resolution, self.lo, self.hi) == (other.resolution, other.lo, other.hi)
 
 
+def fourier_degrees(circuit: CircuitSpec) -> tuple[int, int]:
+    """(d1, d2): how many angle slots input components x1 and x2 fill.
+
+    Every angle slot is one Pauli rotation exp(-i a P / 2), whether in
+    RX/RY/RZ or in one slot of ROT, so the model output is a
+    trigonometric polynomial of degree at most d_c in x_c (Schuld, Sweke
+    & Meyer, arXiv:2008.08605).
+    """
+    counts = [0, 0]
+    for op in circuit.ops:
+        for angle in op.angles:
+            if isinstance(angle, DataRef):
+                counts[angle.component] += 1
+    return counts[0], counts[1]
+
+
 def prediction_map(circuit: CircuitSpec, w: np.ndarray, resolution: int,
                    bounds: tuple[float, float] = (-np.pi, np.pi)) -> PredictionMap:
-    """Evaluate the model on a resolution x resolution grid."""
+    """Evaluate the model on a resolution x resolution grid.
+
+    The model is a trigonometric polynomial of degree at most d_c in x_c,
+    the number of angle slots x_c fills (``fourier_degrees``; Schuld,
+    Sweke & Meyer, arXiv:2008.08605).  So (2 d1 + 1)(2 d2 + 1) circuit
+    evaluations on the periodic grid t_j = 2 pi j / (2 d_c + 1) fix it
+    exactly, whatever the resolution.  Their 2-D DFT gives the
+    coefficients; those below ``COEFFICIENT_CUT`` are rounding noise and
+    set to zero; the series is then summed on the requested grid and
+    clipped to [-1, 1].
+    """
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     lo, hi = float(bounds[0]), float(bounds[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigurationError(f"map bounds must be finite, got {bounds}")
+    sizes = [2 * d + 1 for d in fourier_degrees(circuit)]
+    t1, t2 = (2 * np.pi * np.arange(n) / n for n in sizes)
+    s1, s2 = np.meshgrid(t1, t2, indexing="ij")
+    samples = forward_batch(circuit, np.column_stack([s1.ravel(), s2.ravel()]), w)
+    coeffs = np.fft.fft2(samples.reshape(sizes)) / samples.size
+    coeffs[np.abs(coeffs) < COEFFICIENT_CUT] = 0.0
     axis = np.linspace(lo, hi, resolution)
-    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-    points = np.column_stack([x1.ravel(), x2.ravel()])
-    values = forward_batch(circuit, points, w).reshape(resolution, resolution)
-    return PredictionMap(resolution, lo, hi, values)
+    # (resolution, n_c) waves exp(i k x) over the DFT's integer frequencies;
+    # einsum keeps the sums in numpy's own loops (no threaded BLAS)
+    waves1, waves2 = (np.exp(1j * axis[:, None] * np.fft.fftfreq(n, 1.0 / n)) for n in sizes)
+    values = np.einsum("ik,kj->ij", waves1, np.einsum("kl,jl->kj", coeffs, waves2)).real
+    return PredictionMap(resolution, lo, hi, np.clip(values, -1.0, 1.0))
 
 
 def normalize_to_distribution(pmap: PredictionMap) -> np.ndarray:
@@ -114,13 +156,14 @@ def accuracy(predictions: Sequence[float], y_binary: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def write_prediction_map(pmap: PredictionMap, path) -> None:
-    """Header block (resolution, lo, hi) followed by the full-precision matrix."""
+    """Header block (resolution, lo, hi) followed by the full-precision matrix.
+
+    The bytes are those of ``csv.writer`` with its default dialect: commas,
+    CRLF line ends, and no quoting, which ``repr`` of a float never needs.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["resolution", "lo", "hi"])
-        writer.writerow([pmap.resolution, repr(float(pmap.lo)), repr(float(pmap.hi))])
-        for row in pmap.values:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(f"resolution,lo,hi\r\n{pmap.resolution},{float(pmap.lo)!r},{float(pmap.hi)!r}\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in pmap.values.tolist())
 
 
 def read_prediction_map(path) -> PredictionMap:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qteach.circuits import ArchitectureId, Family
+from qteach.circuits import ArchitectureId, CircuitSpec, Const, DataRef, Family, ParamRef, SlotOp
 from qteach.qsim import ANGLE_COUNTS, GateKind, GateOp
 from qteach.teacher_student import LabeledGrid
 from qteach.training import binarize
@@ -38,6 +38,25 @@ def random_gate(rng: np.random.Generator, n_qubits: int) -> GateOp:
 
 def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> list[GateOp]:
     return [random_gate(rng, n_qubits) for _ in range(n_gates)]
+
+
+def mixed_spec() -> CircuitSpec:
+    """Trainable RX, RY and RZ, and ROTs mixing data, parameter and constant
+    angles (lowered to one matrix per row)."""
+    ops = (
+        SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
+        SlotOp(GateKind.H, (1,)),
+        SlotOp(GateKind.RX, (0,), angles=(ParamRef(0),)),
+        SlotOp(GateKind.RY, (1,), angles=(ParamRef(1),)),
+        SlotOp(GateKind.CNOT, (1,), controls=(0,)),
+        SlotOp(GateKind.RZ, (1,), angles=(ParamRef(2),)),
+        SlotOp(GateKind.ROT, (0,), angles=(DataRef(1), ParamRef(3), Const(0.3))),
+        SlotOp(GateKind.CZ, (1,), controls=(0,)),
+        SlotOp(GateKind.ROT, (1,), angles=(ParamRef(4), DataRef(0), ParamRef(5))),
+        SlotOp(GateKind.MCX, (2,), controls=(0, 1)),
+        SlotOp(GateKind.RY, (2,), angles=(ParamRef(6),)),
+    )
+    return CircuitSpec(n_qubits=3, ops=ops, measured_qubit=2, n_params=7, encoding_count=1)
 
 
 def tiny_dataset(rng: np.random.Generator, n_points: int = 5) -> LabeledGrid:

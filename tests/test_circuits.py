@@ -8,13 +8,10 @@ import pytest
 from qteach import circuits, qsim
 from qteach.circuits import (
     ArchitectureId,
-    CircuitSpec,
-    Const,
     DataRef,
     Encoding,
     Family,
     ParamRef,
-    SlotOp,
     append_x_on_measured,
     bind,
     build,
@@ -31,7 +28,7 @@ from qteach.circuits import (
 from qteach.errors import ConfigurationError
 from qteach.qsim import GateKind, dense_unitary_oracle
 
-from conftest import ALL_ARCHITECTURES
+from conftest import ALL_ARCHITECTURES, mixed_spec
 
 EXPECTED_SHAPES = {
     # family -> (n_qubits, n_params, encoding_count, measured_qubit)
@@ -248,25 +245,6 @@ class TestForward:
         assert peak < 8 * circuits._BLOCK_BYTES < whole_state
 
 
-def _mixed_spec() -> CircuitSpec:
-    """Trainable RX, RY and RZ, and ROTs mixing data, parameter and constant
-    angles (lowered to one matrix per row)."""
-    ops = (
-        SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
-        SlotOp(GateKind.H, (1,)),
-        SlotOp(GateKind.RX, (0,), angles=(ParamRef(0),)),
-        SlotOp(GateKind.RY, (1,), angles=(ParamRef(1),)),
-        SlotOp(GateKind.CNOT, (1,), controls=(0,)),
-        SlotOp(GateKind.RZ, (1,), angles=(ParamRef(2),)),
-        SlotOp(GateKind.ROT, (0,), angles=(DataRef(1), ParamRef(3), Const(0.3))),
-        SlotOp(GateKind.CZ, (1,), controls=(0,)),
-        SlotOp(GateKind.ROT, (1,), angles=(ParamRef(4), DataRef(0), ParamRef(5))),
-        SlotOp(GateKind.MCX, (2,), controls=(0, 1)),
-        SlotOp(GateKind.RY, (2,), angles=(ParamRef(6),)),
-    )
-    return CircuitSpec(n_qubits=3, ops=ops, measured_qubit=2, n_params=7, encoding_count=1)
-
-
 class TestAdjoint:
     """The adjoint gradients against the parameter-shift reference."""
 
@@ -287,7 +265,7 @@ class TestAdjoint:
         self._check(build(ArchitectureId(arch.family, arch.layers, encoding)), rng)
 
     def test_every_trainable_kind_and_mixed_rotation(self, rng):
-        circuit = _mixed_spec()
+        circuit = mixed_spec()
         trainable = {op.kind for op in circuit.ops if any(isinstance(a, ParamRef) for a in op.angles)}
         assert trainable == set(qsim.SHIFTABLE_KINDS)
         self._check(circuit, rng)

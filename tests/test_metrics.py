@@ -1,13 +1,27 @@
 """Prediction maps, the relative-entropy comparison, and accuracy."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from qteach.circuits import ArchitectureId, Family, build, dissipative_qp
+from qteach.circuits import (
+    ArchitectureId,
+    CircuitSpec,
+    DataRef,
+    Encoding,
+    Family,
+    ParamRef,
+    SlotOp,
+    build,
+    dissipative_qp,
+    forward_batch,
+)
 from qteach.errors import ConfigurationError, StructuralError
 from qteach.metrics import (
     PredictionMap,
     accuracy,
+    fourier_degrees,
     kl_divergence,
     normalize_to_distribution,
     prediction_map,
@@ -15,7 +29,10 @@ from qteach.metrics import (
     relative_entropy,
     write_prediction_map,
 )
+from qteach.qsim import GateKind
 from qteach.teacher_student import generate_dataset, make_grid
+
+from conftest import ALL_ARCHITECTURES, mixed_spec
 
 
 def random_map(rng, resolution=8):
@@ -56,9 +73,88 @@ class TestPredictionMap:
         with pytest.raises(StructuralError):
             PredictionMap(2, -1.0, 1.0, np.array([[0.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        with pytest.raises(StructuralError):
+            PredictionMap(2, -1.0, 1.0, np.array([[0.0, bad], [0.0, 0.0]]))
+
     def test_resolution_must_be_at_least_two(self):
         with pytest.raises(ConfigurationError):
             prediction_map(build(dissipative_qp()), np.zeros(12), resolution=1)
+
+    @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ConfigurationError):
+            prediction_map(build(dissipative_qp()), np.zeros(12), 5, bounds)
+
+
+def _all_models():
+    return [
+        pytest.param(ArchitectureId(arch.family, arch.layers, encoding), id=f"{arch.name}@{encoding.value}")
+        for arch in ALL_ARCHITECTURES for encoding in Encoding
+    ]
+
+
+def _direct_map(circuit, w, resolution, bounds):
+    """One forward evaluation per grid point: the reference the spectral
+    maps are checked against."""
+    axis = np.linspace(bounds[0], bounds[1], resolution)
+    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+    points = np.column_stack([x1.ravel(), x2.ravel()])
+    return forward_batch(circuit, points, w).reshape(resolution, resolution)
+
+
+class TestSpectralMap:
+    """Maps summed from the Fourier series against direct evaluation."""
+
+    def _check(self, circuit, rng):
+        for _ in range(2):
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            for resolution in (2, 3, 17, 51):
+                for bounds in ((-np.pi, np.pi), (-1.0, 1.0)):
+                    pmap = prediction_map(circuit, w, resolution, bounds)
+                    assert (pmap.lo, pmap.hi) == bounds
+                    np.testing.assert_allclose(
+                        pmap.values, _direct_map(circuit, w, resolution, bounds), rtol=0, atol=1e-12
+                    )
+
+    @pytest.mark.parametrize("arch", _all_models())
+    def test_matches_direct_evaluation(self, arch, rng):
+        self._check(build(arch), rng)
+
+    def test_mixed_data_and_parameter_rotations(self, rng):
+        circuit = mixed_spec()
+        assert fourier_degrees(circuit) == (2, 1)
+        self._check(circuit, rng)
+
+    def test_measured_qubit_blind_to_data_is_exactly_constant(self, rng):
+        ops = (
+            SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
+            SlotOp(GateKind.RY, (0,), angles=(DataRef(1),)),
+            SlotOp(GateKind.ROT, (1,), angles=(ParamRef(0), ParamRef(1), ParamRef(2))),
+        )
+        circuit = CircuitSpec(n_qubits=2, ops=ops, measured_qubit=1, n_params=3, encoding_count=1)
+        w = rng.uniform(0, 2 * np.pi, 3)
+        values = prediction_map(circuit, w, 31).values
+        assert np.ptp(values) == 0.0
+        assert values[0, 0] == pytest.approx(np.cos(w[1]), abs=1e-12)
+
+    @pytest.mark.parametrize("arch", _all_models())
+    def test_no_frequency_above_slot_degree(self, arch, rng):
+        """Oracle-free: on a periodic grid finer than the degree bound needs,
+        the spectrum of directly evaluated outputs is empty above it."""
+        circuit = build(arch)
+        d1, d2 = fourier_degrees(circuit)
+        m = 2 * max(d1, d2) + 4
+        t = 2 * np.pi * np.arange(m) / m
+        x1, x2 = np.meshgrid(t, t, indexing="ij")
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        samples = forward_batch(circuit, np.column_stack([x1.ravel(), x2.ravel()]), w)
+        spectrum = np.abs(np.fft.fft2(samples.reshape(m, m))) / m**2
+        k = np.abs(np.fft.fftfreq(m, 1.0 / m))
+        above = (k[:, None] > d1) | (k[None, :] > d2)
+        assert spectrum[above].max() <= 1e-12
+        assert spectrum[~above].max() > 1e-3
 
 
 class TestNormalizeToDistribution:
@@ -143,6 +239,21 @@ class TestMapCsv:
         assert loaded.resolution == pmap.resolution
         assert loaded.lo == pmap.lo and loaded.hi == pmap.hi
         np.testing.assert_array_equal(loaded.values, pmap.values)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[0.0, -0.0, 1e-300], [1.0, -1.0, 0.1], [-1e-300, 0.5, -0.123456789]])
+        pmap = PredictionMap(3, -np.pi, 1.0, values)
+        path = tmp_path / "map.csv"
+        write_prediction_map(pmap, path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["resolution", "lo", "hi"])
+            writer.writerow([pmap.resolution, repr(float(pmap.lo)), repr(float(pmap.hi))])
+            for row in pmap.values:
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == expected.read_bytes()
+        assert b"-0.0," in path.read_bytes()
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "junk.csv"
