@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import qsim
+from . import circuits, kernels, qsim
 from .circuits import (
     ArchitectureId,
     Encoding,
@@ -37,7 +37,6 @@ from .circuits import (
 )
 from .errors import ConfigurationError, StructuralError
 from .metrics import accuracy
-from .qsim import GateKind
 from .teacher_student import ExperimentResult, LabeledGrid, derive_seed, make_grid, run_experiment
 from .training import TrainConfig, TrainRun, train
 
@@ -71,20 +70,13 @@ def circular_dataset(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0
 
 def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> np.ndarray:
     """(n, 4) outcome probabilities of the two data qubits after applying
-    only the encoding gates to |00>."""
+    only the encoding gates the architecture builders emit to |00>."""
+    builder = circuits._Builder(encoding)
+    builder.encode(0, 1)
     points = data.points
-    n_points = len(points)
-    x1 = points[:, 0]
-    x2 = points[:, 1]
-    amps = np.zeros((n_points, 4), dtype=complex)
-    amps[:, 0] = 1.0
-    if encoding is Encoding.RX_ANGLE:
-        amps = qsim.apply_gate_kernel(amps, 2, GateKind.RX, (0,), params=(x1,))
-        amps = qsim.apply_gate_kernel(amps, 2, GateKind.RX, (1,), params=(x2,))
-    else:
-        for q in (0, 1):
-            amps = qsim.apply_gate_kernel(amps, 2, GateKind.H, (q,))
-            amps = qsim.apply_gate_kernel(amps, 2, GateKind.ROT, (q,), params=(x1, x2, 0.0))
+    no_params = np.empty((1, 0))
+    plans = [circuits._plan_op(op, 2, points, no_params) for op in builder.ops]
+    amps = circuits._evolve(plans, kernels.fresh_rows(len(points), 4), len(points))
     return qsim.probability_vector_kernel(amps, 2, (0, 1))
 
 

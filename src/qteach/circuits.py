@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -368,40 +367,11 @@ def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _flip_pair_indices(n_qubits: int, controls: tuple[int, ...], target: int):
-    """Index pairs (target bit 0 / 1) to swap for X / CNOT / MCX."""
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    tmask = 1 << (n_qubits - 1 - target)
-    hit = (idx & tmask) == 0
-    for c in controls:
-        cmask = 1 << (n_qubits - 1 - c)
-        hit &= (idx & cmask) == cmask
-    idx0 = idx[hit]
-    idx1 = idx0 | tmask
-    idx0.setflags(write=False)
-    idx1.setflags(write=False)
-    return idx0, idx1
-
-
-@lru_cache(maxsize=None)
-def _cz_flip_indices(n_qubits: int, a: int, b: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    mask = (1 << (n_qubits - 1 - a)) | (1 << (n_qubits - 1 - b))
-    out = idx[(idx & mask) == mask]
-    out.setflags(write=False)
-    return out
-
-
-def _bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:
-    return 1 << qubit, 1 << (n_qubits - 1 - qubit)
-
-
 def _lowered_angles(op: SlotOp, xs: np.ndarray, ws: np.ndarray):
-    """(mode, angles) of a rotation op: the matrix-builder input and whether
-    it indexes by data point, by parameter set, or, when data and
-    parameters mix, by row."""
+    """(mode, angles) of a rotation op: data angles shaped (1, B), parameter
+    angles (S, 1) and constants as scalars, so the built matrices index
+    by data point, by parameter set, or, when data and parameters mix,
+    by row."""
     has_data = any(isinstance(a, DataRef) for a in op.angles)
     has_param = any(isinstance(a, ParamRef) for a in op.angles)
 
@@ -409,45 +379,22 @@ def _lowered_angles(op: SlotOp, xs: np.ndarray, ws: np.ndarray):
         if isinstance(angle, Const):
             return angle.value
         if isinstance(angle, DataRef):
-            return xs[:, angle.component]          # (B,)
-        return ws[:, angle.index]                  # (S,)
+            return xs[None, :, angle.component]    # (1, B)
+        return ws[:, angle.index, None]            # (S, 1)
 
     if has_data and has_param:
-        # not produced by the builders; lower to one matrix per row
-        def expand(angle: AngleExpr):
-            v = resolve(angle)
-            if isinstance(angle, DataRef):
-                return np.broadcast_to(v[None, :], (len(ws), len(xs)))
-            if isinstance(angle, ParamRef):
-                return np.broadcast_to(v[:, None], (len(ws), len(xs)))
-            return np.full((len(ws), len(xs)), v)
-
-        return kernels.MODE_PER_ROW, [expand(a).ravel() for a in op.angles]
-    mode = kernels.MODE_PER_B if has_data else kernels.MODE_PER_S
+        mode = kernels.MODE_PER_ROW  # not produced by the builders
+    elif has_data:
+        mode = kernels.MODE_PER_B
+    else:
+        mode = kernels.MODE_PER_S if has_param else kernels.MODE_CONST
     return mode, [resolve(a) for a in op.angles]
 
 
 def _plan_op(op: SlotOp, n_qubits: int, xs: np.ndarray, ws: np.ndarray) -> kernels.PlannedOp:
     """Lower one SlotOp to a kernel call for the given points/parameters."""
-    target = op.targets[0]
-    if op.kind is GateKind.CZ:
-        return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
-                                 _cz_flip_indices(n_qubits, op.controls[0], target))
-    if op.kind in (GateKind.X, GateKind.CNOT, GateKind.MCX):
-        return kernels.PlannedOp(kernels.MODE_FLIP, 0, 0,
-                                 _flip_pair_indices(n_qubits, op.controls, target))
-    left, right = _bit_split(n_qubits, target)
-    if op.kind is GateKind.H:
-        return kernels.PlannedOp(kernels.MODE_CONST, left, right, qsim.HADAMARD)
     mode, angles = _lowered_angles(op, xs, ws)
-    mats = qsim.matrix_builder(op.kind)(angles)
-    if mode == kernels.MODE_PER_ROW:
-        return kernels.PlannedOp(mode, left, right, mats)
-    if mats.ndim == 2:
-        return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats)
-    if mats.shape[0] == 1:
-        return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats[0])
-    return kernels.PlannedOp(mode, left, right, np.ascontiguousarray(mats))
+    return qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, angles, mode)
 
 
 def _plan(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> list[kernels.PlannedOp]:
@@ -514,66 +461,16 @@ def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray
 
     Returns ``(preds, dpreds)`` with preds (B,) the outputs at ``w`` and
     dpreds (P, B) where dpreds[j] = (preds(w_j + pi/2) - preds(w_j -
-    pi/2)) / 2.  The base evolution caches the state entering every
-    trainable gate, so each shifted evaluation only replays the circuit
-    suffix behind that gate.  Training uses ``forward_with_adjoint``;
-    this is the reference the tests check it against.
+    pi/2)) / 2, from one ``forward_many`` call on the stacked parameter
+    sets [w; w + pi/2 I; w - pi/2 I].  Training uses
+    ``forward_with_adjoint``; this is the reference the tests check it
+    against.
     """
-    xs = np.asarray(xs, dtype=float)
-    w = np.asarray(w, dtype=float)
-    xs, w = _check_bind_args(circuit, xs, w)
-    n_points = xs.shape[0]
-    dim = 1 << circuit.n_qubits
-    ws = w[None, :]
-    plans = _plan(circuit, xs, ws)
-
-    shift_ops = [(i, op, _param_slots(op)) for i, op in enumerate(circuit.ops) if _param_slots(op)]
-    cached: dict[int, np.ndarray] = {}
-    amps = kernels.fresh_rows(n_points, dim)
-    done = 0
-    for i, _, _ in shift_ops:
-        _evolve(plans[done:i], amps, n_points)
-        cached[i] = amps.copy()
-        done = i
-    _evolve(plans[done:], amps, n_points)
-    preds = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
-
-    dpreds = np.zeros((circuit.n_params, n_points))
-    half_pi = 0.5 * np.pi
-    for i, op, slots in shift_ops:
-        n_var = 2 * len(slots)
-        # base angle values per point, tiled per shifted variant
-        base = [
-            np.broadcast_to(
-                xs[:, a.component] if isinstance(a, DataRef)
-                else (w[a.index] if isinstance(a, ParamRef) else a.value),
-                (n_points,),
-            )
-            for a in op.angles
-        ]
-        variant_angles = [np.tile(col, (n_var, 1)) for col in base]
-        for t, (pos, _) in enumerate(slots):
-            variant_angles[pos][2 * t] += half_pi
-            variant_angles[pos][2 * t + 1] -= half_pi
-        builder = qsim.matrix_builder(op.kind)
-        mats = builder([v.ravel() for v in variant_angles])
-        left, right = _bit_split(circuit.n_qubits, op.targets[0])
-        stack = np.tile(cached[i], (n_var, 1))
-        kernels.apply_planned(
-            kernels.PlannedOp(kernels.MODE_PER_ROW, left, right, np.ascontiguousarray(mats)),
-            stack, n_points,
-        )
-        # the stack holds n_var copies of one parameter set; per-row
-        # payloads must be lowered for that many
-        stacked_ws = np.repeat(ws, n_var, axis=0)
-        _evolve([_plan_op(later, circuit.n_qubits, xs, stacked_ws) for later in circuit.ops[i + 1:]],
-                stack, n_points)
-        vals = qsim.expectation_z_kernel(
-            stack, circuit.n_qubits, circuit.measured_qubit
-        ).reshape(n_var, n_points)
-        for t, (_, param_index) in enumerate(slots):
-            dpreds[param_index] = 0.5 * (vals[2 * t] - vals[2 * t + 1])
-    return preds, dpreds
+    xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
+    shifts = 0.5 * np.pi * np.eye(circuit.n_params)
+    vals = forward_many(circuit, xs, np.vstack([w, w + shifts, w - shifts]))
+    plus, minus = vals[1:circuit.n_params + 1], vals[circuit.n_params + 1:]
+    return vals[0], 0.5 * (plus - minus)
 
 
 def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
@@ -600,7 +497,8 @@ def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, ws: np.ndarray) -> n
     shifted = [np.broadcast_to(a, shape).copy() for a in angles]
     for t, (pos, _) in enumerate(slots):
         shifted[pos][t] += np.pi
-    return 0.5 * qsim.matrix_builder(op.kind)(shifted)
+    # one parameter set: (slots, 1, B or 1, 2, 2) -> (slots, B or 1, 2, 2)
+    return 0.5 * qsim.matrix_builder(op.kind)(shifted).reshape(len(slots), -1, 2, 2)
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -639,13 +537,13 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     trainable = [i for i, slots in enumerate(op_slots) if slots]
     if not trainable:
         return preds, dpreds
-    lam = psi * qsim._z_signs(n_qubits, measured)
+    lam = psi * kernels.z_signs(n_qubits, measured)
     for i in range(len(plans) - 1, trainable[0] - 1, -1):
         inverse = _inverse(plans[i])
         kernels.apply_planned(inverse, psi, n_points)
         op, slots = circuit.ops[i], op_slots[i]
         if slots:
-            left, right = _bit_split(n_qubits, op.targets[0])
+            left, right = kernels.bit_split(n_qubits, op.targets[0])
             derivs = _derivative_matrices(op, slots, xs, ws)
             overlaps = _overlaps(lam, psi, left, right)
             dpreds[[index for _, index in slots]] = 2.0 * (derivs * overlaps).sum(axis=(-2, -1)).real

@@ -20,7 +20,9 @@ Config files are plain ``key = value`` lines ('#' starts a comment).
     out            = output directory             (default qteach_out)
 
 Every run writes ``summary.json`` plus per-run CSV curves and prediction
-maps; reruns with the same config are byte-identical.
+maps; reruns with the same config are byte-identical.  A run first deletes
+from its output directory the files a run writes, and no others, so a
+rerun leaves no stale file of an earlier one.
 """
 
 from __future__ import annotations
@@ -290,11 +292,21 @@ def _run_normalization(config: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
+#: every file a run may write; a run first deletes these and nothing else,
+#: so the output directory describes exactly one run
+_OWNED_FILES = ("summary.json", "config.txt", "FAILED.txt", "loss_*.csv", "accuracy_*.csv",
+                "map_*.csv", "projection_*.csv")
+
+
 def run(config: ExperimentConfig, n_workers: int = 1) -> int:
     """Execute one experiment; returns a process exit status."""
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for pattern in _OWNED_FILES:
+            for path in out.glob(pattern):
+                if path.is_file():
+                    path.unlink()
         (out / "config.txt").write_text(format_config(config))
         if config.experiment == "teacher_student":
             summary = _run_teacher_student(config, out, n_workers)

@@ -1,70 +1,31 @@
-"""In-place batched statevector kernels (the hot path).
+"""In-place batched statevector kernels: the only code that applies gates
+to amplitudes.
 
 Amplitudes live in a C-contiguous (rows, 2^n) complex128 array, one row
 per (parameter set, data point) pair with row = s * n_points + b.  Every
-kernel mutates the array in place with numpy.  Row-dependent 2x2
-matrices index by data point (row % n_points), by parameter set (row //
-n_points), or by row.
+kernel mutates the array in place with numpy.
 
-With qubit 0 as MSB, a basis index splits as l * (2 * right) + bit *
-right + r where left = 2^qubit and right = 2^(n - 1 - qubit); kernels
-take (left, right) instead of the qubit index.
+A 2x2 matrix payload broadcasts against the amplitudes viewed as (S, B,
+left, 2, right), so its shape says what it indexes by: (2, 2) is shared
+by all rows, (1, B, 2, 2) indexes by data point, (S, 1, 2, 2) by
+parameter set and (S, B, 2, 2) by row.  With qubit 0 as MSB, a basis
+index splits as l * (2 * right) + bit * right + r where left = 2^qubit
+and right = 2^(n - 1 - qubit).  A FLIP payload is the pair of index
+arrays (target bit 0, target bit 1) to swap; a PHASE payload lists the
+indices to negate.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-
-def _split(amps, left, right):
-    a = amps.reshape(amps.shape[0], left, 2, right)
-    return a, a[:, :, 0, :], a[:, :, 1, :]
-
-
-def _apply_np(a, a0, a1, m00, m01, m10, m11):
-    old0 = a0.copy()
-    a[:, :, 0, :] = m00 * a0 + m01 * a1
-    a[:, :, 1, :] = m10 * old0 + m11 * a1
-
-
-def _mat_const(amps, left, right, m00, m01, m10, m11):
-    a, a0, a1 = _split(amps, left, right)
-    _apply_np(a, a0, a1, m00, m01, m10, m11)
-
-
-def _mat_rows_np(amps, left, right, row_mats):
-    a, a0, a1 = _split(amps, left, right)
-    m = row_mats[:, :, :, None, None]  # (N, 2, 2, 1, 1)
-    _apply_np(a, a0, a1, m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
-
-
-def _mat_per_b(amps, left, right, mats, n_points):
-    reps = amps.shape[0] // n_points
-    _mat_rows_np(amps, left, right, np.tile(mats, (reps, 1, 1)))
-
-
-def _mat_per_s(amps, left, right, mats, n_points):
-    _mat_rows_np(amps, left, right, np.repeat(mats, n_points, axis=0))
-
-
-def _mat_per_row(amps, left, right, mats):
-    _mat_rows_np(amps, left, right, mats)
-
-
-def _flip_pairs(amps, idx0, idx1):
-    tmp = amps[:, idx0].copy()
-    amps[:, idx0] = amps[:, idx1]
-    amps[:, idx1] = tmp
-
-
-def _phase_flip(amps, idx):
-    amps[:, idx] *= -1.0
-
-
-# dispatch modes for planned operations
+# dispatch modes for planned operations; the four matrix modes share one
+# kernel and differ only in the payload shape above
 MODE_CONST = 0    # one 2x2 matrix shared by all rows
-MODE_PER_B = 1    # matrix indexed by data point (row % n_points)
-MODE_PER_S = 2    # matrix indexed by parameter set (row // n_points)
+MODE_PER_B = 1    # matrix indexed by data point
+MODE_PER_S = 2    # matrix indexed by parameter set
 MODE_PER_ROW = 3  # matrix indexed by row
 MODE_FLIP = 4     # basis-permutation pairs (X / CNOT / MCX)
 MODE_PHASE = 5    # sign flip on listed indices (CZ)
@@ -82,22 +43,67 @@ class PlannedOp:
         self.payload = payload
 
 
+def _apply_matrix(amps, left, right, mats, n_points):
+    a = amps.reshape(-1, n_points, left, 2, right)
+    a0 = a[..., 0, :]
+    a1 = a[..., 1, :]
+    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (S, B, left, right)
+    old0 = a0.copy()
+    a[..., 0, :] = m[..., 0, 0, :, :] * a0 + m[..., 0, 1, :, :] * a1
+    a[..., 1, :] = m[..., 1, 0, :, :] * old0 + m[..., 1, 1, :, :] * a1
+
+
 def apply_planned(op: PlannedOp, amps: np.ndarray, n_points: int) -> None:
     """Apply one lowered gate to (rows, dim) amplitudes in place."""
-    if op.mode == MODE_CONST:
-        m = op.payload
-        _mat_const(amps, op.left, op.right, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-    elif op.mode == MODE_PER_B:
-        _mat_per_b(amps, op.left, op.right, op.payload, n_points)
-    elif op.mode == MODE_PER_S:
-        _mat_per_s(amps, op.left, op.right, op.payload, n_points)
-    elif op.mode == MODE_PER_ROW:
-        _mat_per_row(amps, op.left, op.right, op.payload)
-    elif op.mode == MODE_FLIP:
+    if op.mode == MODE_FLIP:
         idx0, idx1 = op.payload
-        _flip_pairs(amps, idx0, idx1)
+        tmp = amps[:, idx0]
+        amps[:, idx0] = amps[:, idx1]
+        amps[:, idx1] = tmp
+    elif op.mode == MODE_PHASE:
+        amps[:, op.payload] *= -1.0
     else:
-        _phase_flip(amps, op.payload)
+        _apply_matrix(amps, op.left, op.right, op.payload, n_points)
+
+
+def bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:
+    """(left, right) of one qubit: 2^qubit and 2^(n - 1 - qubit)."""
+    return 1 << qubit, 1 << (n_qubits - 1 - qubit)
+
+
+@lru_cache(maxsize=None)
+def flip_pairs(n_qubits: int, controls: tuple[int, ...], target: int):
+    """Index pairs (target bit 0 / 1) to swap for X / CNOT / MCX."""
+    idx = np.arange(1 << n_qubits)
+    tmask = 1 << (n_qubits - 1 - target)
+    hit = (idx & tmask) == 0
+    for c in controls:
+        cmask = 1 << (n_qubits - 1 - c)
+        hit &= (idx & cmask) == cmask
+    idx0 = idx[hit]
+    idx1 = idx0 | tmask
+    idx0.setflags(write=False)
+    idx1.setflags(write=False)
+    return idx0, idx1
+
+
+@lru_cache(maxsize=None)
+def cz_indices(n_qubits: int, a: int, b: int) -> np.ndarray:
+    """Basis indices where both qubits are 1 (the states CZ negates)."""
+    idx = np.arange(1 << n_qubits)
+    mask = (1 << (n_qubits - 1 - a)) | (1 << (n_qubits - 1 - b))
+    out = idx[(idx & mask) == mask]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
+    """+1 / -1 per basis index: the diagonal of Z on one qubit."""
+    idx = np.arange(1 << n_qubits)
+    signs = 1.0 - 2.0 * ((idx >> (n_qubits - 1 - qubit)) & 1)
+    signs.setflags(write=False)
+    return signs
 
 
 def fresh_rows(n_rows: int, dim: int) -> np.ndarray:

@@ -4,11 +4,11 @@ Bit convention: qubit 0 is the most significant bit of a basis-state
 index, i.e. for n qubits the state |b0 b1 ... b(n-1)> sits at index
 sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 
-Gate kernels accept amplitude arrays with arbitrary leading batch axes,
-so independent evaluations (different data points, different parameter
-vectors) run through one vectorized call.  A plain QuantumState is the
-unbatched special case.  Rotation angles may be scalars or arrays that
-broadcast against the batch axes.
+``lower_gate`` turns a gate into a ``kernels.PlannedOp`` and
+``kernels.apply_planned`` applies it; that is the one path by which any
+gate reaches amplitudes.  ``apply_gate`` runs it on a (1, 2^n) copy of
+a state.  The measurement kernels (``expectation_z_kernel``,
+``probability_vector_kernel``) accept arbitrary leading batch axes.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
 and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, StructuralError
 
 MAX_QUBITS = 20
@@ -197,48 +198,6 @@ def matrix_builder(kind: GateKind):
         raise StructuralError(f"{kind.value} has no angle-parameterized matrix") from None
 
 
-# ---------------------------------------------------------------------------
-# cached index tables for the control-flow gates
-# ---------------------------------------------------------------------------
-
-def _bitpos(n_qubits: int, qubit: int) -> int:
-    return n_qubits - 1 - qubit
-
-
-@lru_cache(maxsize=None)
-def _flip_permutation(n_qubits: int, controls: tuple[int, ...], target: int) -> np.ndarray:
-    """Basis permutation of X/CNOT/MCX: flip target where all controls are 1."""
-    idx = np.arange(1 << n_qubits)
-    tmask = 1 << _bitpos(n_qubits, target)
-    if controls:
-        cmask = 0
-        for c in controls:
-            cmask |= 1 << _bitpos(n_qubits, c)
-        perm = np.where((idx & cmask) == cmask, idx ^ tmask, idx)
-    else:
-        perm = idx ^ tmask
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _cz_signs(n_qubits: int, a: int, b: int) -> np.ndarray:
-    """-1 on basis states where both qubits are 1, +1 elsewhere."""
-    idx = np.arange(1 << n_qubits)
-    mask = (1 << _bitpos(n_qubits, a)) | (1 << _bitpos(n_qubits, b))
-    signs = np.where((idx & mask) == mask, -1.0, 1.0)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    signs = 1.0 - 2.0 * ((idx >> _bitpos(n_qubits, qubit)) & 1)
-    signs.setflags(write=False)
-    return signs
-
-
 def _check_indices(n_qubits: int, qubits: Iterable[int]) -> None:
     for q in qubits:
         if not 0 <= q < n_qubits:
@@ -246,64 +205,32 @@ def _check_indices(n_qubits: int, qubits: Iterable[int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels
+# lowering and batched measurement kernels
 # ---------------------------------------------------------------------------
 
-def apply_matrix_kernel(amps: np.ndarray, n_qubits: int, qubit: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a single-qubit matrix (trailing shape (2, 2), any leading batch
-    axes broadcastable against those of ``amps``) to one qubit.
+def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, ...] = (),
+               angles: Sequence = (), mode: int = kernels.MODE_CONST) -> kernels.PlannedOp:
+    """One gate as a kernel call, with qubit indices already checked.
 
-    With qubit 0 as MSB, a basis index splits as hi * 2^(n-q) + b * 2^(n-1-q)
-    + lo, so reshaping the last axis to (2^q, 2, 2^(n-1-q)) exposes the
-    target bit as the middle axis without copying.
+    ``angles`` are scalars or arrays shaped (1, B), (S, 1) or (S, B), so
+    the built matrices take one of the payload shapes ``kernels``
+    documents, and ``mode`` names which.  A payload that one matrix
+    serves for all rows lowers to MODE_CONST unless ``mode`` is
+    MODE_PER_ROW.
     """
-    left = 1 << qubit
-    right = 1 << (n_qubits - 1 - qubit)
-    batch = amps.shape[:-1]
-    a = amps.reshape(batch + (left, 2, right))
-    a0 = a[..., 0, :]
-    a1 = a[..., 1, :]
-    if mat.ndim > 2:
-        m00 = mat[..., 0, 0, np.newaxis, np.newaxis]
-        m01 = mat[..., 0, 1, np.newaxis, np.newaxis]
-        m10 = mat[..., 1, 0, np.newaxis, np.newaxis]
-        m11 = mat[..., 1, 1, np.newaxis, np.newaxis]
-    else:
-        m00, m01, m10, m11 = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    out0 = m00 * a0 + m01 * a1
-    out1 = m10 * a0 + m11 * a1
-    out = np.empty(out0.shape[:-2] + (left, 2, right), dtype=complex)
-    out[..., 0, :] = out0
-    out[..., 1, :] = out1
-    return out.reshape(out0.shape[:-2] + (left * 2 * right,))
-
-
-def apply_gate_kernel(
-    amps: np.ndarray,
-    n_qubits: int,
-    kind: GateKind,
-    targets: tuple[int, ...],
-    controls: tuple[int, ...] = (),
-    params: Sequence = (),
-) -> np.ndarray:
-    """Apply one gate to a (possibly batched) amplitude array.
-
-    ``params`` entries may be scalars or arrays broadcastable against the
-    batch axes (used for data-dependent angles).
-    """
-    _check_indices(n_qubits, targets)
-    _check_indices(n_qubits, controls)
-    target = targets[0]
-    if kind in _MATRIX_BUILDERS:
-        return apply_matrix_kernel(amps, n_qubits, target, _MATRIX_BUILDERS[kind](params))
-    if kind is GateKind.H:
-        return apply_matrix_kernel(amps, n_qubits, target, HADAMARD)
-    if kind in (GateKind.X, GateKind.CNOT, GateKind.MCX):
-        perm = _flip_permutation(n_qubits, tuple(controls), target)
-        return amps[..., perm]
     if kind is GateKind.CZ:
-        return amps * _cz_signs(n_qubits, controls[0], target)
-    raise StructuralError(f"unknown gate kind {kind!r}")
+        return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
+                                 kernels.cz_indices(n_qubits, controls[0], target))
+    if kind in (GateKind.X, GateKind.CNOT, GateKind.MCX):
+        return kernels.PlannedOp(kernels.MODE_FLIP, 0, 0,
+                                 kernels.flip_pairs(n_qubits, tuple(controls), target))
+    left, right = kernels.bit_split(n_qubits, target)
+    if kind is GateKind.H:
+        return kernels.PlannedOp(kernels.MODE_CONST, left, right, HADAMARD)
+    mats = matrix_builder(kind)(angles)
+    if mode != kernels.MODE_PER_ROW and mats.shape[:-2] in ((), (1, 1)):
+        return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats.reshape(2, 2))
+    return kernels.PlannedOp(mode, left, right, mats)
 
 
 def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -314,7 +241,7 @@ def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndar
     does not depend on how many others share the batch."""
     _check_indices(n_qubits, (qubit,))
     probs = amps.real**2 + amps.imag**2
-    vals = (probs * _z_signs(n_qubits, qubit)).sum(axis=-1)
+    vals = (probs * kernels.z_signs(n_qubits, qubit)).sum(axis=-1)
     return np.clip(vals, -1.0, 1.0)
 
 
@@ -344,10 +271,12 @@ def probability_vector_kernel(amps: np.ndarray, n_qubits: int, qubits: Sequence[
 
 def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     """Return the state transformed by one gate (the input is not mutated)."""
-    amps = apply_gate_kernel(
-        state.amplitudes, state.n_qubits, gate.kind, gate.targets, gate.controls, gate.params
-    )
-    return QuantumState(state.n_qubits, amps)
+    n_qubits = state.n_qubits
+    _check_indices(n_qubits, gate.targets + gate.controls)
+    amps = state.amplitudes[None, :].copy()
+    planned = lower_gate(gate.kind, n_qubits, gate.targets[0], gate.controls, gate.params)
+    kernels.apply_planned(planned, amps, 1)
+    return QuantumState(n_qubits, amps[0])
 
 
 def run_gates(state: QuantumState, gates: Iterable[GateOp]) -> QuantumState:

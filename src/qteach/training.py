@@ -21,9 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import ArchitectureId, CircuitSpec, ParamRef, forward_many, forward_with_adjoint
-from .errors import ConfigurationError, TrainingDivergedError, UnsupportedArchitectureError
-from .qsim import SHIFTABLE_KINDS
+from .circuits import ArchitectureId, CircuitSpec, forward_many, forward_with_adjoint
+from .errors import ConfigurationError, TrainingDivergedError
 
 LABEL_KINDS = ("continuous", "binary")
 
@@ -100,14 +99,6 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
     return float(np.mean((y - preds) ** 2))
 
 
-def _check_shiftable(circuit: CircuitSpec) -> None:
-    for op in circuit.ops:
-        if op.kind not in SHIFTABLE_KINDS and any(isinstance(a, ParamRef) for a in op.angles):
-            raise UnsupportedArchitectureError(
-                f"trainable angle on non-shiftable gate kind {op.kind.value}"
-            )
-
-
 def _loss_grad_preds(circuit, w, points, y):
     """Loss, its gradient, and the predictions in one evaluation."""
     preds, dpreds = forward_with_adjoint(circuit, points, w)
@@ -118,7 +109,6 @@ def _loss_grad_preds(circuit, w, points, y):
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:
     """Exact gradient of ``loss`` via the adjoint method."""
-    _check_shiftable(circuit)
     y = _targets(data, label_kind)
     w = np.asarray(w, dtype=float)
     _, grad, _ = _loss_grad_preds(circuit, w, np.asarray(data.points, dtype=float), y)
@@ -128,7 +118,6 @@ def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "conti
 def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "continuous",
           architecture: Optional[ArchitectureId] = None) -> TrainRun:
     """Full-batch gradient descent from a seeded uniform initialization."""
-    _check_shiftable(circuit)
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
     y_binary = np.asarray(data.y_binary, dtype=float)
@@ -158,7 +147,11 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
             v_hat = v / (1.0 - beta2 ** (t + 1))
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
+    if not np.all(np.isfinite(w)):
+        raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs")
     final_loss = loss(circuit, w, data, label_kind)
+    if not np.isfinite(final_loss):
+        raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs")
     return TrainRun(
         loss_curve=loss_curve,
         accuracy_curve=acc_curve,

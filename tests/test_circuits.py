@@ -5,13 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteach import circuits, qsim
+from qteach import circuits, kernels, qsim
 from qteach.circuits import (
     ArchitectureId,
+    Const,
     DataRef,
     Encoding,
     Family,
     ParamRef,
+    SlotOp,
     append_x_on_measured,
     bind,
     build,
@@ -28,7 +30,7 @@ from qteach.circuits import (
 from qteach.errors import ConfigurationError
 from qteach.qsim import GateKind, dense_unitary_oracle
 
-from conftest import ALL_ARCHITECTURES, mixed_spec
+from conftest import ALL_ARCHITECTURES, mixed_spec, random_circuit
 
 EXPECTED_SHAPES = {
     # family -> (n_qubits, n_params, encoding_count, measured_qubit)
@@ -202,13 +204,14 @@ class TestForward:
             )
 
     def test_forward_many_grid_matches_scalar_forward(self, rng):
-        circuit = build(reuploading(2))
-        xs = rng.uniform(-np.pi, np.pi, (4, 2))
-        ws = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
-        table = forward_many(circuit, xs, ws)
-        for i, w in enumerate(ws):
-            for j, x in enumerate(xs):
-                assert table[i, j] == forward(circuit, x, w)
+        # mixed_spec's per-row payloads are (S, B, 2, 2) with S > 1 here
+        for circuit in (build(reuploading(2)), mixed_spec()):
+            xs = rng.uniform(-np.pi, np.pi, (4, 2))
+            ws = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
+            table = forward_many(circuit, xs, ws)
+            for i, w in enumerate(ws):
+                for j, x in enumerate(xs):
+                    assert table[i, j] == forward(circuit, x, w)
 
     def test_batched_evaluation_bit_identical_to_single(self, rng):
         """Results must not depend on how evaluations are batched."""
@@ -243,6 +246,41 @@ class TestForward:
             tracemalloc.stop()
         whole_state = xs.shape[0] * 16 << circuit.n_qubits  # 16 MB
         assert peak < 8 * circuits._BLOCK_BYTES < whole_state
+
+
+def random_slot_ops(rng, n_qubits, n_gates, n_params):
+    """Random SlotOps whose angles are constants, data or parameters."""
+    def slot(value):
+        pick = rng.integers(3)
+        if pick == 0:
+            return Const(value)
+        return DataRef(int(rng.integers(2))) if pick == 1 else ParamRef(int(rng.integers(n_params)))
+
+    return [SlotOp(gate.kind, gate.targets, gate.controls, tuple(slot(v) for v in gate.params))
+            for gate in random_circuit(rng, n_qubits, n_gates)]
+
+
+class TestEvolveInvariants:
+    """Oracle-free checks of the planned kernels with S > 1 parameter sets
+    and B > 1 points, so payloads index by point, by set and by row."""
+
+    def test_norm_kept_and_inverse_returns_zero_state(self, rng):
+        n_sets, n_points, n_params = 3, 4, 5
+        modes = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), n_params)
+            xs = rng.uniform(-np.pi, np.pi, (n_points, 2))
+            ws = rng.uniform(0, 2 * np.pi, (n_sets, n_params))
+            plans = [circuits._plan_op(op, n, xs, ws) for op in ops]
+            modes.update(p.mode for p in plans)
+            zero = kernels.fresh_rows(n_sets * n_points, 1 << n)
+            amps = circuits._evolve(plans, zero.copy(), n_points)
+            np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
+            circuits._evolve([circuits._inverse(p) for p in reversed(plans)], amps, n_points)
+            np.testing.assert_allclose(amps, zero, rtol=0, atol=1e-12)
+        assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_PER_S,
+                         kernels.MODE_PER_ROW, kernels.MODE_FLIP, kernels.MODE_PHASE}
 
 
 class TestAdjoint:

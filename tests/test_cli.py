@@ -134,6 +134,44 @@ class TestRun:
         assert (tmp_path / "threaded" / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
 
 
+FAILING_RUN = SMALL_RUN + "learning_rate = 1e308\n"  # training diverges
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestRerunIntoSameDirectory:
+    """An output directory describes exactly one run."""
+
+    @staticmethod
+    def _run(text, out, n_seeds=None):
+        config = parse_config(text)
+        config.out = str(out)
+        if n_seeds is not None:
+            config.n_seeds = n_seeds
+        return run(config)
+
+    def test_fewer_seeds_leave_no_stale_files(self, tmp_path):
+        assert self._run(SMALL_RUN, tmp_path) == 0
+        (tmp_path / "notes.txt").write_text("keep me")
+        (tmp_path / "plots").mkdir()
+        assert self._run(SMALL_RUN, tmp_path, n_seeds=1) == 0
+        assert list(tmp_path.glob("*_1.csv")) == []
+        assert (tmp_path / "loss_dissipative_qp_0.csv").is_file()
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
+        assert (tmp_path / "plots").is_dir()
+
+    def test_failed_rerun_leaves_no_old_results(self, tmp_path):
+        assert self._run(SMALL_RUN, tmp_path) == 0
+        assert self._run(FAILING_RUN, tmp_path) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FAILED.txt", "config.txt"]
+
+    def test_successful_rerun_removes_failure_marker(self, tmp_path):
+        assert self._run(FAILING_RUN, tmp_path) == 1
+        assert (tmp_path / "FAILED.txt").is_file()
+        assert self._run(SMALL_RUN, tmp_path) == 0
+        assert not (tmp_path / "FAILED.txt").exists()
+        assert (tmp_path / "summary.json").is_file()
+
+
 class TestEncodingPcaRun:
     def test_artifacts(self, tmp_path):
         config = parse_config("experiment = encoding_pca\nn_points = 60\nseed = 2\n")

@@ -4,7 +4,7 @@ invariants of the gate kernels."""
 import numpy as np
 import pytest
 
-from qteach import qsim
+from qteach import kernels, qsim
 from qteach.errors import ConfigurationError, StructuralError
 from qteach.qsim import (
     GateKind,
@@ -193,6 +193,21 @@ class TestDenseOracle:
             worst_norm = max(worst_norm, abs(state.norm() - 1.0))
         assert worst < 1e-9
         assert worst_norm < 1e-10
+
+    def test_oracle_checks_the_planned_kernels(self, rng, monkeypatch):
+        """run_gates applies every gate through kernels.apply_planned, so
+        the oracle test above checks the engine circuits use."""
+        calls = []
+        apply_planned = kernels.apply_planned
+
+        def counting(op, amps, n_points):
+            calls.append(op.mode)
+            apply_planned(op, amps, n_points)
+
+        monkeypatch.setattr(kernels, "apply_planned", counting)
+        gates = random_circuit(rng, 4, 40)
+        run_gates(new_state(4), gates)
+        assert len(calls) == len(gates)
 
     def test_every_gate_matrix_is_unitary(self, rng):
         for _ in range(150):

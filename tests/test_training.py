@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qteach.circuits import build, dissipative_qp, forward_batch, reuploading
-from qteach.errors import ConfigurationError
+from qteach.errors import ConfigurationError, TrainingDivergedError
 from qteach.teacher_student import LabeledGrid, generate_dataset, make_grid
-from qteach.training import Optimizer, TrainConfig, binarize, gradient, loss, train
+from qteach.training import LABEL_KINDS, Optimizer, TrainConfig, binarize, gradient, loss, train
 
 from conftest import ALL_ARCHITECTURES, tiny_dataset
 
@@ -164,6 +164,15 @@ class TestTrain:
         circuit = build(reuploading(2))
         run = train(circuit, tiny_dataset(rng, 12), TrainConfig(epochs=30, seed=7))
         assert np.all(run.loss_curve >= 0)
+
+    @pytest.mark.parametrize("label_kind", LABEL_KINDS)
+    def test_divergence_raises(self, label_kind):
+        """A step so large that the parameters overflow must not return a
+        NaN final loss."""
+        data = generate_dataset(dissipative_qp(), make_grid(3), seed=1)
+        cfg = TrainConfig(learning_rate=1e308, epochs=2)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+            train(build(dissipative_qp()), data, cfg, label_kind)
 
     def test_metadata_is_json_ready(self, rng):
         import json
