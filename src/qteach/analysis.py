@@ -18,21 +18,20 @@ hides most of the structure and both students fit comparably well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import circuits, kernels, qsim
 from .circuits import (
     ArchitectureId,
+    CircuitSpec,
     Encoding,
     Family,
     append_x_on_measured,
     ancilla_probabilities,
     build,
     dissipative_qp,
-    forward_batch,
     reuploading,
 )
 from .errors import ConfigurationError, StructuralError
@@ -73,10 +72,8 @@ def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> n
     only the encoding gates the architecture builders emit to |00>."""
     builder = circuits._Builder(encoding)
     builder.encode(0, 1)
-    points = data.points
-    no_params = np.empty((1, 0))
-    plans = [circuits._plan_op(op, 2, points, no_params) for op in builder.ops]
-    amps = circuits._evolve(plans, kernels.fresh_rows(len(points), 4), len(points))
+    plans = circuits._plan(builder.ops, 2, data.points, np.empty(0))
+    amps = circuits._evolve(plans, kernels.fresh_rows(len(data.points), 4))
     return qsim.probability_vector_kernel(amps, 2, (0, 1))
 
 
@@ -180,6 +177,7 @@ def encoding_study(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0) 
 @dataclass
 class LabellingCase:
     name: str
+    circuit: CircuitSpec
     run: TrainRun
     final_loss: float
     accuracy: float
@@ -233,21 +231,15 @@ def labelling_experiment(cfg: TrainConfig, n_points: int = 500,
     ]
     for i, (name, circuit, labels) in enumerate(setups):
         dataset = _labelled(data.points, labels)
-        run_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            optimizer=cfg.optimizer,
-            seed=derive_seed(cfg.seed, i, _ROLE_LABELLING),
-            init_scale=cfg.init_scale,
-        )
+        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, i, _ROLE_LABELLING))
         run = train(circuit, dataset, run_cfg, "binary")
-        preds = forward_batch(circuit, data.points, run.final_params)
-        acc = accuracy(preds, labels)
+        acc = accuracy(run.final_preds, labels)
         probs = ancilla_probabilities(circuit, data.points, run.final_params)
         minus_mean = probs[labels < 0].mean(axis=0)
         cases.append(
             LabellingCase(
                 name=name,
+                circuit=circuit,
                 run=run,
                 final_loss=run.final_loss,
                 accuracy=acc,
@@ -294,20 +286,14 @@ class NormalizationReport:
 
 
 def normalization_experiment(cfg: TrainConfig, n_seeds: int = 10, resolution: int = 21,
-                             map_resolution: int = 51,
-                             full_range_result: Optional[ExperimentResult] = None) -> NormalizationReport:
-    """Deep-teacher comparison on [-pi, pi] inputs versus [-1, 1] inputs.
-
-    ``full_range_result`` lets callers reuse an already-computed
-    [-pi, pi] run; it must come from the same teacher/students/config.
-    """
+                             map_resolution: int = 51) -> NormalizationReport:
+    """Deep-teacher comparison on [-pi, pi] inputs versus [-1, 1] inputs."""
     teacher = ArchitectureId(Family.DEEP_TEACHER4)
     students = [dissipative_qp(), reuploading(2)]
-    if full_range_result is None:
-        full_range_result = run_experiment(
-            teacher, students, n_seeds, cfg, make_grid(resolution, -np.pi, np.pi),
-            map_resolution=map_resolution, include_binary=False,
-        )
+    full_range_result = run_experiment(
+        teacher, students, n_seeds, cfg, make_grid(resolution, -np.pi, np.pi),
+        map_resolution=map_resolution, include_binary=False,
+    )
     unit_range_result = run_experiment(
         teacher, students, n_seeds, cfg, make_grid(resolution, -1.0, 1.0),
         map_resolution=map_resolution, include_binary=False,

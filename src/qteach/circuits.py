@@ -347,65 +347,50 @@ def _check_bind_args(circuit: CircuitSpec, x, w) -> tuple[np.ndarray, np.ndarray
     return x, w
 
 
+def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
+    """Angles of an op for the points ``xs`` under one parameter vector
+    ``w``: data angles as (B,) arrays (scalars for a single (2,) point),
+    parameters and constants as scalars."""
+    def resolve(angle: AngleExpr):
+        if isinstance(angle, Const):
+            return angle.value
+        if isinstance(angle, DataRef):
+            return xs[..., angle.component]
+        return w[angle.index]
+
+    return [resolve(a) for a in op.angles]
+
+
 def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
     """Resolve all slots into executable gates for one point and one
     parameter vector."""
     x, w = _check_bind_args(circuit, x, w)
     if x.ndim != 1 or w.ndim != 1:
         raise ConfigurationError("bind takes a single point and a single parameter vector")
-
-    def resolve(angle: AngleExpr) -> float:
-        if isinstance(angle, Const):
-            return angle.value
-        if isinstance(angle, DataRef):
-            return float(x[angle.component])
-        return float(w[angle.index])
-
-    return [
-        GateOp(op.kind, op.targets, op.controls, tuple(resolve(a) for a in op.angles))
-        for op in circuit.ops
-    ]
+    return [GateOp(op.kind, op.targets, op.controls, tuple(_lowered_angles(op, x, w)))
+            for op in circuit.ops]
 
 
-def _lowered_angles(op: SlotOp, xs: np.ndarray, ws: np.ndarray):
-    """(mode, angles) of a rotation op: data angles shaped (1, B), parameter
-    angles (S, 1) and constants as scalars, so the built matrices index
-    by data point, by parameter set, or, when data and parameters mix,
-    by row."""
-    has_data = any(isinstance(a, DataRef) for a in op.angles)
-    has_param = any(isinstance(a, ParamRef) for a in op.angles)
-
-    def resolve(angle: AngleExpr):
-        if isinstance(angle, Const):
-            return angle.value
-        if isinstance(angle, DataRef):
-            return xs[None, :, angle.component]    # (1, B)
-        return ws[:, angle.index, None]            # (S, 1)
-
-    if has_data and has_param:
-        mode = kernels.MODE_PER_ROW  # not produced by the builders
-    elif has_data:
-        mode = kernels.MODE_PER_B
-    else:
-        mode = kernels.MODE_PER_S if has_param else kernels.MODE_CONST
-    return mode, [resolve(a) for a in op.angles]
+def _plan(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
+          w: np.ndarray) -> list[kernels.PlannedOp]:
+    """Lower ops to kernel calls for the points ``xs`` under ``w``."""
+    return [qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, _lowered_angles(op, xs, w))
+            for op in ops]
 
 
-def _plan_op(op: SlotOp, n_qubits: int, xs: np.ndarray, ws: np.ndarray) -> kernels.PlannedOp:
-    """Lower one SlotOp to a kernel call for the given points/parameters."""
-    mode, angles = _lowered_angles(op, xs, ws)
-    return qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, angles, mode)
-
-
-def _plan(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> list[kernels.PlannedOp]:
-    return [_plan_op(op, circuit.n_qubits, xs, ws) for op in circuit.ops]
-
-
-def _evolve(plans: Sequence[kernels.PlannedOp], amps: np.ndarray, n_points: int) -> np.ndarray:
+def _evolve(plans: Sequence[kernels.PlannedOp], amps: np.ndarray) -> np.ndarray:
     """Apply lowered gates in order to ``amps`` in place; returns ``amps``."""
     for planned in plans:
-        kernels.apply_planned(planned, amps, n_points)
+        kernels.apply_planned(planned, amps)
     return amps
+
+
+def _states(circuit: CircuitSpec, xs: np.ndarray,
+            w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
+    """(plans, amps): the circuit lowered for the points ``xs`` under one
+    parameter vector ``w``, and the (B, 2^n) states it takes |0...0> to."""
+    plans = _plan(circuit.ops, circuit.n_qubits, xs, w)
+    return plans, _evolve(plans, kernels.fresh_rows(len(xs), 1 << circuit.n_qubits))
 
 
 # Bytes of amplitudes forward_many evolves at once.  Rows evolve
@@ -420,21 +405,19 @@ def forward_many(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> np.nda
     """Model outputs for every (parameter vector, data point) pair.
 
     ``xs``: (B, 2) points; ``ws``: (S, P) parameter vectors.  Returns an
-    (S, B) array of ancilla Z expectations.  The points are evolved in
-    blocks of about ``_BLOCK_BYTES`` of amplitudes.
+    (S, B) array of ancilla Z expectations.  Each parameter vector
+    evolves the points in blocks of about ``_BLOCK_BYTES`` of amplitudes.
     """
     xs, ws = _check_bind_args(circuit, xs, ws)
     if xs.ndim != 2 or ws.ndim != 2:
         raise ConfigurationError("forward_many takes (B, 2) points and (S, P) parameters")
-    n_sets, dim = ws.shape[0], 1 << circuit.n_qubits
-    step = max(1, _BLOCK_BYTES // (16 * dim * max(n_sets, 1)))
-    vals = np.empty((n_sets, xs.shape[0]))
-    for start in range(0, xs.shape[0], step):
-        block = xs[start:start + step]
-        amps = _evolve(_plan(circuit, block, ws), kernels.fresh_rows(n_sets * len(block), dim),
-                       len(block))
-        block_vals = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
-        vals[:, start:start + step] = block_vals.reshape(n_sets, len(block))
+    step = max(1, _BLOCK_BYTES // (16 << circuit.n_qubits))
+    vals = np.empty((ws.shape[0], xs.shape[0]))
+    for s, w in enumerate(ws):
+        for start in range(0, xs.shape[0], step):
+            _, amps = _states(circuit, xs[start:start + step], w)
+            vals[s, start:start + step] = qsim.expectation_z_kernel(amps, circuit.n_qubits,
+                                                                    circuit.measured_qubit)
     return vals
 
 
@@ -482,7 +465,7 @@ def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
     return kernels.PlannedOp(planned.mode, planned.left, planned.right, dagger)
 
 
-def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """dU/dw for each trainable angle of a rotation op, stacked on axis 0.
 
     Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
@@ -490,14 +473,14 @@ def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, ws: np.ndarray) -> n
     Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
     M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M.  The
     angles come from the op's own lowering, so a rotation mixing data
-    and parameters gets one matrix per row.
+    and parameters gets one matrix per point.
     """
-    _, angles = _lowered_angles(op, xs, ws)
+    angles = _lowered_angles(op, xs, w)
     shape = (len(slots),) + np.broadcast(*angles).shape
     shifted = [np.broadcast_to(a, shape).copy() for a in angles]
     for t, (pos, _) in enumerate(slots):
         shifted[pos][t] += np.pi
-    # one parameter set: (slots, 1, B or 1, 2, 2) -> (slots, B or 1, 2, 2)
+    # (slots, 2, 2) or (slots, B, 2, 2) -> (slots, 1 or B, 2, 2) against (B, 2, 2)
     return 0.5 * qsim.matrix_builder(op.kind)(shifted).reshape(len(slots), -1, 2, 2)
 
 
@@ -526,13 +509,10 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     if xs.ndim != 2 or w.ndim != 1:
         raise ConfigurationError("forward_with_adjoint takes (B, 2) points and (P,) parameters")
     n_qubits, measured = circuit.n_qubits, circuit.measured_qubit
-    n_points = xs.shape[0]
-    ws = w[None, :]
-    plans = _plan(circuit, xs, ws)
-    psi = _evolve(plans, kernels.fresh_rows(n_points, 1 << n_qubits), n_points)
+    plans, psi = _states(circuit, xs, w)
     preds = qsim.expectation_z_kernel(psi, n_qubits, measured)
 
-    dpreds = np.zeros((circuit.n_params, n_points))
+    dpreds = np.zeros((circuit.n_params, len(xs)))
     op_slots = [_param_slots(op) for op in circuit.ops]
     trainable = [i for i, slots in enumerate(op_slots) if slots]
     if not trainable:
@@ -540,24 +520,22 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     lam = psi * kernels.z_signs(n_qubits, measured)
     for i in range(len(plans) - 1, trainable[0] - 1, -1):
         inverse = _inverse(plans[i])
-        kernels.apply_planned(inverse, psi, n_points)
+        kernels.apply_planned(inverse, psi)
         op, slots = circuit.ops[i], op_slots[i]
         if slots:
             left, right = kernels.bit_split(n_qubits, op.targets[0])
-            derivs = _derivative_matrices(op, slots, xs, ws)
+            derivs = _derivative_matrices(op, slots, xs, w)
             overlaps = _overlaps(lam, psi, left, right)
             dpreds[[index for _, index in slots]] = 2.0 * (derivs * overlaps).sum(axis=(-2, -1)).real
         if i > trainable[0]:
-            kernels.apply_planned(inverse, lam, n_points)
+            kernels.apply_planned(inverse, lam)
     return preds, dpreds
 
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point."""
     xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
-    n_points = xs.shape[0]
-    amps = _evolve(_plan(circuit, xs, w[None, :]), kernels.fresh_rows(n_points, 1 << circuit.n_qubits),
-                   n_points)
+    _, amps = _states(circuit, xs, w)
     return qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
 
 

@@ -43,7 +43,7 @@ from .analysis import (
     labelling_experiment,
     normalization_experiment,
 )
-from .circuits import Encoding, build, parse_architecture
+from .circuits import Encoding, parse_architecture
 from .errors import ConfigParseError, QTeachError
 from .metrics import prediction_map, write_prediction_map
 from .teacher_student import ExperimentResult, make_grid, run_experiment
@@ -266,14 +266,10 @@ def _run_labelling(config: ExperimentConfig, out: Path) -> dict:
     report = labelling_experiment(
         config.train_config(), config.n_points, config.radius, config.seed
     )
-    from .circuits import append_x_on_measured, dissipative_qp
-
-    base_circuit = build(dissipative_qp())
     for case in report.cases:
         _write_run_curves(out, case.name, case.run)
-        circuit = append_x_on_measured(base_circuit) if case.name.endswith("with_x") else base_circuit
         write_prediction_map(
-            prediction_map(circuit, case.run.final_params, config.map_resolution),
+            prediction_map(case.circuit, case.run.final_params, config.map_resolution),
             out / f"map_{case.name}.csv",
         )
     summary = report.summary()

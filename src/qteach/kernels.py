@@ -1,18 +1,17 @@
 """In-place batched statevector kernels: the only code that applies gates
 to amplitudes.
 
-Amplitudes live in a C-contiguous (rows, 2^n) complex128 array, one row
-per (parameter set, data point) pair with row = s * n_points + b.  Every
+Amplitudes live in a C-contiguous (B, 2^n) complex128 array, one row per
+data point; every row evolves under the same parameter vector.  Every
 kernel mutates the array in place with numpy.
 
-A 2x2 matrix payload broadcasts against the amplitudes viewed as (S, B,
+A 2x2 matrix payload broadcasts against the amplitudes viewed as (B,
 left, 2, right), so its shape says what it indexes by: (2, 2) is shared
-by all rows, (1, B, 2, 2) indexes by data point, (S, 1, 2, 2) by
-parameter set and (S, B, 2, 2) by row.  With qubit 0 as MSB, a basis
-index splits as l * (2 * right) + bit * right + r where left = 2^qubit
-and right = 2^(n - 1 - qubit).  A FLIP payload is the pair of index
-arrays (target bit 0, target bit 1) to swap; a PHASE payload lists the
-indices to negate.
+by all points and (B, 2, 2) holds one matrix per point.  With qubit 0 as
+MSB, a basis index splits as l * (2 * right) + bit * right + r where
+left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP payload is the
+pair of index arrays (target bit 0, target bit 1) to swap; a PHASE
+payload lists the indices to negate.
 """
 
 from __future__ import annotations
@@ -21,12 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-# dispatch modes for planned operations; the four matrix modes share one
+# dispatch modes for planned operations; the matrix modes share one
 # kernel and differ only in the payload shape above
-MODE_CONST = 0    # one 2x2 matrix shared by all rows
+MODE_CONST = 0    # one 2x2 matrix shared by all points
 MODE_PER_B = 1    # matrix indexed by data point
-MODE_PER_S = 2    # matrix indexed by parameter set
-MODE_PER_ROW = 3  # matrix indexed by row
+# Never produced since the engine evolves one parameter vector at a
+# time; kept distinct because perfbench/spans.py looks up all six names.
+MODE_PER_S = 2
+MODE_PER_ROW = 3
 MODE_FLIP = 4     # basis-permutation pairs (X / CNOT / MCX)
 MODE_PHASE = 5    # sign flip on listed indices (CZ)
 
@@ -43,18 +44,18 @@ class PlannedOp:
         self.payload = payload
 
 
-def _apply_matrix(amps, left, right, mats, n_points):
-    a = amps.reshape(-1, n_points, left, 2, right)
+def _apply_matrix(amps, left, right, mats):
+    a = amps.reshape(-1, left, 2, right)
     a0 = a[..., 0, :]
     a1 = a[..., 1, :]
-    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (S, B, left, right)
+    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (B, left, right)
     old0 = a0.copy()
     a[..., 0, :] = m[..., 0, 0, :, :] * a0 + m[..., 0, 1, :, :] * a1
     a[..., 1, :] = m[..., 1, 0, :, :] * old0 + m[..., 1, 1, :, :] * a1
 
 
-def apply_planned(op: PlannedOp, amps: np.ndarray, n_points: int) -> None:
-    """Apply one lowered gate to (rows, dim) amplitudes in place."""
+def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
+    """Apply one lowered gate to (B, dim) amplitudes in place."""
     if op.mode == MODE_FLIP:
         idx0, idx1 = op.payload
         tmp = amps[:, idx0]
@@ -63,7 +64,7 @@ def apply_planned(op: PlannedOp, amps: np.ndarray, n_points: int) -> None:
     elif op.mode == MODE_PHASE:
         amps[:, op.payload] *= -1.0
     else:
-        _apply_matrix(amps, op.left, op.right, op.payload, n_points)
+        _apply_matrix(amps, op.left, op.right, op.payload)
 
 
 def bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:

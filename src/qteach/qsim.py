@@ -6,8 +6,10 @@ sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 
 ``lower_gate`` turns a gate into a ``kernels.PlannedOp`` and
 ``kernels.apply_planned`` applies it; that is the one path by which any
-gate reaches amplitudes.  ``apply_gate`` runs it on a (1, 2^n) copy of
-a state.  The measurement kernels (``expectation_z_kernel``,
+gate reaches amplitudes.  Its angles are scalars or one value per data
+point, so a lowered gate acts on a batch of points under one parameter
+vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
+measurement kernels (``expectation_z_kernel``,
 ``probability_vector_kernel``) accept arbitrary leading batch axes.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
@@ -209,14 +211,13 @@ def _check_indices(n_qubits: int, qubits: Iterable[int]) -> None:
 # ---------------------------------------------------------------------------
 
 def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, ...] = (),
-               angles: Sequence = (), mode: int = kernels.MODE_CONST) -> kernels.PlannedOp:
+               angles: Sequence = ()) -> kernels.PlannedOp:
     """One gate as a kernel call, with qubit indices already checked.
 
-    ``angles`` are scalars or arrays shaped (1, B), (S, 1) or (S, B), so
-    the built matrices take one of the payload shapes ``kernels``
-    documents, and ``mode`` names which.  A payload that one matrix
-    serves for all rows lowers to MODE_CONST unless ``mode`` is
-    MODE_PER_ROW.
+    ``angles`` are scalars or (B,) arrays, one entry per data point.  A
+    rotation whose angles are all scalars lowers to one (2, 2) matrix
+    (MODE_CONST); any (B,) angle gives one matrix per point (MODE_PER_B),
+    whether the other angles are data, parameters or constants.
     """
     if kind is GateKind.CZ:
         return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
@@ -228,8 +229,7 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
     if kind is GateKind.H:
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, HADAMARD)
     mats = matrix_builder(kind)(angles)
-    if mode != kernels.MODE_PER_ROW and mats.shape[:-2] in ((), (1, 1)):
-        return kernels.PlannedOp(kernels.MODE_CONST, left, right, mats.reshape(2, 2))
+    mode = kernels.MODE_CONST if mats.shape == (2, 2) else kernels.MODE_PER_B
     return kernels.PlannedOp(mode, left, right, mats)
 
 
@@ -275,7 +275,7 @@ def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
     _check_indices(n_qubits, gate.targets + gate.controls)
     amps = state.amplitudes[None, :].copy()
     planned = lower_gate(gate.kind, n_qubits, gate.targets[0], gate.controls, gate.params)
-    kernels.apply_planned(planned, amps, 1)
+    kernels.apply_planned(planned, amps)
     return QuantumState(n_qubits, amps[0])
 
 

@@ -56,9 +56,13 @@ class LabeledGrid:
         self.points = np.asarray(self.points, dtype=float)
         self.y_continuous = np.asarray(self.y_continuous, dtype=float)
         self.y_binary = np.asarray(self.y_binary, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 2:
+            raise StructuralError(f"points must be shaped (n, 2), got {self.points.shape}")
         n = len(self.points)
         if self.y_continuous.shape != (n,) or self.y_binary.shape != (n,):
             raise StructuralError("points and labels must have matching lengths")
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.y_continuous))):
+            raise StructuralError("points and labels must be finite")
         if not np.array_equal(self.y_binary, binarize(self.y_continuous)):
             raise StructuralError("y_binary must equal sign(y_continuous)")
 
@@ -179,11 +183,9 @@ def _run_one_seed(teacher, students, student_circuits, s, cfg, grid, bounds,
         if include_binary:
             bin_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT_BINARY, k))
             bin_run = train(student_circuit, dataset, bin_cfg, "binary", architecture=student)
-            preds = forward_batch(student_circuit, grid, bin_run.final_params)
         else:
             bin_run = None
-            preds = forward_batch(student_circuit, grid, run.final_params)
-        acc = accuracy(preds, dataset.y_binary)
+        acc = accuracy((bin_run or run).final_preds, dataset.y_binary)
         records.append((run, bin_run, student_map, rel, acc))
     return dataset, teacher_map, records
 

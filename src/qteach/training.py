@@ -52,12 +52,14 @@ class TrainRun:
     """Result of one training: per-epoch curves plus the final parameters.
 
     loss_curve[t] is the loss at the parameters before update t (entry 0
-    is the initialization loss); final_loss is evaluated at final_params.
+    is the initialization loss); final_preds are the model outputs at
+    final_params on the training points, and final_loss is their loss.
     """
 
     loss_curve: np.ndarray
     accuracy_curve: Optional[np.ndarray]
     final_params: np.ndarray
+    final_preds: np.ndarray
     final_loss: float
     config: TrainConfig
     architecture: Optional[ArchitectureId] = None
@@ -149,13 +151,15 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
 
     if not np.all(np.isfinite(w)):
         raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs")
-    final_loss = loss(circuit, w, data, label_kind)
+    final_preds = forward_many(circuit, points, w[None, :])[0]
+    final_loss = float(np.mean((y - final_preds) ** 2))
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs")
     return TrainRun(
         loss_curve=loss_curve,
         accuracy_curve=acc_curve,
         final_params=w,
+        final_preds=final_preds,
         final_loss=final_loss,
         config=cfg,
         architecture=architecture,

@@ -42,7 +42,7 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> lis
 
 def mixed_spec() -> CircuitSpec:
     """Trainable RX, RY and RZ, and ROTs mixing data, parameter and constant
-    angles (lowered to one matrix per row)."""
+    angles (lowered to one matrix per point)."""
     ops = (
         SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
         SlotOp(GateKind.H, (1,)),

@@ -214,6 +214,8 @@ def report():
 class TestLabellingExperiment:
     def test_reports_three_cases(self, report):
         assert [c.name for c in report.cases] == ["inner_minus", "flipped", "flipped_with_x"]
+        base = build(dissipative_qp())
+        assert [c.circuit for c in report.cases] == [base, base, append_x_on_measured(base)]
 
     def test_inner_minus_activates_ancilla(self, report):
         case = report.case("inner_minus")

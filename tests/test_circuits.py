@@ -204,7 +204,7 @@ class TestForward:
             )
 
     def test_forward_many_grid_matches_scalar_forward(self, rng):
-        # mixed_spec's per-row payloads are (S, B, 2, 2) with S > 1 here
+        # mixed_spec's data/parameter rotations lower to one matrix per point
         for circuit in (build(reuploading(2)), mixed_spec()):
             xs = rng.uniform(-np.pi, np.pi, (4, 2))
             ws = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
@@ -261,26 +261,29 @@ def random_slot_ops(rng, n_qubits, n_gates, n_params):
 
 
 class TestEvolveInvariants:
-    """Oracle-free checks of the planned kernels with S > 1 parameter sets
-    and B > 1 points, so payloads index by point, by set and by row."""
+    """Oracle-free checks of the planned kernels on B > 1 points under one
+    parameter vector, with rotations that mix data and parameters, so
+    payloads are shared by all points or indexed by point."""
 
     def test_norm_kept_and_inverse_returns_zero_state(self, rng):
-        n_sets, n_points, n_params = 3, 4, 5
-        modes = set()
+        n_points, n_params = 4, 5
+        modes, mixing = set(), 0
         for _ in range(60):
             n = int(rng.integers(1, 6))
             ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), n_params)
             xs = rng.uniform(-np.pi, np.pi, (n_points, 2))
-            ws = rng.uniform(0, 2 * np.pi, (n_sets, n_params))
-            plans = [circuits._plan_op(op, n, xs, ws) for op in ops]
+            w = rng.uniform(0, 2 * np.pi, n_params)
+            plans = circuits._plan(ops, n, xs, w)
             modes.update(p.mode for p in plans)
-            zero = kernels.fresh_rows(n_sets * n_points, 1 << n)
-            amps = circuits._evolve(plans, zero.copy(), n_points)
+            mixing += sum({DataRef, ParamRef} <= {type(a) for a in op.angles} for op in ops)
+            zero = kernels.fresh_rows(n_points, 1 << n)
+            amps = circuits._evolve(plans, zero.copy())
             np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
-            circuits._evolve([circuits._inverse(p) for p in reversed(plans)], amps, n_points)
+            circuits._evolve([circuits._inverse(p) for p in reversed(plans)], amps)
             np.testing.assert_allclose(amps, zero, rtol=0, atol=1e-12)
-        assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_PER_S,
-                         kernels.MODE_PER_ROW, kernels.MODE_FLIP, kernels.MODE_PHASE}
+        assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_FLIP,
+                         kernels.MODE_PHASE}
+        assert mixing > 0
 
 
 class TestAdjoint:

@@ -200,9 +200,9 @@ class TestDenseOracle:
         calls = []
         apply_planned = kernels.apply_planned
 
-        def counting(op, amps, n_points):
+        def counting(op, amps):
             calls.append(op.mode)
-            apply_planned(op, amps, n_points)
+            apply_planned(op, amps)
 
         monkeypatch.setattr(kernels, "apply_planned", counting)
         gates = random_circuit(rng, 4, 40)

@@ -64,6 +64,27 @@ class TestGenerateDataset:
         with pytest.raises(StructuralError):
             LabeledGrid(np.zeros((2, 2)), np.array([0.5, -0.5]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_labeled_grid_rejects_non_finite_labels(self, bad):
+        """binarize(nan) is -1, so the sign check alone lets NaN through."""
+        y = np.array([0.5, bad, -0.2])
+        with pytest.raises(StructuralError):
+            LabeledGrid(np.zeros((3, 2)), y, binarize(y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_labeled_grid_rejects_non_finite_points(self, bad):
+        points = np.zeros((3, 2))
+        points[1, 0] = bad
+        y = np.array([0.5, 0.1, -0.2])
+        with pytest.raises(StructuralError):
+            LabeledGrid(points, y, binarize(y))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 2, 1)], ids=str)
+    def test_labeled_grid_rejects_points_not_shaped_n_by_2(self, shape):
+        y = np.array([0.5, 0.1, -0.2])
+        with pytest.raises(StructuralError):
+            LabeledGrid(np.zeros(shape), y, binarize(y))
+
 
 class TestDeriveSeed:
     def test_deterministic(self):

@@ -160,6 +160,16 @@ class TestTrain:
         run = train(circuit, tiny_dataset(rng), TrainConfig(epochs=2, seed=0))
         assert run.accuracy_curve is None
 
+    @pytest.mark.parametrize("label_kind", LABEL_KINDS)
+    def test_final_preds_are_the_model_at_final_params(self, rng, label_kind):
+        """Callers score accuracy from final_preds instead of evaluating
+        the model again, so they must be those outputs bit for bit."""
+        circuit = build(reuploading(2))
+        data = tiny_dataset(rng, 12)
+        run = train(circuit, data, TrainConfig(epochs=4, seed=3), label_kind)
+        np.testing.assert_array_equal(run.final_preds, forward_batch(circuit, data.points, run.final_params))
+        assert run.final_loss == loss(circuit, run.final_params, data, label_kind)
+
     def test_loss_curve_nonnegative(self, rng):
         circuit = build(reuploading(2))
         run = train(circuit, tiny_dataset(rng, 12), TrainConfig(epochs=30, seed=7))
