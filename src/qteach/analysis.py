@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuits, kernels, qsim
+from . import circuits, qsim
 from .circuits import (
     ArchitectureId,
     CircuitSpec,
@@ -72,8 +72,7 @@ def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> n
     only the encoding gates the architecture builders emit to |00>."""
     builder = circuits._Builder(encoding)
     builder.encode(0, 1)
-    plans = circuits._plan(builder.ops, 2, data.points, np.empty(0))
-    amps = circuits._evolve(plans, kernels.fresh_rows(len(data.points), 4))
+    _, amps = circuits._states(builder.ops, 2, data.points, np.empty(0))
     return qsim.probability_vector_kernel(amps, 2, (0, 1))
 
 
@@ -179,7 +178,6 @@ class LabellingCase:
     name: str
     circuit: CircuitSpec
     run: TrainRun
-    final_loss: float
     accuracy: float
     minus_class_ancilla: np.ndarray  # mean [p0, p1] over the -1-labeled inputs
 
@@ -202,7 +200,7 @@ class LabellingReport:
             "cases": [
                 {
                     "name": c.name,
-                    "final_loss": float(c.final_loss),
+                    "final_loss": float(c.run.final_loss),
                     "accuracy": float(c.accuracy),
                     "minus_class_ancilla": [float(v) for v in c.minus_class_ancilla],
                 }
@@ -241,7 +239,6 @@ def labelling_experiment(cfg: TrainConfig, n_points: int = 500,
                 name=name,
                 circuit=circuit,
                 run=run,
-                final_loss=run.final_loss,
                 accuracy=acc,
                 minus_class_ancilla=minus_mean,
             )

@@ -333,18 +333,17 @@ def append_x_on_measured(circuit: CircuitSpec) -> CircuitSpec:
 # binding and evaluation
 # ---------------------------------------------------------------------------
 
-def _check_bind_args(circuit: CircuitSpec, x, w) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
+def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
+    xs = np.asarray(xs, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape[-1] != 2:
-        raise ConfigurationError(f"input points must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if xs.ndim != 2 or xs.shape[1] != 2:
+        raise ConfigurationError(f"input points must be a (B, 2) array, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
         raise ConfigurationError("input point components must be finite")
-    if w.shape[-1] != circuit.n_params:
-        raise ConfigurationError(
-            f"expected {circuit.n_params} parameters, got {w.shape[-1]}"
-        )
-    return x, w
+    if w.shape != (circuit.n_params,):
+        raise ConfigurationError(f"expected one vector of {circuit.n_params} parameters, got shape {w.shape}")
+    return xs, w
 
 
 def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
@@ -364,96 +363,61 @@ def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
 def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
     """Resolve all slots into executable gates for one point and one
     parameter vector."""
-    x, w = _check_bind_args(circuit, x, w)
-    if x.ndim != 1 or w.ndim != 1:
-        raise ConfigurationError("bind takes a single point and a single parameter vector")
-    return [GateOp(op.kind, op.targets, op.controls, tuple(_lowered_angles(op, x, w)))
+    xs, w = _batch_args(circuit, np.asarray(x, dtype=float)[None], w)
+    return [GateOp(op.kind, op.targets, op.controls, tuple(_lowered_angles(op, xs[0], w)))
             for op in circuit.ops]
 
 
-def _plan(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
-          w: np.ndarray) -> list[kernels.PlannedOp]:
-    """Lower ops to kernel calls for the points ``xs`` under ``w``."""
-    return [qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, _lowered_angles(op, xs, w))
-            for op in ops]
-
-
-def _evolve(plans: Sequence[kernels.PlannedOp], amps: np.ndarray) -> np.ndarray:
-    """Apply lowered gates in order to ``amps`` in place; returns ``amps``."""
+def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
+            w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
+    """(plans, amps): ``ops`` lowered for the points ``xs`` under one
+    parameter vector ``w``, and the (B, 2^n) states they take |0...0> to."""
+    plans = [qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, _lowered_angles(op, xs, w))
+             for op in ops]
+    amps = np.zeros((len(xs), 1 << n_qubits), dtype=complex)
+    amps[:, 0] = 1.0
     for planned in plans:
         kernels.apply_planned(planned, amps)
-    return amps
-
-
-def _states(circuit: CircuitSpec, xs: np.ndarray,
-            w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
-    """(plans, amps): the circuit lowered for the points ``xs`` under one
-    parameter vector ``w``, and the (B, 2^n) states it takes |0...0> to."""
-    plans = _plan(circuit.ops, circuit.n_qubits, xs, w)
-    return plans, _evolve(plans, kernels.fresh_rows(len(xs), 1 << circuit.n_qubits))
+    return plans, amps
 
 
 # Bytes of amplitudes forward_many evolves at once.  Rows evolve
 # independently, so splitting the points into blocks leaves every output
 # bit-identical; it bounds the working set (a block's state plus the
 # kernels' temporaries) at a few MiB however many points a call asks
-# for, so peak memory no longer grows with the map resolution.
+# for, so peak memory does not grow with the number of points.
 _BLOCK_BYTES = 1 << 20
 
 
-def forward_many(circuit: CircuitSpec, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Model outputs for every (parameter vector, data point) pair.
-
-    ``xs``: (B, 2) points; ``ws``: (S, P) parameter vectors.  Returns an
-    (S, B) array of ancilla Z expectations.  Each parameter vector
-    evolves the points in blocks of about ``_BLOCK_BYTES`` of amplitudes.
-    """
-    xs, ws = _check_bind_args(circuit, xs, ws)
-    if xs.ndim != 2 or ws.ndim != 2:
-        raise ConfigurationError("forward_many takes (B, 2) points and (S, P) parameters")
+def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
+    under one parameter vector ``w``; shape (B,).  The points evolve in
+    blocks of about ``_BLOCK_BYTES`` of amplitudes."""
+    xs, w = _batch_args(circuit, xs, w)
     step = max(1, _BLOCK_BYTES // (16 << circuit.n_qubits))
-    vals = np.empty((ws.shape[0], xs.shape[0]))
-    for s, w in enumerate(ws):
-        for start in range(0, xs.shape[0], step):
-            _, amps = _states(circuit, xs[start:start + step], w)
-            vals[s, start:start + step] = qsim.expectation_z_kernel(amps, circuit.n_qubits,
-                                                                    circuit.measured_qubit)
+    vals = np.empty(len(xs))
+    for start in range(0, len(xs), step):
+        _, amps = _states(circuit.ops, circuit.n_qubits, xs[start:start + step], w)
+        vals[start:start + step] = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
     return vals
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Model outputs at many points for one parameter vector; shape (B,)."""
-    w = np.asarray(w, dtype=float)
-    return forward_many(circuit, np.asarray(xs, dtype=float), w[None, :])[0]
+    # A call, not an alias: metrics and teacher_student import
+    # forward_batch by value, and perfbench/spans.py traces their
+    # evaluations by wrapping circuits.forward_many after that import.
+    return forward_many(circuit, xs, w)
 
 
 def forward(circuit: CircuitSpec, x, w) -> float:
     """Model output (ancilla Z expectation) at one point; in [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(forward_many(circuit, x[None, :], w[None, :])[0, 0])
+    return float(forward_many(circuit, np.asarray(x, dtype=float)[None], w)[0])
 
 
 def _param_slots(op: SlotOp) -> list[tuple[int, int]]:
     """(angle position, parameter index) pairs of one op's trainable angles."""
     return [(pos, a.index) for pos, a in enumerate(op.angles) if isinstance(a, ParamRef)]
-
-
-def forward_with_param_shift(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
-    """Predictions and their exact parameter-shift derivatives.
-
-    Returns ``(preds, dpreds)`` with preds (B,) the outputs at ``w`` and
-    dpreds (P, B) where dpreds[j] = (preds(w_j + pi/2) - preds(w_j -
-    pi/2)) / 2, from one ``forward_many`` call on the stacked parameter
-    sets [w; w + pi/2 I; w - pi/2 I].  Training uses
-    ``forward_with_adjoint``; this is the reference the tests check it
-    against.
-    """
-    xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
-    shifts = 0.5 * np.pi * np.eye(circuit.n_params)
-    vals = forward_many(circuit, xs, np.vstack([w, w + shifts, w - shifts]))
-    plus, minus = vals[1:circuit.n_params + 1], vals[circuit.n_params + 1:]
-    return vals[0], 0.5 * (plus - minus)
 
 
 def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
@@ -496,7 +460,7 @@ def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.nda
 def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     """Predictions and their exact derivatives by the adjoint method.
 
-    Same contract as ``forward_with_param_shift``: preds (B,) equal
+    Returns ``(preds, dpreds)``: preds (B,) equal
     ``forward_many`` at ``w`` bit for bit, and dpreds (P, B) holds
     d preds / d w_j.  After one forward sweep, a backward sweep (Jones
     & Gacon, arXiv:2009.02823) carries the state psi and lam = Z psi
@@ -505,11 +469,9 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
     sums conj(lam) on target bit i times psi on target bit j.
     """
-    xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
-    if xs.ndim != 2 or w.ndim != 1:
-        raise ConfigurationError("forward_with_adjoint takes (B, 2) points and (P,) parameters")
+    xs, w = _batch_args(circuit, xs, w)
     n_qubits, measured = circuit.n_qubits, circuit.measured_qubit
-    plans, psi = _states(circuit, xs, w)
+    plans, psi = _states(circuit.ops, n_qubits, xs, w)
     preds = qsim.expectation_z_kernel(psi, n_qubits, measured)
 
     dpreds = np.zeros((circuit.n_params, len(xs)))
@@ -534,8 +496,8 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point."""
-    xs, w = _check_bind_args(circuit, np.asarray(xs, dtype=float), np.asarray(w, dtype=float))
-    _, amps = _states(circuit, xs, w)
+    xs, w = _batch_args(circuit, xs, w)
+    _, amps = _states(circuit.ops, circuit.n_qubits, xs, w)
     return qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
 
 

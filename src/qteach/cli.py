@@ -31,7 +31,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -78,22 +78,11 @@ class ExperimentConfig:
         )
 
 
-_PARSERS = {
-    "experiment": str,
-    "teacher": str,
-    "students": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "encoding": str,
-    "n_seeds": int,
-    "resolution": int,
-    "map_resolution": int,
-    "epochs": int,
-    "learning_rate": float,
-    "optimizer": str,
-    "seed": int,
-    "n_points": int,
-    "radius": float,
-    "out": str,
-}
+# One parser per ExperimentConfig field: the required ``experiment`` is a
+# string, ``students`` splits on commas, every other value parses as the
+# type of its default.
+_PARSERS = {f.name: str if f.default is MISSING else type(f.default) for f in fields(ExperimentConfig)}
+_PARSERS["students"] = lambda v: tuple(s.strip() for s in v.split(",") if s.strip())
 
 
 def parse_config(text: str) -> ExperimentConfig:

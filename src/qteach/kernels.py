@@ -106,9 +106,3 @@ def z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     signs.setflags(write=False)
     return signs
 
-
-def fresh_rows(n_rows: int, dim: int) -> np.ndarray:
-    """(n_rows, dim) amplitudes, every row initialized to |0...0>."""
-    amps = np.zeros((n_rows, dim), dtype=complex)
-    amps[:, 0] = 1.0
-    return amps

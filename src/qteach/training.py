@@ -8,9 +8,7 @@ Gradients are exact and come from the adjoint method
 (``circuits.forward_with_adjoint``): one forward sweep over the full
 dataset, then one backward sweep through the gate inverses that yields
 d<Z>/dw_j for every trainable angle at every point, chained through the
-squared error.  The parameter-shift rule
-(``circuits.forward_with_param_shift``) gives the same derivatives and is
-kept as the reference the tests check the adjoint against.
+squared error.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ def _targets(data, label_kind: str) -> np.ndarray:
 def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> float:
     """Mean squared error of the predictions against the chosen labels."""
     y = _targets(data, label_kind)
-    preds = forward_many(circuit, np.asarray(data.points, dtype=float), np.asarray(w, dtype=float)[None, :])[0]
+    preds = forward_many(circuit, data.points, w)
     return float(np.mean((y - preds) ** 2))
 
 
@@ -151,7 +149,7 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
 
     if not np.all(np.isfinite(w)):
         raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs")
-    final_preds = forward_many(circuit, points, w[None, :])[0]
+    final_preds = forward_many(circuit, points, w)
     final_loss = float(np.mean((y - final_preds) ** 2))
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs")

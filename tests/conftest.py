@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qteach.circuits import ArchitectureId, CircuitSpec, Const, DataRef, Family, ParamRef, SlotOp
+from qteach.circuits import ArchitectureId, CircuitSpec, Const, DataRef, Family, ParamRef, SlotOp, forward_batch
 from qteach.qsim import ANGLE_COUNTS, GateKind, GateOp
 from qteach.teacher_student import LabeledGrid
 from qteach.training import binarize
@@ -57,6 +57,21 @@ def mixed_spec() -> CircuitSpec:
         SlotOp(GateKind.RY, (2,), angles=(ParamRef(6),)),
     )
     return CircuitSpec(n_qubits=3, ops=ops, measured_qubit=2, n_params=7, encoding_count=1)
+
+
+def param_shift_reference(circuit: CircuitSpec, xs, w):
+    """Predictions and their exact parameter-shift derivatives, the
+    reference the adjoint method is checked against.
+
+    Returns ``(preds, dpreds)`` with preds (B,) the outputs at ``w`` and
+    dpreds (P, B) where dpreds[j] = (preds(w + pi/2 e_j) - preds(w -
+    pi/2 e_j)) / 2, one ``forward_batch`` call per shifted vector.
+    """
+    w = np.asarray(w, dtype=float)
+    shifts = 0.5 * np.pi * np.eye(circuit.n_params)
+    plus = np.array([forward_batch(circuit, xs, w + s) for s in shifts])
+    minus = np.array([forward_batch(circuit, xs, w - s) for s in shifts])
+    return forward_batch(circuit, xs, w), 0.5 * (plus - minus)
 
 
 def tiny_dataset(rng: np.random.Generator, n_points: int = 5) -> LabeledGrid:

@@ -14,6 +14,7 @@ from qteach.circuits import (
     Family,
     ParamRef,
     SlotOp,
+    ancilla_probabilities,
     append_x_on_measured,
     bind,
     build,
@@ -23,14 +24,13 @@ from qteach.circuits import (
     forward_batch,
     forward_many,
     forward_with_adjoint,
-    forward_with_param_shift,
     parse_architecture,
     reuploading,
 )
 from qteach.errors import ConfigurationError
 from qteach.qsim import GateKind, dense_unitary_oracle
 
-from conftest import ALL_ARCHITECTURES, mixed_spec, random_circuit
+from conftest import ALL_ARCHITECTURES, mixed_spec, param_shift_reference, random_circuit
 
 EXPECTED_SHAPES = {
     # family -> (n_qubits, n_params, encoding_count, measured_qubit)
@@ -207,11 +207,10 @@ class TestForward:
         # mixed_spec's data/parameter rotations lower to one matrix per point
         for circuit in (build(reuploading(2)), mixed_spec()):
             xs = rng.uniform(-np.pi, np.pi, (4, 2))
-            ws = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
-            table = forward_many(circuit, xs, ws)
-            for i, w in enumerate(ws):
+            for w in rng.uniform(0, 2 * np.pi, (3, circuit.n_params)):
+                row = forward_many(circuit, xs, w)
                 for j, x in enumerate(xs):
-                    assert table[i, j] == forward(circuit, x, w)
+                    assert row[j] == forward(circuit, x, w)
 
     def test_batched_evaluation_bit_identical_to_single(self, rng):
         """Results must not depend on how evaluations are batched."""
@@ -228,10 +227,10 @@ class TestForward:
         change any output."""
         circuit = build(ArchitectureId(Family.QNN_TWO_QP))
         xs = rng.uniform(-np.pi, np.pi, (50, 2))
-        ws = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
-        whole = forward_many(circuit, xs, ws)
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        whole = forward_many(circuit, xs, w)
         monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 2 * 16 << circuit.n_qubits)
-        np.testing.assert_array_equal(forward_many(circuit, xs, ws), whole)
+        np.testing.assert_array_equal(forward_many(circuit, xs, w), whole)
 
     def test_working_set_bounded_by_block(self, rng):
         """A large map allocates a few blocks' worth, not its whole state."""
@@ -273,13 +272,14 @@ class TestEvolveInvariants:
             ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), n_params)
             xs = rng.uniform(-np.pi, np.pi, (n_points, 2))
             w = rng.uniform(0, 2 * np.pi, n_params)
-            plans = circuits._plan(ops, n, xs, w)
+            plans, amps = circuits._states(ops, n, xs, w)
             modes.update(p.mode for p in plans)
             mixing += sum({DataRef, ParamRef} <= {type(a) for a in op.angles} for op in ops)
-            zero = kernels.fresh_rows(n_points, 1 << n)
-            amps = circuits._evolve(plans, zero.copy())
             np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
-            circuits._evolve([circuits._inverse(p) for p in reversed(plans)], amps)
+            for planned in reversed(plans):
+                kernels.apply_planned(circuits._inverse(planned), amps)
+            zero = np.zeros_like(amps)
+            zero[:, 0] = 1.0
             np.testing.assert_allclose(amps, zero, rtol=0, atol=1e-12)
         assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_FLIP,
                          kernels.MODE_PHASE}
@@ -294,9 +294,9 @@ class TestAdjoint:
         for _ in range(2):
             w = rng.uniform(0, 2 * np.pi, circuit.n_params)
             preds, dpreds = forward_with_adjoint(circuit, xs, w)
-            ref_preds, ref_dpreds = forward_with_param_shift(circuit, xs, w)
+            ref_preds, ref_dpreds = param_shift_reference(circuit, xs, w)
             assert dpreds.shape == (circuit.n_params, len(xs))
-            np.testing.assert_array_equal(preds, forward_many(circuit, xs, w[None, :])[0])
+            np.testing.assert_array_equal(preds, forward_many(circuit, xs, w))
             np.testing.assert_array_equal(preds, ref_preds)
             np.testing.assert_allclose(dpreds, ref_dpreds, rtol=0, atol=1e-12)
 
@@ -311,10 +311,33 @@ class TestAdjoint:
         assert trainable == set(qsim.SHIFTABLE_KINDS)
         self._check(circuit, rng)
 
-    def test_rejects_parameter_batch(self):
-        circuit = build(dissipative_qp())
+
+QP = build(dissipative_qp())
+BAD_BATCH_ARGS = {
+    "single_point": (np.zeros(2), np.zeros(QP.n_params)),
+    "three_columns": (np.zeros((3, 3)), np.zeros(QP.n_params)),
+    "non_finite_point": (np.array([[0.0, 1.0], [np.inf, 0.0]]), np.zeros(QP.n_params)),
+    "parameter_batch": (np.zeros((3, 2)), np.zeros((2, QP.n_params))),
+    "wrong_length": (np.zeros((3, 2)), np.zeros(QP.n_params + 1)),
+}
+
+
+class TestArguments:
+    """Every evaluation takes (B, 2) finite points and one (P,) parameter
+    vector; anything else is a ConfigurationError, never a wrong result."""
+
+    @pytest.mark.parametrize("case", list(BAD_BATCH_ARGS))
+    @pytest.mark.parametrize("evaluate", [forward_batch, forward_with_adjoint, ancilla_probabilities],
+                             ids=lambda f: f.__name__)
+    def test_batch_evaluators_reject(self, evaluate, case):
+        xs, w = BAD_BATCH_ARGS[case]
         with pytest.raises(ConfigurationError):
-            forward_with_adjoint(circuit, np.zeros((3, 2)), np.zeros((2, circuit.n_params)))
+            evaluate(QP, xs, w)
+
+    @pytest.mark.parametrize("evaluate", [forward, bind], ids=lambda f: f.__name__)
+    def test_single_point_evaluators_reject_batch(self, evaluate):
+        with pytest.raises(ConfigurationError):
+            evaluate(QP, np.zeros((3, 2)), np.zeros(QP.n_params))
 
 
 class TestAppendX:
