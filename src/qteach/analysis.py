@@ -59,8 +59,8 @@ class CircularDataset:
 def circular_dataset(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0) -> CircularDataset:
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    if not radius > 0:
-        raise ConfigurationError(f"radius must be > 0, got {radius}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ConfigurationError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-np.pi, np.pi, size=(n, 2))
     labels = np.where(np.sum(points**2, axis=1) < radius**2, -1.0, 1.0)

@@ -333,14 +333,20 @@ def append_x_on_measured(circuit: CircuitSpec) -> CircuitSpec:
 # binding and evaluation
 # ---------------------------------------------------------------------------
 
-def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
+def _points(xs) -> np.ndarray:
+    """``xs`` as (B, 2) finite float points."""
     xs = np.asarray(xs, dtype=float)
-    w = np.asarray(w, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 2:
         raise ConfigurationError(f"input points must be a (B, 2) array, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise ConfigurationError("input point components must be finite")
+    return xs
+
+
+def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
+    xs = _points(xs)
+    w = np.asarray(w, dtype=float)
     if w.shape != (circuit.n_params,):
         raise ConfigurationError(f"expected one vector of {circuit.n_params} parameters, got shape {w.shape}")
     return xs, w
@@ -499,6 +505,58 @@ def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -
     xs, w = _batch_args(circuit, xs, w)
     _, amps = _states(circuit.ops, circuit.n_qubits, xs, w)
     return qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
+
+
+# ---------------------------------------------------------------------------
+# Fourier structure in the input
+# ---------------------------------------------------------------------------
+
+def fourier_degrees(circuit: CircuitSpec) -> tuple[int, int]:
+    """(d1, d2): how many angle slots input components x1 and x2 fill.
+
+    Every angle slot is one Pauli rotation exp(-i a P / 2), whether in
+    RX/RY/RZ or in one slot of ROT, so the model output is a
+    trigonometric polynomial of degree at most d_c in x_c (Schuld, Sweke
+    & Meyer, arXiv:2008.08605).  Parameters fill no data slots, so every
+    d output / d w_j obeys the same bound.
+    """
+    counts = [0, 0]
+    for op in circuit.ops:
+        for angle in op.angles:
+            if isinstance(angle, DataRef):
+                counts[angle.component] += 1
+    return counts[0], counts[1]
+
+
+def periodic_samples(circuit: CircuitSpec) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """``((t1, t2), points)``: the periodic sample axes t_c = 2 pi j /
+    (2 d_c + 1), j = 0 .. 2 d_c, and their (N, 2) product grid in row-major
+    (t1, t2) order, N = (2 d1 + 1)(2 d2 + 1).  The model's values there fix
+    it, and its parameter derivatives, exactly at every input."""
+    t1, t2 = (2 * np.pi * np.arange(2 * d + 1) / (2 * d + 1) for d in fourier_degrees(circuit))
+    s1, s2 = np.meshgrid(t1, t2, indexing="ij")
+    return (t1, t2), np.column_stack([s1.ravel(), s2.ravel()])
+
+
+def _dirichlet_weights(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(B, n) weights that carry the values of any trigonometric
+    polynomial of degree <= d = (n - 1) / 2 at t_j = 2 pi j / n to the
+    points x: the Dirichlet kernel (1 + 2 sum_{m=1..d} cos m(x - t_j)) / n,
+    summed as cosines, not as the closed form sin((d + 1/2) u) / sin(u / 2),
+    which is 0/0 at x = t_j."""
+    m = np.arange(1, len(t) // 2 + 1)
+    return (1.0 + 2.0 * np.cos((x[:, None] - t)[..., None] * m).sum(axis=-1)) / len(t)
+
+
+def interpolation_weights(circuit: CircuitSpec, xs) -> np.ndarray:
+    """(B, N) matrix K with f(xs) = K f(t) for the model f, and for each
+    d f / d w_j, at any parameters, where t are the N
+    ``periodic_samples``: row b is the product of the 1-D Dirichlet
+    weights of x_b1 and x_b2."""
+    xs = _points(xs)
+    (t1, t2), _ = periodic_samples(circuit)
+    k1, k2 = _dirichlet_weights(xs[:, 0], t1), _dirichlet_weights(xs[:, 1], t2)
+    return (k1[:, :, None] * k2[:, None, :]).reshape(len(xs), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigParseError(str(exc)) from None
     if config.n_seeds < 1 or config.resolution < 2 or config.map_resolution < 2:
         raise ConfigParseError("n_seeds must be >= 1 and resolutions >= 2")
-    if config.n_points < 1 or config.radius <= 0:
-        raise ConfigParseError("n_points must be >= 1 and radius > 0")
+    if config.n_points < 1 or not (np.isfinite(config.radius) and config.radius > 0):
+        raise ConfigParseError("n_points must be >= 1 and radius finite and > 0")
 
 
 def format_config(config: ExperimentConfig) -> str:

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import CircuitSpec, DataRef, forward_batch
+from .circuits import CircuitSpec, forward_batch, periodic_samples
+from .circuits import fourier_degrees  # noqa: F401  (metrics.fourier_degrees is public)
 from .errors import ConfigurationError, StructuralError
 from .training import binarize
 
@@ -61,44 +62,27 @@ class PredictionMap:
         return (self.resolution, self.lo, self.hi) == (other.resolution, other.lo, other.hi)
 
 
-def fourier_degrees(circuit: CircuitSpec) -> tuple[int, int]:
-    """(d1, d2): how many angle slots input components x1 and x2 fill.
-
-    Every angle slot is one Pauli rotation exp(-i a P / 2), whether in
-    RX/RY/RZ or in one slot of ROT, so the model output is a
-    trigonometric polynomial of degree at most d_c in x_c (Schuld, Sweke
-    & Meyer, arXiv:2008.08605).
-    """
-    counts = [0, 0]
-    for op in circuit.ops:
-        for angle in op.angles:
-            if isinstance(angle, DataRef):
-                counts[angle.component] += 1
-    return counts[0], counts[1]
-
-
 def prediction_map(circuit: CircuitSpec, w: np.ndarray, resolution: int,
                    bounds: tuple[float, float] = (-np.pi, np.pi)) -> PredictionMap:
     """Evaluate the model on a resolution x resolution grid.
 
     The model is a trigonometric polynomial of degree at most d_c in x_c,
-    the number of angle slots x_c fills (``fourier_degrees``; Schuld,
-    Sweke & Meyer, arXiv:2008.08605).  So (2 d1 + 1)(2 d2 + 1) circuit
-    evaluations on the periodic grid t_j = 2 pi j / (2 d_c + 1) fix it
-    exactly, whatever the resolution.  Their 2-D DFT gives the
-    coefficients; those below ``COEFFICIENT_CUT`` are rounding noise and
-    set to zero; the series is then summed on the requested grid and
-    clipped to [-1, 1].
+    the number of angle slots x_c fills (``circuits.fourier_degrees``;
+    Schuld, Sweke & Meyer, arXiv:2008.08605).  So (2 d1 + 1)(2 d2 + 1)
+    circuit evaluations on the periodic grid t_j = 2 pi j / (2 d_c + 1)
+    (``circuits.periodic_samples``) fix it exactly, whatever the
+    resolution.  Their 2-D DFT gives the coefficients; those below
+    ``COEFFICIENT_CUT`` are rounding noise and set to zero; the series is
+    then summed on the requested grid and clipped to [-1, 1].
     """
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     lo, hi = float(bounds[0]), float(bounds[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigurationError(f"map bounds must be finite, got {bounds}")
-    sizes = [2 * d + 1 for d in fourier_degrees(circuit)]
-    t1, t2 = (2 * np.pi * np.arange(n) / n for n in sizes)
-    s1, s2 = np.meshgrid(t1, t2, indexing="ij")
-    samples = forward_batch(circuit, np.column_stack([s1.ravel(), s2.ravel()]), w)
+    axes, points = periodic_samples(circuit)
+    sizes = [len(t) for t in axes]
+    samples = forward_batch(circuit, points, w)
     coeffs = np.fft.fft2(samples.reshape(sizes)) / samples.size
     coeffs[np.abs(coeffs) < COEFFICIENT_CUT] = 0.0
     axis = np.linspace(lo, hi, resolution)

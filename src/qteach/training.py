@@ -5,10 +5,21 @@ expectations (the mean is a constant rescaling of the summed cost; the
 argmin is unchanged and magnitudes stay comparable across grid sizes).
 
 Gradients are exact and come from the adjoint method
-(``circuits.forward_with_adjoint``): one forward sweep over the full
-dataset, then one backward sweep through the gate inverses that yields
-d<Z>/dw_j for every trainable angle at every point, chained through the
-squared error.
+(``circuits.forward_with_adjoint``): one forward sweep, then one backward
+sweep through the gate inverses that yields d<Z>/dw_j for every
+trainable angle, chained through the squared error.
+
+A model whose input x_c fills d_c angle slots is a trigonometric
+polynomial of degree at most d_c in x_c, and so is each d<Z>/dw_j
+(``circuits.fourier_degrees``; Schuld, Sweke & Meyer, arXiv:2008.08605).
+Its values at the N = (2 d1 + 1)(2 d2 + 1) ``circuits.periodic_samples``
+therefore fix it, and its gradient, exactly at every training point,
+through the (B, N) interpolation matrix K
+(``circuits.interpolation_weights``).  When N < B the adjoint runs on
+the N samples, preds = K f(t) and the loss gradient is
+(2 / B) df(t) (K^T r) with r = preds - y; otherwise it runs on the B
+points themselves.  The choice is a cost rule only: both give the same
+numbers up to rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import ArchitectureId, CircuitSpec, forward_many, forward_with_adjoint
+from .circuits import (ArchitectureId, CircuitSpec, forward_many, forward_with_adjoint,
+                       interpolation_weights, periodic_samples)
 from .errors import ConfigurationError, TrainingDivergedError
 
 LABEL_KINDS = ("continuous", "binary")
@@ -39,8 +51,10 @@ class TrainConfig:
     init_scale: float = 2.0 * np.pi  # parameters drawn uniformly from [0, init_scale)
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ConfigurationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -99,27 +113,58 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
     return float(np.mean((y - preds) ** 2))
 
 
-def _loss_grad_preds(circuit, w, points, y):
-    """Loss, its gradient, and the predictions in one evaluation."""
-    preds, dpreds = forward_with_adjoint(circuit, points, w)
-    residual = preds - y
-    grad = 2.0 * np.mean(residual[None, :] * dpreds, axis=1)
+def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(eval_points, weights)``: where each epoch runs the circuit, and
+    the (B, N) interpolation matrix from there to ``points``.
+
+    The N periodic samples are used when they are fewer than the B points;
+    otherwise the points themselves, with ``weights`` None.
+    """
+    _, samples = periodic_samples(circuit)
+    if len(samples) >= len(points):
+        return points, None
+    return samples, interpolation_weights(circuit, points)
+
+
+def _loss_grad_preds(circuit, w, sampling, y):
+    """Loss, its gradient, and the predictions at the training points, from
+    one adjoint evaluation on the ``_sampling`` points."""
+    eval_points, weights = sampling
+    preds, dpreds = forward_with_adjoint(circuit, eval_points, w)
+    if weights is None:
+        residual = preds - y
+        grad = 2.0 * np.mean(residual[None, :] * dpreds, axis=1)
+    else:
+        # einsum keeps the sums in numpy's own loops (no threaded BLAS)
+        preds = np.einsum("bn,n->b", weights, preds)
+        residual = preds - y
+        grad = (2.0 / len(y)) * np.einsum("pn,n->p", dpreds, np.einsum("bn,b->n", weights, residual))
     return float(np.mean(residual**2)), grad, preds
 
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:
-    """Exact gradient of ``loss`` via the adjoint method."""
+    """Exact gradient of ``loss`` via the adjoint method, on the model's
+    periodic samples when there are fewer of them than data points (see
+    the module docstring); equal to what ``train`` steps with at ``w``."""
     y = _targets(data, label_kind)
-    w = np.asarray(w, dtype=float)
-    _, grad, _ = _loss_grad_preds(circuit, w, np.asarray(data.points, dtype=float), y)
+    points = np.asarray(data.points, dtype=float)
+    _, grad, _ = _loss_grad_preds(circuit, np.asarray(w, dtype=float), _sampling(circuit, points), y)
     return grad
 
 
 def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "continuous",
           architecture: Optional[ArchitectureId] = None) -> TrainRun:
-    """Full-batch gradient descent from a seeded uniform initialization."""
+    """Full-batch gradient descent from a seeded uniform initialization.
+
+    Each epoch takes the loss, the predictions and the adjoint gradient
+    from the model's N periodic samples when N is less than the number
+    of points B, and from the points otherwise (module docstring).
+    ``final_preds`` and ``final_loss`` are evaluated on the points
+    directly.
+    """
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
+    sampling = _sampling(circuit, points)
     y_binary = np.asarray(data.y_binary, dtype=float)
 
     rng = np.random.default_rng(cfg.seed)
@@ -132,7 +177,7 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for t in range(cfg.epochs):
-        value, grad, preds = _loss_grad_preds(circuit, w, points, y)
+        value, grad, preds = _loss_grad_preds(circuit, w, sampling, y)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"loss is not finite at epoch {t}")
         loss_curve[t] = value

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qteach.circuits import ArchitectureId, CircuitSpec, Const, DataRef, Family, ParamRef, SlotOp, forward_batch
+from qteach.circuits import (ArchitectureId, CircuitSpec, Const, DataRef, Encoding, Family, ParamRef, SlotOp,
+                             forward_batch)
 from qteach.qsim import ANGLE_COUNTS, GateKind, GateOp
 from qteach.teacher_student import LabeledGrid
 from qteach.training import binarize
@@ -19,6 +20,15 @@ ALL_ARCHITECTURES = [
     ArchitectureId(Family.QNN_TWO_QP),
     ArchitectureId(Family.RANDOM_DEEP_QP),
 ]
+
+
+
+def all_models():
+    """Every architecture under every encoding, as pytest params."""
+    return [
+        pytest.param(ArchitectureId(arch.family, arch.layers, encoding), id=f"{arch.name}@{encoding.value}")
+        for arch in ALL_ARCHITECTURES for encoding in Encoding
+    ]
 
 
 def random_gate(rng: np.random.Generator, n_qubits: int) -> GateOp:

@@ -67,6 +67,11 @@ class TestCircularDataset:
         with pytest.raises(ConfigurationError):
             circular_dataset(10, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ConfigurationError):
+            circular_dataset(10, radius=radius)
+
 
 class TestEncodingProbabilityVectors:
     def test_rx_at_origin(self):

@@ -221,16 +221,26 @@ class TestForward:
         singles = np.array([forward(circuit, x, w) for x in xs])
         np.testing.assert_array_equal(batched, singles)
 
-    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("block_rows", [3, 7, 49])
     def test_point_blocks_bit_identical(self, block_rows, rng, monkeypatch):
-        """forward_many's point blocks, ragged last one included, must not
-        change any output."""
+        """forward_many's point blocks, ragged last one included (one point
+        for 49), must not change any output."""
         circuit = build(ArchitectureId(Family.QNN_TWO_QP))
         xs = rng.uniform(-np.pi, np.pi, (50, 2))
+        assert len(xs) % block_rows != 0  # the last block is ragged
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
         whole = forward_many(circuit, xs, w)
-        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 2 * 16 << circuit.n_qubits)
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuit.n_qubits)
+        sizes = []
+        states = circuits._states
+
+        def spy(ops, n_qubits, block, w):
+            sizes.append(len(block))
+            return states(ops, n_qubits, block, w)
+
+        monkeypatch.setattr(circuits, "_states", spy)
         np.testing.assert_array_equal(forward_many(circuit, xs, w), whole)
+        assert sizes == [block_rows] * (len(xs) // block_rows) + [len(xs) % block_rows]
 
     def test_working_set_bounded_by_block(self, rng):
         """A large map allocates a few blocks' worth, not its whole state."""

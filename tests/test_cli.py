@@ -232,6 +232,17 @@ class TestMain:
         path.write_text("experiment = teleportation\n")
         assert main(["--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "radius = inf", "radius = nan", "learning_rate = inf", "learning_rate = nan",
+    ])
+    def test_non_finite_value_fails_without_writing(self, tmp_path, capsys, line):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(f"experiment = labelling\nn_points = 20\nepochs = 2\n{line}\n")
+        out = tmp_path / "results"
+        assert main(["--config", str(config_path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [["--seeds", "0"], ["--seeds", "-2"], ["--threads", "0"]])
     def test_bad_override_fails_without_writing(self, tmp_path, capsys, override):
         config_path = tmp_path / "exp.cfg"

@@ -9,7 +9,6 @@ from qteach.circuits import (
     ArchitectureId,
     CircuitSpec,
     DataRef,
-    Encoding,
     Family,
     ParamRef,
     SlotOp,
@@ -32,7 +31,7 @@ from qteach.metrics import (
 from qteach.qsim import GateKind
 from qteach.teacher_student import generate_dataset, make_grid
 
-from conftest import ALL_ARCHITECTURES, mixed_spec
+from conftest import all_models, mixed_spec
 
 
 def random_map(rng, resolution=8):
@@ -88,13 +87,6 @@ class TestPredictionMap:
             prediction_map(build(dissipative_qp()), np.zeros(12), 5, bounds)
 
 
-def _all_models():
-    return [
-        pytest.param(ArchitectureId(arch.family, arch.layers, encoding), id=f"{arch.name}@{encoding.value}")
-        for arch in ALL_ARCHITECTURES for encoding in Encoding
-    ]
-
-
 def _direct_map(circuit, w, resolution, bounds):
     """One forward evaluation per grid point: the reference the spectral
     maps are checked against."""
@@ -118,7 +110,7 @@ class TestSpectralMap:
                         pmap.values, _direct_map(circuit, w, resolution, bounds), rtol=0, atol=1e-12
                     )
 
-    @pytest.mark.parametrize("arch", _all_models())
+    @pytest.mark.parametrize("arch", all_models())
     def test_matches_direct_evaluation(self, arch, rng):
         self._check(build(arch), rng)
 
@@ -139,7 +131,7 @@ class TestSpectralMap:
         assert np.ptp(values) == 0.0
         assert values[0, 0] == pytest.approx(np.cos(w[1]), abs=1e-12)
 
-    @pytest.mark.parametrize("arch", _all_models())
+    @pytest.mark.parametrize("arch", all_models())
     def test_no_frequency_above_slot_degree(self, arch, rng):
         """Oracle-free: on a periodic grid finer than the degree bound needs,
         the spectrum of directly evaluated outputs is empty above it."""

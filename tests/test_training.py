@@ -1,16 +1,22 @@
 """Loss, adjoint-method gradients (checked against central finite
 differences here, and against the parameter-shift reference in
-test_circuits.py), and the training loop."""
+test_circuits.py), the training loop, and epochs evaluated on the model's
+periodic samples (checked against the adjoint on the points)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qteach.circuits import build, dissipative_qp, forward_batch, reuploading
+from qteach import training
+from qteach.circuits import (CircuitSpec, DataRef, ParamRef, SlotOp, build, dissipative_qp, forward_batch,
+                             forward_with_adjoint, interpolation_weights, periodic_samples, reuploading)
 from qteach.errors import ConfigurationError, TrainingDivergedError
+from qteach.qsim import GateKind
 from qteach.teacher_student import LabeledGrid, generate_dataset, make_grid
 from qteach.training import LABEL_KINDS, Optimizer, TrainConfig, binarize, gradient, loss, train
 
-from conftest import ALL_ARCHITECTURES, tiny_dataset
+from conftest import ALL_ARCHITECTURES, all_models, mixed_spec, tiny_dataset
 
 
 def finite_difference_gradient(circuit, w, data, h=1e-5, label_kind="continuous"):
@@ -202,3 +208,173 @@ class TestTrainConfigValidation:
     def test_epochs_at_least_one(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_learning_rate_finite(self, value):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -1.0])
+    def test_init_scale_finite_and_nonnegative(self, value):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(init_scale=value)
+
+    def test_zero_init_scale_starts_at_zero(self, rng):
+        circuit = build(dissipative_qp())
+        data = tiny_dataset(rng)
+        run = train(circuit, data, TrainConfig(epochs=1, init_scale=0.0))
+        assert run.loss_curve[0] == loss(circuit, np.zeros(circuit.n_params), data)
+
+
+# ---------------------------------------------------------------------------
+# training on the model's periodic samples
+# ---------------------------------------------------------------------------
+
+def direct_loss_grad_preds(circuit, w, points, y):
+    """Loss, gradient and predictions from one adjoint evaluation on the
+    points themselves: the reference for the sampled epochs."""
+    preds, dpreds = forward_with_adjoint(circuit, points, w)
+    residual = preds - y
+    return float(np.mean(residual**2)), 2.0 * np.mean(residual[None, :] * dpreds, axis=1), preds
+
+
+def direct_train(circuit, data, cfg, label_kind="continuous"):
+    """(loss curve, final parameters) of ``train``'s loop with every epoch
+    evaluated on the points."""
+    y = data.y_continuous if label_kind == "continuous" else data.y_binary
+    w = np.random.default_rng(cfg.seed).uniform(0.0, cfg.init_scale, circuit.n_params)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    losses = []
+    for t in range(cfg.epochs):
+        value, grad, _ = direct_loss_grad_preds(circuit, w, data.points, y)
+        losses.append(value)
+        if cfg.optimizer is Optimizer.VANILLA_GD:
+            w = w - cfg.learning_rate * grad
+            continue
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        m_hat = m / (1.0 - 0.9 ** (t + 1))
+        v_hat = v / (1.0 - 0.999 ** (t + 1))
+        w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return np.array(losses), w
+
+
+def one_input_spec():
+    """Only x1 enters (degrees (1, 0)), so K interpolates along x1 alone."""
+    ops = (
+        SlotOp(GateKind.RY, (0,), angles=(DataRef(0),)),
+        SlotOp(GateKind.ROT, (0,), angles=(ParamRef(0), ParamRef(1), ParamRef(2))),
+        SlotOp(GateKind.CNOT, (1,), controls=(0,)),
+    )
+    return CircuitSpec(n_qubits=2, ops=ops, measured_qubit=1, n_params=3, encoding_count=1)
+
+
+SAMPLED_POINT_SETS = {
+    "grid": make_grid(21),
+    "unit_grid": make_grid(21, -1.0, 1.0),
+    "scattered": np.random.default_rng(5).uniform(-4.0, 4.0, (300, 2)),
+}
+
+
+class TestSpectralTraining:
+    @staticmethod
+    def _check(circuit, rng):
+        for name, points in SAMPLED_POINT_SETS.items():
+            eval_points, weights = training._sampling(circuit, points)
+            assert weights is not None and len(eval_points) < len(points), name
+            y = rng.uniform(-1.0, 1.0, len(points))
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            value, grad, preds = training._loss_grad_preds(circuit, w, (eval_points, weights), y)
+            ref_value, ref_grad, ref_preds = direct_loss_grad_preds(circuit, w, points, y)
+            assert abs(value - ref_value) <= 1e-12, name
+            np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("arch", all_models())
+    def test_matches_direct_adjoint(self, arch, rng):
+        self._check(build(arch), rng)
+
+    def test_mixed_data_and_parameter_rotations(self, rng):
+        self._check(mixed_spec(), rng)
+
+    @pytest.mark.parametrize("circuit", [build(dissipative_qp()), build(reuploading(4)), mixed_spec(),
+                                         one_input_spec()], ids=["d11", "d44", "d21", "d10"])
+    def test_interpolation_rows_sum_to_one(self, circuit):
+        for points in SAMPLED_POINT_SETS.values():
+            np.testing.assert_allclose(interpolation_weights(circuit, points).sum(axis=1), 1.0,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("circuit", [build(dissipative_qp()), build(reuploading(4)), mixed_spec(),
+                                         one_input_spec()], ids=["d11", "d44", "d21", "d10"])
+    def test_interpolation_row_at_a_sample_is_its_unit_vector(self, circuit):
+        _, samples = periodic_samples(circuit)
+        weights = interpolation_weights(circuit, samples)
+        np.testing.assert_array_equal(np.diag(weights), 1.0)
+        np.testing.assert_allclose(weights, np.eye(len(samples)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_points", [5, 9])
+    def test_direct_path_when_samples_are_not_fewer(self, n_points, rng):
+        """dissipative_qp has N = 9 samples: with B <= 9 points every epoch
+        evaluates the points, bit for bit as before."""
+        circuit = build(dissipative_qp())
+        data = tiny_dataset(rng, n_points)
+        assert training._sampling(circuit, data.points)[1] is None
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        _, ref_grad, _ = direct_loss_grad_preds(circuit, w, data.points, data.y_continuous)
+        np.testing.assert_array_equal(gradient(circuit, w, data), ref_grad)
+        cfg = TrainConfig(epochs=3, seed=4)
+        run = train(circuit, data, cfg)
+        ref_losses, ref_w = direct_train(circuit, data, cfg)
+        np.testing.assert_array_equal(run.loss_curve, ref_losses)
+        np.testing.assert_array_equal(run.final_params, ref_w)
+
+    @pytest.mark.parametrize("label_kind", LABEL_KINDS)
+    @pytest.mark.parametrize("student", [dissipative_qp(), reuploading(2)], ids=lambda a: a.name)
+    def test_short_training_matches_direct_loop(self, student, label_kind):
+        """Plain gradient descent, which moves each parameter by the
+        learning rate times its gradient drift.  Adam's first step is
+        g / (|g| + 1e-8) per entry, so on an entry that is zero in exact
+        arithmetic (about 1e-17 either way) it turns rounding into steps
+        near 1e-10.  Adam is compared bit for bit where the arithmetic is
+        the same, in test_direct_path_when_samples_are_not_fewer."""
+        circuit = build(student)
+        data = generate_dataset(reuploading(2), make_grid(21), seed=3)
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, optimizer=Optimizer.VANILLA_GD, seed=8)
+        run = train(circuit, data, cfg, label_kind)
+        ref_losses, ref_w = direct_train(circuit, data, cfg, label_kind)
+        np.testing.assert_allclose(run.loss_curve, ref_losses, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.final_params, ref_w, rtol=0, atol=1e-12)
+
+    def test_gradient_is_the_step_train_takes(self, monkeypatch):
+        circuit = build(reuploading(2))
+        data = generate_dataset(dissipative_qp(), make_grid(21), seed=2)
+        steps = []
+        evaluate = training._loss_grad_preds
+
+        def spy(circuit, w, sampling, y):
+            result = evaluate(circuit, w, sampling, y)
+            steps.append((w, result[1]))
+            return result
+
+        monkeypatch.setattr(training, "_loss_grad_preds", spy)
+        train(circuit, data, TrainConfig(epochs=3, seed=1))
+        monkeypatch.undo()
+        assert len(steps) == 3
+        for w, grad in steps:
+            np.testing.assert_array_equal(gradient(circuit, w, data), grad)
+
+    @pytest.mark.parametrize("points", [
+        np.where(np.arange(40)[:, None] == 7, np.nan, make_grid(21)[:40]),
+        np.zeros((40, 3)),
+    ], ids=["non_finite", "three_columns"])
+    def test_bad_points_rejected_before_sampling(self, points):
+        """Interpolation would turn a bad point into a non-finite loss; it
+        must be a ConfigurationError instead."""
+        circuit = build(dissipative_qp())
+        y = np.zeros(len(points))
+        data = SimpleNamespace(points=points, y_continuous=y, y_binary=binarize(y))
+        with pytest.raises(ConfigurationError):
+            gradient(circuit, np.zeros(circuit.n_params), data)
+        with pytest.raises(ConfigurationError):
+            train(circuit, data, TrainConfig(epochs=1))
