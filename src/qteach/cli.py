@@ -22,7 +22,9 @@ Config files are plain ``key = value`` lines ('#' starts a comment).
 Every run writes ``summary.json`` plus per-run CSV curves and prediction
 maps; reruns with the same config are byte-identical.  A run first deletes
 from its output directory the files a run writes, and no others, so a
-rerun leaves no stale file of an earlier one.
+rerun leaves no stale file of an earlier one.  Seeds run in order on one
+thread: ``--threads`` is accepted and ignored, though a value below 1 is
+still a usage error.
 """
 
 from __future__ import annotations
@@ -214,14 +216,14 @@ def _write_summary(out: Path, summary: dict) -> None:
 # experiment dispatch
 # ---------------------------------------------------------------------------
 
-def _run_teacher_student(config: ExperimentConfig, out: Path, n_workers: int) -> dict:
+def _run_teacher_student(config: ExperimentConfig, out: Path) -> dict:
     encoding = Encoding(config.encoding)
     teacher = parse_architecture(config.teacher, encoding)
     students = [parse_architecture(name, encoding) for name in config.students]
     grid = make_grid(config.resolution)
     result = run_experiment(
         teacher, students, config.n_seeds, config.train_config(), grid,
-        map_resolution=config.map_resolution, n_workers=n_workers,
+        map_resolution=config.map_resolution,
     )
     _write_experiment_artifacts(out, result)
     return result.summary()
@@ -285,6 +287,9 @@ _OWNED_FILES = ("summary.json", "config.txt", "FAILED.txt", "loss_*.csv", "accur
 
 def run(config: ExperimentConfig, n_workers: int = 1) -> int:
     """Execute one experiment; returns a process exit status."""
+    # n_workers is ignored: seeds run in order on one thread.  perfbench's
+    # child.py still passes it positionally; both go together (ROADMAP
+    # item 1).
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -294,7 +299,7 @@ def run(config: ExperimentConfig, n_workers: int = 1) -> int:
                     path.unlink()
         (out / "config.txt").write_text(format_config(config))
         if config.experiment == "teacher_student":
-            summary = _run_teacher_student(config, out, n_workers)
+            summary = _run_teacher_student(config, out)
         elif config.experiment == "encoding_pca":
             summary = _run_encoding_pca(config, out)
         elif config.experiment == "labelling":
@@ -318,7 +323,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", help="override the config's output directory")
     parser.add_argument("--seeds", type=int, help="override the config's n_seeds")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for seed fan-out")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored; seeds run in order")
     args = parser.parse_args(argv)
 
     try:
@@ -334,7 +340,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         config.out = args.out
     if args.seeds is not None:
         config.n_seeds = args.seeds
-    return run(config, n_workers=args.threads)
+    return run(config)
 
 
 if __name__ == "__main__":

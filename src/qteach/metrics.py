@@ -151,11 +151,16 @@ def write_prediction_map(pmap: PredictionMap, path) -> None:
 
 
 def read_prediction_map(path) -> PredictionMap:
+    """Inverse of ``write_prediction_map``; any other layout, including
+    ragged rows and values that do not parse, is a StructuralError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if len(rows) < 3 or rows[0] != ["resolution", "lo", "hi"]:
+    if len(rows) < 3 or rows[0] != ["resolution", "lo", "hi"] or len(rows[1]) != 3:
         raise StructuralError(f"{path} is not a prediction-map CSV")
-    resolution = int(rows[1][0])
-    lo, hi = float(rows[1][1]), float(rows[1][2])
-    values = np.array([[float(v) for v in row] for row in rows[2:]])
+    try:
+        resolution = int(rows[1][0])
+        lo, hi = float(rows[1][1]), float(rows[1][2])
+        values = np.array([[float(v) for v in row] for row in rows[2:]])
+    except ValueError as exc:
+        raise StructuralError(f"{path} is not a prediction-map CSV: {exc}") from None
     return PredictionMap(resolution, lo, hi, values)

@@ -68,9 +68,6 @@ ANGLE_COUNTS = {
 #: gate kinds that may carry controls
 CONTROLLED_KINDS = (GateKind.CZ, GateKind.CNOT, GateKind.MCX)
 
-#: gate kinds whose angle parameters admit the +/- pi/2 shift rule
-SHIFTABLE_KINDS = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ROT)
-
 
 @dataclass(frozen=True)
 class GateOp:

@@ -166,30 +166,6 @@ def _grid_bounds(grid: np.ndarray) -> tuple[float, float]:
     return float(grid.min()), float(grid.max())
 
 
-def _run_one_seed(teacher, students, student_circuits, s, cfg, grid, bounds,
-                  map_resolution, include_binary):
-    """Everything derived from one teacher initialization; independent of
-    all other seeds, so seeds may run on worker threads."""
-    teacher_circuit = build(teacher)
-    t_seed = derive_seed(cfg.seed, s, _ROLE_TEACHER)
-    dataset = generate_dataset(teacher, grid, t_seed)
-    teacher_map = prediction_map(teacher_circuit, dataset.teacher_params, map_resolution, bounds)
-    records = []
-    for k, (student, student_circuit) in enumerate(zip(students, student_circuits)):
-        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT, k))
-        run = train(student_circuit, dataset, run_cfg, "continuous", architecture=student)
-        student_map = prediction_map(student_circuit, run.final_params, map_resolution, bounds)
-        rel = relative_entropy(teacher_map, student_map)
-        if include_binary:
-            bin_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT_BINARY, k))
-            bin_run = train(student_circuit, dataset, bin_cfg, "binary", architecture=student)
-        else:
-            bin_run = None
-        acc = accuracy((bin_run or run).final_preds, dataset.y_binary)
-        records.append((run, bin_run, student_map, rel, acc))
-    return dataset, teacher_map, records
-
-
 def run_experiment(
     teacher: ArchitectureId,
     students: Sequence[ArchitectureId],
@@ -198,7 +174,6 @@ def run_experiment(
     grid: np.ndarray,
     map_resolution: int = DEFAULT_MAP_RESOLUTION,
     include_binary: bool = True,
-    n_workers: int = 1,
 ) -> ExperimentResult:
     """Train every student on ``n_seeds`` independently initialized teachers.
 
@@ -206,43 +181,47 @@ def run_experiment(
     curves, relative entropy between prediction maps) and, when
     ``include_binary``, one binary-label training from which the accuracy
     score is taken; otherwise the accuracy is the sign-accuracy of the
-    continuous run.  Seeds are independent jobs; with ``n_workers`` > 1
-    they run on a thread pool, and results are identical and aggregated
-    in seed order regardless of scheduling.
+    continuous run.  Seeds run in order, and every seed draws its own
+    teacher and student initializations from ``derive_seed``.
     """
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
     grid = np.asarray(grid, dtype=float)
     bounds = _grid_bounds(grid)
+    teacher_circuit = build(teacher)
     student_circuits = [build(s) for s in students]
 
-    def job(s: int):
-        return _run_one_seed(teacher, students, student_circuits, s, cfg, grid, bounds,
-                             map_resolution, include_binary)
+    datasets, teacher_maps = [], []
+    per_student = [[] for _ in students]
+    for s in range(n_seeds):
+        dataset = generate_dataset(teacher, grid, derive_seed(cfg.seed, s, _ROLE_TEACHER))
+        teacher_map = prediction_map(teacher_circuit, dataset.teacher_params, map_resolution, bounds)
+        datasets.append(dataset)
+        teacher_maps.append(teacher_map)
+        for k, (student, student_circuit) in enumerate(zip(students, student_circuits)):
+            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT, k))
+            run = train(student_circuit, dataset, run_cfg, "continuous", architecture=student)
+            student_map = prediction_map(student_circuit, run.final_params, map_resolution, bounds)
+            rel = relative_entropy(teacher_map, student_map)
+            if include_binary:
+                bin_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT_BINARY, k))
+                bin_run = train(student_circuit, dataset, bin_cfg, "binary", architecture=student)
+            else:
+                bin_run = None
+            acc = accuracy((bin_run or run).final_preds, dataset.y_binary)
+            per_student[k].append((run, bin_run, student_map, rel, acc))
 
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_seed = list(pool.map(job, range(n_seeds)))
-    else:
-        per_seed = [job(s) for s in range(n_seeds)]
-
-    datasets = [dataset for dataset, _, _ in per_seed]
-    teacher_maps = [teacher_map for _, teacher_map, _ in per_seed]
-    outcomes = []
-    for k, student in enumerate(students):
-        records = [records[k] for _, _, records in per_seed]
-        outcomes.append(
-            StudentOutcome(
-                architecture=student,
-                runs=[r[0] for r in records],
-                binary_runs=[r[1] for r in records] if include_binary else None,
-                maps=[r[2] for r in records],
-                rel_entropies=np.array([r[3] for r in records]),
-                accuracies=np.array([r[4] for r in records]),
-            )
+    outcomes = [
+        StudentOutcome(
+            architecture=student,
+            runs=[r[0] for r in records],
+            binary_runs=[r[1] for r in records] if include_binary else None,
+            maps=[r[2] for r in records],
+            rel_entropies=np.array([r[3] for r in records]),
+            accuracies=np.array([r[4] for r in records]),
         )
+        for student, records in zip(students, per_student)
+    ]
     return ExperimentResult(
         teacher=teacher,
         n_seeds=n_seeds,

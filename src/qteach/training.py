@@ -15,11 +15,10 @@ polynomial of degree at most d_c in x_c, and so is each d<Z>/dw_j
 Its values at the N = (2 d1 + 1)(2 d2 + 1) ``circuits.periodic_samples``
 therefore fix it, and its gradient, exactly at every training point,
 through the (B, N) interpolation matrix K
-(``circuits.interpolation_weights``).  When N < B the adjoint runs on
-the N samples, preds = K f(t) and the loss gradient is
-(2 / B) df(t) (K^T r) with r = preds - y; otherwise it runs on the B
-points themselves.  The choice is a cost rule only: both give the same
-numbers up to rounding.
+(``circuits.interpolation_weights``).  Every epoch runs the adjoint on
+the N samples; preds = K f(t) and the loss gradient is
+(2 / B) df(t) (K^T r) with r = preds - y.  For any B this equals the
+adjoint on the B points themselves up to rounding.
 """
 
 from __future__ import annotations
@@ -113,39 +112,29 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
     return float(np.mean((y - preds) ** 2))
 
 
-def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``(eval_points, weights)``: where each epoch runs the circuit, and
-    the (B, N) interpolation matrix from there to ``points``.
-
-    The N periodic samples are used when they are fewer than the B points;
-    otherwise the points themselves, with ``weights`` None.
-    """
-    _, samples = periodic_samples(circuit)
-    if len(samples) >= len(points):
-        return points, None
-    return samples, interpolation_weights(circuit, points)
+def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(samples, weights)``: the N periodic samples each epoch runs the
+    circuit on, and the (B, N) interpolation matrix from them to
+    ``points``."""
+    return periodic_samples(circuit)[1], interpolation_weights(circuit, points)
 
 
 def _loss_grad_preds(circuit, w, sampling, y):
     """Loss, its gradient, and the predictions at the training points, from
-    one adjoint evaluation on the ``_sampling`` points."""
-    eval_points, weights = sampling
-    preds, dpreds = forward_with_adjoint(circuit, eval_points, w)
-    if weights is None:
-        residual = preds - y
-        grad = 2.0 * np.mean(residual[None, :] * dpreds, axis=1)
-    else:
-        # einsum keeps the sums in numpy's own loops (no threaded BLAS)
-        preds = np.einsum("bn,n->b", weights, preds)
-        residual = preds - y
-        grad = (2.0 / len(y)) * np.einsum("pn,n->p", dpreds, np.einsum("bn,b->n", weights, residual))
+    one adjoint evaluation on the ``_sampling`` samples."""
+    samples, weights = sampling
+    values, dvalues = forward_with_adjoint(circuit, samples, w)
+    # einsum keeps the sums in numpy's own loops (no threaded BLAS)
+    preds = np.einsum("bn,n->b", weights, values)
+    residual = preds - y
+    grad = (2.0 / len(y)) * np.einsum("pn,n->p", dvalues, np.einsum("bn,b->n", weights, residual))
     return float(np.mean(residual**2)), grad, preds
 
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:
-    """Exact gradient of ``loss`` via the adjoint method, on the model's
-    periodic samples when there are fewer of them than data points (see
-    the module docstring); equal to what ``train`` steps with at ``w``."""
+    """Exact gradient of ``loss`` via the adjoint method on the model's
+    periodic samples (see the module docstring); equal to what ``train``
+    steps with at ``w``."""
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
     _, grad, _ = _loss_grad_preds(circuit, np.asarray(w, dtype=float), _sampling(circuit, points), y)
@@ -157,8 +146,7 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
     """Full-batch gradient descent from a seeded uniform initialization.
 
     Each epoch takes the loss, the predictions and the adjoint gradient
-    from the model's N periodic samples when N is less than the number
-    of points B, and from the points otherwise (module docstring).
+    from the model's N periodic samples (module docstring).
     ``final_preds`` and ``final_loss`` are evaluated on the points
     directly.
     """

@@ -126,13 +126,6 @@ class TestRun:
         for name in ["summary.json", "loss_dissipative_qp_0.csv", "map_teacher_1.csv"]:
             assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
 
-    def test_threads_do_not_change_results(self, artifacts, tmp_path):
-        _, out = artifacts
-        config = parse_config(SMALL_RUN)
-        config.out = str(tmp_path / "threaded")
-        assert run(config, n_workers=2) == 0
-        assert (tmp_path / "threaded" / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
-
 
 FAILING_RUN = SMALL_RUN + "learning_rate = 1e308\n"  # training diverges
 
@@ -221,6 +214,25 @@ class TestMain:
         assert status == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_seeds"] == 1
+
+    def test_threads_option_is_ignored(self, artifacts, tmp_path):
+        """--threads is accepted and changes no artifact; ``run`` still takes
+        the second positional argument that perfbench/child.py passes."""
+        _, reference = artifacts
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(SMALL_RUN)
+        outs = [tmp_path / "t1", tmp_path / "t2"]
+        for threads, out in zip(("1", "2"), outs):
+            assert main(["--config", str(config_path), "--out", str(out), "--threads", threads]) == 0
+        config = parse_config(SMALL_RUN)
+        config.out = str(tmp_path / "positional")
+        assert run(config, 2) == 0
+        outs.append(tmp_path / "positional")
+        names = sorted(p.name for p in reference.iterdir() if p.name != "config.txt")
+        for out in outs:
+            assert sorted(p.name for p in out.iterdir() if p.name != "config.txt") == names
+            for name in names:
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), (out.name, name)
 
     def test_missing_config_file(self, tmp_path, capsys):
         status = main(["--config", str(tmp_path / "nope.cfg")])

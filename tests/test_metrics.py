@@ -247,8 +247,16 @@ class TestMapCsv:
         assert path.read_bytes() == expected.read_bytes()
         assert b"-0.0," in path.read_bytes()
 
-    def test_rejects_foreign_csv(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n",
+        "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n0.3\n",
+        "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n0.3,high\n",
+        "resolution,lo,hi\n2.5,-1.0,1.0\n0.1,0.2\n0.3,0.4\n",
+        "resolution,lo,hi\n2\n0.1,0.2\n0.3,0.4\n",
+    ], ids=["foreign_header", "ragged_rows", "non_numeric_value", "non_integer_resolution",
+            "one_field_header_row"])
+    def test_rejects_foreign_csv(self, tmp_path, text):
         path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
+        path.write_text(text)
         with pytest.raises(StructuralError):
             read_prediction_map(path)

@@ -223,7 +223,10 @@ class TestTrainConfigValidation:
         circuit = build(dissipative_qp())
         data = tiny_dataset(rng)
         run = train(circuit, data, TrainConfig(epochs=1, init_scale=0.0))
-        assert run.loss_curve[0] == loss(circuit, np.zeros(circuit.n_params), data)
+        w = np.zeros(circuit.n_params)
+        sampling = training._sampling(circuit, data.points)
+        assert run.loss_curve[0] == training._loss_grad_preds(circuit, w, sampling, data.y_continuous)[0]
+        assert abs(run.loss_curve[0] - loss(circuit, w, data)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +241,21 @@ def direct_loss_grad_preds(circuit, w, points, y):
     return float(np.mean(residual**2)), 2.0 * np.mean(residual[None, :] * dpreds, axis=1), preds
 
 
-def direct_train(circuit, data, cfg, label_kind="continuous"):
+def reference_train(circuit, data, cfg, label_kind="continuous", sampled=False):
     """(loss curve, final parameters) of ``train``'s loop with every epoch
-    evaluated on the points."""
+    evaluated on the points, or with ``sampled`` by
+    ``training._loss_grad_preds`` on the model's periodic samples."""
     y = data.y_continuous if label_kind == "continuous" else data.y_binary
+    sampling = training._sampling(circuit, data.points)
     w = np.random.default_rng(cfg.seed).uniform(0.0, cfg.init_scale, circuit.n_params)
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     losses = []
     for t in range(cfg.epochs):
-        value, grad, _ = direct_loss_grad_preds(circuit, w, data.points, y)
+        if sampled:
+            value, grad, _ = training._loss_grad_preds(circuit, w, sampling, y)
+        else:
+            value, grad, _ = direct_loss_grad_preds(circuit, w, data.points, y)
         losses.append(value)
         if cfg.optimizer is Optimizer.VANILLA_GD:
             w = w - cfg.learning_rate * grad
@@ -280,12 +288,14 @@ SAMPLED_POINT_SETS = {
 class TestSpectralTraining:
     @staticmethod
     def _check(circuit, rng):
-        for name, points in SAMPLED_POINT_SETS.items():
-            eval_points, weights = training._sampling(circuit, points)
-            assert weights is not None and len(eval_points) < len(points), name
+        """The sampled epoch against the adjoint on the points, for the B > N
+        point sets and for B in {1, 2, 5, N - 1, N}."""
+        n_samples = len(periodic_samples(circuit)[1])
+        few = {f"B={b}": SAMPLED_POINT_SETS["scattered"][:b] for b in (1, 2, 5, n_samples - 1, n_samples)}
+        for name, points in {**SAMPLED_POINT_SETS, **few}.items():
             y = rng.uniform(-1.0, 1.0, len(points))
             w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-            value, grad, preds = training._loss_grad_preds(circuit, w, (eval_points, weights), y)
+            value, grad, preds = training._loss_grad_preds(circuit, w, training._sampling(circuit, points), y)
             ref_value, ref_grad, ref_preds = direct_loss_grad_preds(circuit, w, points, y)
             assert abs(value - ref_value) <= 1e-12, name
             np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12, err_msg=name)
@@ -314,20 +324,26 @@ class TestSpectralTraining:
         np.testing.assert_allclose(weights, np.eye(len(samples)), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n_points", [5, 9])
-    def test_direct_path_when_samples_are_not_fewer(self, n_points, rng):
-        """dissipative_qp has N = 9 samples: with B <= 9 points every epoch
-        evaluates the points, bit for bit as before."""
+    def test_adam_matches_sampled_loop_on_few_points(self, n_points, rng):
+        """dissipative_qp has N = 9 samples: with B <= 9 points, too, every
+        epoch runs on the samples.  Adam matches the sampled reference loop
+        bit for bit, and gradient descent the loop on the points to 1e-12."""
         circuit = build(dissipative_qp())
         data = tiny_dataset(rng, n_points)
-        assert training._sampling(circuit, data.points)[1] is None
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-        _, ref_grad, _ = direct_loss_grad_preds(circuit, w, data.points, data.y_continuous)
+        _, ref_grad, _ = training._loss_grad_preds(circuit, w, training._sampling(circuit, data.points),
+                                                   data.y_continuous)
         np.testing.assert_array_equal(gradient(circuit, w, data), ref_grad)
         cfg = TrainConfig(epochs=3, seed=4)
         run = train(circuit, data, cfg)
-        ref_losses, ref_w = direct_train(circuit, data, cfg)
+        ref_losses, ref_w = reference_train(circuit, data, cfg, sampled=True)
         np.testing.assert_array_equal(run.loss_curve, ref_losses)
         np.testing.assert_array_equal(run.final_params, ref_w)
+        gd = TrainConfig(learning_rate=0.1, epochs=3, optimizer=Optimizer.VANILLA_GD, seed=4)
+        run = train(circuit, data, gd)
+        ref_losses, ref_w = reference_train(circuit, data, gd)
+        np.testing.assert_allclose(run.loss_curve, ref_losses, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.final_params, ref_w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("label_kind", LABEL_KINDS)
     @pytest.mark.parametrize("student", [dissipative_qp(), reuploading(2)], ids=lambda a: a.name)
@@ -336,13 +352,13 @@ class TestSpectralTraining:
         learning rate times its gradient drift.  Adam's first step is
         g / (|g| + 1e-8) per entry, so on an entry that is zero in exact
         arithmetic (about 1e-17 either way) it turns rounding into steps
-        near 1e-10.  Adam is compared bit for bit where the arithmetic is
-        the same, in test_direct_path_when_samples_are_not_fewer."""
+        near 1e-10.  Adam is compared bit for bit against a loop with the
+        same arithmetic, in test_adam_matches_sampled_loop_on_few_points."""
         circuit = build(student)
         data = generate_dataset(reuploading(2), make_grid(21), seed=3)
         cfg = TrainConfig(learning_rate=0.1, epochs=3, optimizer=Optimizer.VANILLA_GD, seed=8)
         run = train(circuit, data, cfg, label_kind)
-        ref_losses, ref_w = direct_train(circuit, data, cfg, label_kind)
+        ref_losses, ref_w = reference_train(circuit, data, cfg, label_kind)
         np.testing.assert_allclose(run.loss_curve, ref_losses, rtol=0, atol=1e-12)
         np.testing.assert_allclose(run.final_params, ref_w, rtol=0, atol=1e-12)
 
