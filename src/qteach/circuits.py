@@ -343,13 +343,17 @@ def _points(xs) -> np.ndarray:
     return xs
 
 
-def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
-    xs = _points(xs)
+def _params(circuit: CircuitSpec, w) -> np.ndarray:
+    """``w`` as one (P,) float parameter vector."""
     w = np.asarray(w, dtype=float)
     if w.shape != (circuit.n_params,):
         raise ConfigurationError(f"expected one vector of {circuit.n_params} parameters, got shape {w.shape}")
-    return xs, w
+    return w
+
+
+def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
+    return _points(xs), _params(circuit, w)
 
 
 def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
@@ -421,9 +425,9 @@ def forward(circuit: CircuitSpec, x, w) -> float:
     return float(forward_many(circuit, np.asarray(x, dtype=float)[None], w)[0])
 
 
-def _param_slots(op: SlotOp) -> list[tuple[int, int]]:
-    """(angle position, parameter index) pairs of one op's trainable angles."""
-    return [(pos, a.index) for pos, a in enumerate(op.angles) if isinstance(a, ParamRef)]
+def _param_rows(op: SlotOp) -> list[int]:
+    """The parameter indices of one op's trainable angles, in angle order."""
+    return [a.index for a in op.angles if isinstance(a, ParamRef)]
 
 
 def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
@@ -431,27 +435,12 @@ def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
     inverses, a 2x2 payload is conjugate-transposed."""
     if planned.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE):
         return planned
-    dagger = np.ascontiguousarray(np.conj(np.swapaxes(planned.payload, -1, -2)))
-    return kernels.PlannedOp(planned.mode, planned.left, planned.right, dagger)
+    return kernels.PlannedOp(planned.mode, planned.left, planned.right, _dagger(planned.payload))
 
 
-def _derivative_matrices(op: SlotOp, slots, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """dU/dw for each trainable angle of a rotation op, stacked on axis 0.
-
-    Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
-    derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle of
-    Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
-    M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M.  The
-    angles come from the op's own lowering, so a rotation mixing data
-    and parameters gets one matrix per point.
-    """
-    angles = _lowered_angles(op, xs, w)
-    shape = (len(slots),) + np.broadcast(*angles).shape
-    shifted = [np.broadcast_to(a, shape).copy() for a in angles]
-    for t, (pos, _) in enumerate(slots):
-        shifted[pos][t] += np.pi
-    # (slots, 2, 2) or (slots, B, 2, 2) -> (slots, 1 or B, 2, 2) against (B, 2, 2)
-    return 0.5 * qsim.matrix_builder(op.kind)(shifted).reshape(len(slots), -1, 2, 2)
+def _dagger(mats: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every 2x2 matrix in a stack."""
+    return np.ascontiguousarray(np.conj(np.swapaxes(mats, -1, -2)))
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -461,6 +450,140 @@ def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.nda
     psi4 = psi.reshape(psi.shape[0], left, 2, right)
     pairs = [np.einsum("blr,blr->b", lam4[:, :, i], psi4[:, :, j]) for i in (0, 1) for j in (0, 1)]
     return np.stack(pairs, axis=-1).reshape(-1, 2, 2)
+
+
+class _RotationGroup:
+    """The trainable ops of one rotation kind whose matrices have one
+    shape: one matrix for all points, or one per point when an angle is
+    data.  ``bind`` sets their plans' matrices for a parameter vector.
+
+    ``table`` (angles, M) indexes the rows of ``angles``: the P
+    parameters, the P parameters shifted by pi, then the constants and
+    data columns, filled once.  Its first K columns are the K ops' own
+    angles; then, op after op, one column per trainable angle with that
+    angle shifted by pi.  So one gather and one ``qsim.matrix_builder``
+    call give every matrix and every derivative matrix of the group."""
+
+    def __init__(self, kind: GateKind, ops: list[SlotOp], n_qubits: int, n_params: int,
+                 xs: np.ndarray, per_point: bool):
+        self.kind, self.n_params, self.per_point = kind, n_params, per_point
+        fixed: list = []  # constants and data columns, the rows after the 2 P parameter rows
+
+        def row(angle: AngleExpr, shifted: bool) -> int:
+            if isinstance(angle, ParamRef):
+                return angle.index + n_params * shifted
+            fixed.append(angle.value if isinstance(angle, Const) else xs[:, angle.component])
+            return 2 * n_params + len(fixed) - 1
+
+        columns = [[row(a, False) for a in op.angles] for op in ops]
+        #: per op, the slice of its derivative matrices in ``bind``'s result
+        self.slices = []
+        for op in ops:
+            slots = [pos for pos, a in enumerate(op.angles) if isinstance(a, ParamRef)]
+            start = len(columns) - len(ops)
+            columns += [[row(a, pos == shift) for pos, a in enumerate(op.angles)] for shift in slots]
+            self.slices.append(slice(start, start + len(slots)))
+        self.table = np.array(columns).T
+        self.angles = np.empty((2 * n_params + len(fixed), len(xs) if per_point else 1))
+        for k, value in enumerate(fixed):
+            self.angles[2 * n_params + k] = value
+        mode = kernels.MODE_PER_B if per_point else kernels.MODE_CONST
+        splits = [kernels.bit_split(n_qubits, op.targets[0]) for op in ops]
+        self.plans = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
+        self.inverses = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
+
+    def bind(self, w: np.ndarray) -> np.ndarray:
+        """Set the ops' matrices and inverses at ``w`` in ``plans`` and
+        ``inverses``; return the (D, 1 or B, 2, 2) derivative matrices of
+        all D trainable angles, op after op.
+
+        Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
+        derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle
+        of Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
+        M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M."""
+        p, k = self.n_params, len(self.plans)
+        self.angles[:p] = w[:, None]
+        np.add(self.angles[:p], np.pi, out=self.angles[p:2 * p])
+        mats = qsim.matrix_builder(self.kind)(self.angles[self.table])
+        base = mats[:k] if self.per_point else mats[:k, 0]
+        for planned, inverse, matrix, dagger in zip(self.plans, self.inverses, base, _dagger(base)):
+            planned.payload, inverse.payload = matrix, dagger
+        return 0.5 * mats[k:]
+
+
+class CompiledCircuit:
+    """``forward_with_adjoint`` for one circuit at fixed points ``xs``,
+    compiled once and then evaluated at any number of parameter vectors.
+
+    Built once: the plans of the fixed gates after the first trainable op
+    and their inverses (data angles included), the state that the
+    data-only prefix before that op takes |0...0> to, and one
+    ``_RotationGroup`` per rotation kind and matrix shape of the
+    trainable ops.  Per evaluation: every group's matrices, inverses and
+    derivative matrices, then both sweeps from the prefix state.  Trainable gates stay separate ops.
+    The psi and lam buffers are reused, so one instance must not be
+    evaluated from two threads at once; the arrays it returns are new
+    on every call.
+    """
+
+    def __init__(self, circuit: CircuitSpec, xs):
+        xs = _points(xs)
+        self.circuit = circuit
+        n, ops = circuit.n_qubits, circuit.ops
+        trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
+        first = trainable[0] if trainable else len(ops)
+        _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
+        self._psi = np.empty_like(self._prefix)
+        self._lam = np.empty_like(self._prefix)
+
+        members: dict[tuple[GateKind, bool], list[int]] = {}
+        for i in trainable:
+            members.setdefault((ops[i].kind, ops[i].is_encoding()), []).append(i)
+        self._groups = [_RotationGroup(kind, [ops[i] for i in idx], n, circuit.n_params, xs, per_point)
+                        for (kind, per_point), idx in members.items()]
+        place = {i: (g, k) for g, idx in enumerate(members.values()) for k, i in enumerate(idx)}
+        # ops[first:]: each plan and its inverse; for a trainable op also
+        # (group, slice of the group's derivatives, parameter rows)
+        self._plans, self._inverses, self._slots = [], [], []
+        for i, op in enumerate(ops[first:], first):
+            if i in place:
+                g, k = place[i]
+                group = self._groups[g]
+                planned, inverse = group.plans[k], group.inverses[k]
+                self._slots.append((g, group.slices[k], _param_rows(op)))
+            else:
+                planned = qsim.lower_gate(op.kind, n, op.targets[0], op.controls,
+                                          _lowered_angles(op, xs, np.empty(0)))
+                inverse = _inverse(planned)
+                self._slots.append(None)
+            self._plans.append(planned)
+            self._inverses.append(inverse)
+
+    def forward_with_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
+        """``(preds, dpreds)`` at one (P,) parameter vector ``w``, as the
+        function ``forward_with_adjoint`` defines them."""
+        circuit = self.circuit
+        n, measured = circuit.n_qubits, circuit.measured_qubit
+        w = _params(circuit, w)
+        derivs = [group.bind(w) for group in self._groups]
+        psi = self._psi
+        np.copyto(psi, self._prefix)
+        for planned in self._plans:
+            kernels.apply_planned(planned, psi)
+        preds = qsim.expectation_z_kernel(psi, n, measured)
+
+        dpreds = np.zeros((circuit.n_params, len(psi)))
+        lam = np.multiply(psi, kernels.z_signs(n, measured), out=self._lam)
+        for i in range(len(self._plans) - 1, -1, -1):
+            inverse = self._inverses[i]
+            kernels.apply_planned(inverse, psi)
+            if self._slots[i] is not None:
+                g, part, rows = self._slots[i]
+                overlaps = _overlaps(lam, psi, inverse.left, inverse.right)
+                dpreds[rows] = 2.0 * (derivs[g][part] * overlaps).sum(axis=(-2, -1)).real
+            if i:
+                kernels.apply_planned(inverse, lam)
+        return preds, dpreds
 
 
 def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
@@ -473,31 +596,14 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     back through the gate inverses.  At trainable gate k, with psi the
     state entering it and lam the measured Z pulled back to its output,
     d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
-    sums conj(lam) on target bit i times psi on target bit j.
-    """
-    xs, w = _batch_args(circuit, xs, w)
-    n_qubits, measured = circuit.n_qubits, circuit.measured_qubit
-    plans, psi = _states(circuit.ops, n_qubits, xs, w)
-    preds = qsim.expectation_z_kernel(psi, n_qubits, measured)
+    sums conj(lam) on target bit i times psi on target bit j.  The
+    backward sweep stops at the first trainable gate.
 
-    dpreds = np.zeros((circuit.n_params, len(xs)))
-    op_slots = [_param_slots(op) for op in circuit.ops]
-    trainable = [i for i, slots in enumerate(op_slots) if slots]
-    if not trainable:
-        return preds, dpreds
-    lam = psi * kernels.z_signs(n_qubits, measured)
-    for i in range(len(plans) - 1, trainable[0] - 1, -1):
-        inverse = _inverse(plans[i])
-        kernels.apply_planned(inverse, psi)
-        op, slots = circuit.ops[i], op_slots[i]
-        if slots:
-            left, right = kernels.bit_split(n_qubits, op.targets[0])
-            derivs = _derivative_matrices(op, slots, xs, w)
-            overlaps = _overlaps(lam, psi, left, right)
-            dpreds[[index for _, index in slots]] = 2.0 * (derivs * overlaps).sum(axis=(-2, -1)).real
-        if i > trainable[0]:
-            kernels.apply_planned(inverse, lam)
-    return preds, dpreds
+    This compiles the circuit at ``xs`` and evaluates it once; a caller
+    that evaluates the same points at many parameter vectors keeps one
+    ``CompiledCircuit`` instead.
+    """
+    return CompiledCircuit(circuit, xs).forward_with_adjoint(w)
 
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -38,7 +38,9 @@ class PredictionMap:
     """Dense grid of model outputs over [lo, hi]^2.
 
     values[i, j] is the output at (axis[i], axis[j]) where axis is the
-    inclusive linspace of length ``resolution``.
+    inclusive linspace of length ``resolution``.  A resolution below 2,
+    bounds that are not finite with lo < hi, or values outside [-1, 1]
+    are a StructuralError.
     """
 
     resolution: int
@@ -48,6 +50,10 @@ class PredictionMap:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.resolution < 2:
+            raise StructuralError(f"resolution must be >= 2, got {self.resolution}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+            raise StructuralError(f"bounds must be finite with lo < hi, got ({self.lo}, {self.hi})")
         if self.values.shape != (self.resolution, self.resolution):
             raise StructuralError(
                 f"values must be {self.resolution}x{self.resolution}, got {self.values.shape}"
@@ -78,8 +84,8 @@ def prediction_map(circuit: CircuitSpec, w: np.ndarray, resolution: int,
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigurationError(f"map bounds must be finite, got {bounds}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigurationError(f"map bounds must be finite with lo < hi, got {bounds}")
     axes, points = periodic_samples(circuit)
     sizes = [len(t) for t in axes]
     samples = forward_batch(circuit, points, w)

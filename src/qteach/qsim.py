@@ -6,7 +6,8 @@ sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 
 ``lower_gate`` turns a gate into a ``kernels.PlannedOp`` and
 ``kernels.apply_planned`` applies it; that is the one path by which any
-gate reaches amplitudes.  Its angles are scalars or one value per data
+gate reaches amplitudes (``circuits.CompiledCircuit`` plans its
+trainable rotations itself, from ``matrix_builder``).  Its angles are scalars or one value per data
 point, so a lowered gate acts on a batch of points under one parameter
 vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
 measurement kernels (``expectation_z_kernel``,

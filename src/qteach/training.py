@@ -15,10 +15,13 @@ polynomial of degree at most d_c in x_c, and so is each d<Z>/dw_j
 Its values at the N = (2 d1 + 1)(2 d2 + 1) ``circuits.periodic_samples``
 therefore fix it, and its gradient, exactly at every training point,
 through the (B, N) interpolation matrix K
-(``circuits.interpolation_weights``).  Every epoch runs the adjoint on
-the N samples; preds = K f(t) and the loss gradient is
-(2 / B) df(t) (K^T r) with r = preds - y.  For any B this equals the
-adjoint on the B points themselves up to rounding.
+(``circuits.interpolation_weights``).  Each ``train`` or ``gradient``
+call compiles the circuit once at the N samples
+(``circuits.CompiledCircuit``: the data-only prefix is evolved once), and
+every epoch evaluates the compiled adjoint at the current parameters;
+preds = K f(t) and the loss gradient is (2 / B) df(t) (K^T r) with
+r = preds - y.  For any B this equals the adjoint on the B points
+themselves up to rounding.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .circuits import (ArchitectureId, CircuitSpec, forward_many, forward_with_adjoint,
-                       interpolation_weights, periodic_samples)
+from .circuits import (ArchitectureId, CircuitSpec, CompiledCircuit, forward_many, interpolation_weights,
+                       periodic_samples)
 from .errors import ConfigurationError, TrainingDivergedError
 
 LABEL_KINDS = ("continuous", "binary")
@@ -112,18 +115,19 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
     return float(np.mean((y - preds) ** 2))
 
 
-def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(samples, weights)``: the N periodic samples each epoch runs the
-    circuit on, and the (B, N) interpolation matrix from them to
-    ``points``."""
-    return periodic_samples(circuit)[1], interpolation_weights(circuit, points)
+def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[CompiledCircuit, np.ndarray]:
+    """``(compiled, weights)``: the circuit compiled at the N periodic
+    samples each epoch runs it on, and the (B, N) interpolation matrix
+    from them to ``points``."""
+    weights = interpolation_weights(circuit, points)
+    return CompiledCircuit(circuit, periodic_samples(circuit)[1]), weights
 
 
-def _loss_grad_preds(circuit, w, sampling, y):
+def _loss_grad_preds(w, sampling, y):
     """Loss, its gradient, and the predictions at the training points, from
     one adjoint evaluation on the ``_sampling`` samples."""
-    samples, weights = sampling
-    values, dvalues = forward_with_adjoint(circuit, samples, w)
+    compiled, weights = sampling
+    values, dvalues = compiled.forward_with_adjoint(w)
     # einsum keeps the sums in numpy's own loops (no threaded BLAS)
     preds = np.einsum("bn,n->b", weights, values)
     residual = preds - y
@@ -137,7 +141,7 @@ def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "conti
     steps with at ``w``."""
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
-    _, grad, _ = _loss_grad_preds(circuit, np.asarray(w, dtype=float), _sampling(circuit, points), y)
+    _, grad, _ = _loss_grad_preds(np.asarray(w, dtype=float), _sampling(circuit, points), y)
     return grad
 
 
@@ -165,7 +169,7 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for t in range(cfg.epochs):
-        value, grad, preds = _loss_grad_preds(circuit, w, sampling, y)
+        value, grad, preds = _loss_grad_preds(w, sampling, y)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"loss is not finite at epoch {t}")
         loss_curve[t] = value

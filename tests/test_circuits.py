@@ -8,6 +8,7 @@ import pytest
 from qteach import circuits, kernels, qsim
 from qteach.circuits import (
     ArchitectureId,
+    CompiledCircuit,
     Const,
     DataRef,
     Encoding,
@@ -320,6 +321,69 @@ class TestAdjoint:
         trainable = {op.kind for op in circuit.ops if any(isinstance(a, ParamRef) for a in op.angles)}
         assert trainable == {k for k, n in qsim.ANGLE_COUNTS.items() if n}
         self._check(circuit, rng)
+
+
+COMPILED_MODELS = {
+    "dissipative_qp": build(dissipative_qp()),
+    "reuploading:2@rot_h": build(reuploading(2, Encoding.ROT_H)),  # data gates after trainable ones
+    "qnn_two_qp": build(ArchitectureId(Family.QNN_TWO_QP)),
+    "mixed_spec": mixed_spec(),  # trainable RX/RY/RZ and per-point trainable ROTs
+}
+
+
+class TestCompiledCircuit:
+    """One compilation evaluated at many parameter vectors, as training
+    does, against fresh ``forward_with_adjoint`` calls."""
+
+    @pytest.mark.parametrize("name", list(COMPILED_MODELS))
+    def test_repeated_evaluations_equal_fresh_calls(self, name, rng):
+        circuit = COMPILED_MODELS[name]
+        xs = rng.uniform(-np.pi, np.pi, (13, 2))
+        compiled = CompiledCircuit(circuit, xs)
+        w1, w2 = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
+        results = [(w, compiled.forward_with_adjoint(w)) for w in (w1, w2, w1)]
+        for w, (preds, dpreds) in results:
+            ref_preds, ref_dpreds = forward_with_adjoint(circuit, xs, w)
+            np.testing.assert_array_equal(preds, ref_preds)
+            np.testing.assert_array_equal(dpreds, ref_dpreds)
+
+    def test_returned_arrays_survive_the_next_call(self, rng):
+        circuit = COMPILED_MODELS["reuploading:2@rot_h"]
+        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
+        preds, dpreds = compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        kept = preds.copy(), dpreds.copy()
+        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        np.testing.assert_array_equal(preds, kept[0])
+        np.testing.assert_array_equal(dpreds, kept[1])
+
+    def test_evaluation_skips_the_data_only_prefix(self, rng, monkeypatch):
+        """dissipative_qp opens with two data-only RX gates.  An evaluation
+        applies the F later ops forward and backward to psi, and all but the
+        first trainable one backward to lam: 3 F - 1 gates, none of the
+        prefix."""
+        circuit = COMPILED_MODELS["dissipative_qp"]
+        first = next(i for i, op in enumerate(circuit.ops)
+                     if any(isinstance(a, ParamRef) for a in op.angles))
+        assert first == 2
+        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
+        applied = []
+        apply_planned = kernels.apply_planned
+
+        def counting(planned, amps):
+            applied.append(planned)
+            apply_planned(planned, amps)
+
+        monkeypatch.setattr(kernels, "apply_planned", counting)
+        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        assert len(applied) == 3 * (len(circuit.ops) - first) - 1
+        assert all(planned.mode != kernels.MODE_PER_B for planned in applied)  # no data gate
+
+    @pytest.mark.parametrize("w", [np.zeros(13), np.zeros(11), np.zeros((2, 12)), np.zeros(())],
+                             ids=["too_long", "too_short", "parameter_batch", "scalar"])
+    def test_bad_parameter_vector_rejected(self, w):
+        compiled = CompiledCircuit(COMPILED_MODELS["dissipative_qp"], np.zeros((3, 2)))  # 12 parameters
+        with pytest.raises(ConfigurationError):
+            compiled.forward_with_adjoint(w)
 
 
 QP = build(dissipative_qp())

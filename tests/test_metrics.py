@@ -86,6 +86,22 @@ class TestPredictionMap:
         with pytest.raises(ConfigurationError):
             prediction_map(build(dissipative_qp()), np.zeros(12), 5, bounds)
 
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0), (1.0, -1.0)])
+    def test_bounds_must_be_ordered(self, bounds):
+        with pytest.raises(ConfigurationError):
+            prediction_map(build(dissipative_qp()), np.zeros(12), 5, bounds)
+
+    @pytest.mark.parametrize("resolution", [1, 0, -2])
+    def test_map_resolution_below_two_rejected(self, resolution):
+        values = np.zeros((max(resolution, 0),) * 2)
+        with pytest.raises(StructuralError):
+            PredictionMap(resolution, 0.0, 1.0, values)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (1.0, 1.0), (1.0, -1.0)])
+    def test_map_bounds_must_be_finite_and_ordered(self, lo, hi):
+        with pytest.raises(StructuralError):
+            PredictionMap(2, lo, hi, np.zeros((2, 2)))
+
 
 def _direct_map(circuit, w, resolution, bounds):
     """One forward evaluation per grid point: the reference the spectral
@@ -253,8 +269,11 @@ class TestMapCsv:
         "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n0.3,high\n",
         "resolution,lo,hi\n2.5,-1.0,1.0\n0.1,0.2\n0.3,0.4\n",
         "resolution,lo,hi\n2\n0.1,0.2\n0.3,0.4\n",
+        "resolution,lo,hi\n2,nan,inf\n0.1,0.2\n0.3,0.4\n",
+        "resolution,lo,hi\n2,1.0,-1.0\n0.1,0.2\n0.3,0.4\n",
+        "resolution,lo,hi\n1,-1.0,1.0\n0.1\n",
     ], ids=["foreign_header", "ragged_rows", "non_numeric_value", "non_integer_resolution",
-            "one_field_header_row"])
+            "one_field_header_row", "non_finite_bounds", "inverted_bounds", "resolution_one"])
     def test_rejects_foreign_csv(self, tmp_path, text):
         path = tmp_path / "junk.csv"
         path.write_text(text)

@@ -225,7 +225,7 @@ class TestTrainConfigValidation:
         run = train(circuit, data, TrainConfig(epochs=1, init_scale=0.0))
         w = np.zeros(circuit.n_params)
         sampling = training._sampling(circuit, data.points)
-        assert run.loss_curve[0] == training._loss_grad_preds(circuit, w, sampling, data.y_continuous)[0]
+        assert run.loss_curve[0] == training._loss_grad_preds(w, sampling, data.y_continuous)[0]
         assert abs(run.loss_curve[0] - loss(circuit, w, data)) <= 1e-12
 
 
@@ -253,7 +253,7 @@ def reference_train(circuit, data, cfg, label_kind="continuous", sampled=False):
     losses = []
     for t in range(cfg.epochs):
         if sampled:
-            value, grad, _ = training._loss_grad_preds(circuit, w, sampling, y)
+            value, grad, _ = training._loss_grad_preds(w, sampling, y)
         else:
             value, grad, _ = direct_loss_grad_preds(circuit, w, data.points, y)
         losses.append(value)
@@ -295,7 +295,7 @@ class TestSpectralTraining:
         for name, points in {**SAMPLED_POINT_SETS, **few}.items():
             y = rng.uniform(-1.0, 1.0, len(points))
             w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-            value, grad, preds = training._loss_grad_preds(circuit, w, training._sampling(circuit, points), y)
+            value, grad, preds = training._loss_grad_preds(w, training._sampling(circuit, points), y)
             ref_value, ref_grad, ref_preds = direct_loss_grad_preds(circuit, w, points, y)
             assert abs(value - ref_value) <= 1e-12, name
             np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12, err_msg=name)
@@ -331,8 +331,7 @@ class TestSpectralTraining:
         circuit = build(dissipative_qp())
         data = tiny_dataset(rng, n_points)
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-        _, ref_grad, _ = training._loss_grad_preds(circuit, w, training._sampling(circuit, data.points),
-                                                   data.y_continuous)
+        _, ref_grad, _ = training._loss_grad_preds(w, training._sampling(circuit, data.points), data.y_continuous)
         np.testing.assert_array_equal(gradient(circuit, w, data), ref_grad)
         cfg = TrainConfig(epochs=3, seed=4)
         run = train(circuit, data, cfg)
@@ -368,8 +367,8 @@ class TestSpectralTraining:
         steps = []
         evaluate = training._loss_grad_preds
 
-        def spy(circuit, w, sampling, y):
-            result = evaluate(circuit, w, sampling, y)
+        def spy(w, sampling, y):
+            result = evaluate(w, sampling, y)
             steps.append((w, result[1]))
             return result
 
