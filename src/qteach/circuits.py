@@ -443,10 +443,11 @@ def _dagger(mats: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.conj(np.swapaxes(mats, -1, -2)))
 
 
-def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
+def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int, conj: np.ndarray) -> np.ndarray:
     """(B, 2, 2) per-row S_ij = sum of conj(lam) on target bit i times psi
-    on target bit j, over the other qubits."""
-    lam4 = lam.conj().reshape(lam.shape[0], left, 2, right)
+    on target bit j, over the other qubits; ``conj`` is a buffer shaped
+    like ``lam`` that receives its conjugate."""
+    lam4 = np.conjugate(lam, out=conj).reshape(lam.shape[0], left, 2, right)
     psi4 = psi.reshape(psi.shape[0], left, 2, right)
     pairs = [np.einsum("blr,blr->b", lam4[:, :, i], psi4[:, :, j]) for i in (0, 1) for j in (0, 1)]
     return np.stack(pairs, axis=-1).reshape(-1, 2, 2)
@@ -454,19 +455,20 @@ def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.nda
 
 class _RotationGroup:
     """The trainable ops of one rotation kind whose matrices have one
-    shape: one matrix for all points, or one per point when an angle is
-    data.  ``bind`` sets their plans' matrices for a parameter vector.
+    shape: one matrix per run, or one per run and point when an angle is
+    data.  ``bind`` sets their plans' matrices for R parameter vectors.
 
-    ``table`` (angles, M) indexes the rows of ``angles``: the P
-    parameters, the P parameters shifted by pi, then the constants and
-    data columns, filled once.  Its first K columns are the K ops' own
-    angles; then, op after op, one column per trainable angle with that
-    angle shifted by pi.  So one gather and one ``qsim.matrix_builder``
-    call give every matrix and every derivative matrix of the group."""
+    ``table`` (angles, M) indexes the rows of ``angles`` (rows, R, 1 or
+    N): the P parameters, the P parameters shifted by pi, then the
+    constants and data columns, filled once.  Its first K columns are the
+    K ops' own angles; then, op after op, one column per trainable angle
+    with that angle shifted by pi.  So one gather and one
+    ``qsim.matrix_builder`` call give every matrix and every derivative
+    matrix of the group, for all R runs."""
 
     def __init__(self, kind: GateKind, ops: list[SlotOp], n_qubits: int, n_params: int,
-                 xs: np.ndarray, per_point: bool):
-        self.kind, self.n_params, self.per_point = kind, n_params, per_point
+                 xs: np.ndarray, per_point: bool, runs: int):
+        self.kind, self.n_params = kind, n_params
         fixed: list = []  # constants and data columns, the rows after the 2 P parameter rows
 
         def row(angle: AngleExpr, shifted: bool) -> int:
@@ -484,64 +486,70 @@ class _RotationGroup:
             columns += [[row(a, pos == shift) for pos, a in enumerate(op.angles)] for shift in slots]
             self.slices.append(slice(start, start + len(slots)))
         self.table = np.array(columns).T
-        self.angles = np.empty((2 * n_params + len(fixed), len(xs) if per_point else 1))
+        self.angles = np.empty((2 * n_params + len(fixed), runs, len(xs) if per_point else 1))
         for k, value in enumerate(fixed):
             self.angles[2 * n_params + k] = value
-        mode = kernels.MODE_PER_B if per_point else kernels.MODE_CONST
+        mode = kernels.MODE_PER_ROW if per_point else kernels.MODE_PER_S
         splits = [kernels.bit_split(n_qubits, op.targets[0]) for op in ops]
         self.plans = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
         self.inverses = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
 
     def bind(self, w: np.ndarray) -> np.ndarray:
-        """Set the ops' matrices and inverses at ``w`` in ``plans`` and
-        ``inverses``; return the (D, 1 or B, 2, 2) derivative matrices of
-        all D trainable angles, op after op.
+        """Set the ops' (R, 1 or N, 2, 2) matrices and inverses at the
+        (R, P) parameters ``w`` in ``plans`` and ``inverses``; return the
+        (D, R, 1 or N, 2, 2) derivative matrices of all D trainable
+        angles, op after op.
 
         Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
         derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle
         of Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
         M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M."""
         p, k = self.n_params, len(self.plans)
-        self.angles[:p] = w[:, None]
+        self.angles[:p] = w.T[:, :, None]
         np.add(self.angles[:p], np.pi, out=self.angles[p:2 * p])
         mats = qsim.matrix_builder(self.kind)(self.angles[self.table])
-        base = mats[:k] if self.per_point else mats[:k, 0]
+        base = mats[:k]
         for planned, inverse, matrix, dagger in zip(self.plans, self.inverses, base, _dagger(base)):
             planned.payload, inverse.payload = matrix, dagger
         return 0.5 * mats[k:]
 
 
 class CompiledCircuit:
-    """``forward_with_adjoint`` for one circuit at fixed points ``xs``,
-    compiled once and then evaluated at any number of parameter vectors.
+    """``forward_with_adjoint`` for one circuit at fixed points ``xs`` and
+    ``runs`` parameter vectors at a time, compiled once and then evaluated
+    at any number of (runs, P) parameter arrays.
 
-    Built once: the plans of the fixed gates after the first trainable op
-    and their inverses (data angles included), the state that the
-    data-only prefix before that op takes |0...0> to, and one
-    ``_RotationGroup`` per rotation kind and matrix shape of the
-    trainable ops.  Per evaluation: every group's matrices, inverses and
-    derivative matrices, then both sweeps from the prefix state.  Trainable gates stay separate ops.
-    The psi and lam buffers are reused, so one instance must not be
-    evaluated from two threads at once; the arrays it returns are new
-    on every call.
+    The runs are stacked as rows: the state holds runs * N amplitude rows,
+    run r in rows r N .. (r + 1) N - 1, and every gate is one kernel call
+    for all of them.  Built once: the plans of the fixed gates after the
+    first trainable op and their inverses (data angles at the points
+    tiled once per run), the state that the data-only prefix before that
+    op takes |0...0> to, and one ``_RotationGroup`` per rotation kind and
+    matrix shape of the trainable ops.  Per evaluation: every group's
+    matrices, inverses and derivative matrices, then both sweeps from the
+    prefix state.  Trainable gates stay separate ops.  The psi, lam and
+    conj buffers are reused, so one instance must not be evaluated from
+    two threads at once; the arrays it returns are new on every call.
     """
 
-    def __init__(self, circuit: CircuitSpec, xs):
+    def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
         xs = _points(xs)
-        self.circuit = circuit
+        self.circuit, self.runs = circuit, runs
         n, ops = circuit.n_qubits, circuit.ops
         trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
         first = trainable[0] if trainable else len(ops)
         _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
-        self._psi = np.empty_like(self._prefix)
-        self._lam = np.empty_like(self._prefix)
+        self._psi = np.empty((runs * len(xs), 1 << n), dtype=complex)
+        self._lam = np.empty_like(self._psi)
+        self._conj = np.empty_like(self._psi)
 
         members: dict[tuple[GateKind, bool], list[int]] = {}
         for i in trainable:
             members.setdefault((ops[i].kind, ops[i].is_encoding()), []).append(i)
-        self._groups = [_RotationGroup(kind, [ops[i] for i in idx], n, circuit.n_params, xs, per_point)
+        self._groups = [_RotationGroup(kind, [ops[i] for i in idx], n, circuit.n_params, xs, per_point, runs)
                         for (kind, per_point), idx in members.items()]
         place = {i: (g, k) for g, idx in enumerate(members.values()) for k, i in enumerate(idx)}
+        tiled = np.tile(xs, (runs, 1))
         # ops[first:]: each plan and its inverse; for a trainable op also
         # (group, slice of the group's derivatives, parameter rows)
         self._plans, self._inverses, self._slots = [], [], []
@@ -553,34 +561,39 @@ class CompiledCircuit:
                 self._slots.append((g, group.slices[k], _param_rows(op)))
             else:
                 planned = qsim.lower_gate(op.kind, n, op.targets[0], op.controls,
-                                          _lowered_angles(op, xs, np.empty(0)))
+                                          _lowered_angles(op, tiled, np.empty(0)))
                 inverse = _inverse(planned)
                 self._slots.append(None)
             self._plans.append(planned)
             self._inverses.append(inverse)
 
     def forward_with_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
-        """``(preds, dpreds)`` at one (P,) parameter vector ``w``, as the
-        function ``forward_with_adjoint`` defines them."""
-        circuit = self.circuit
-        n, measured = circuit.n_qubits, circuit.measured_qubit
-        w = _params(circuit, w)
+        """``(preds, dpreds)`` at the (runs, P) parameters ``w``: preds
+        (runs, N) and dpreds (runs, P, N), row r as the function
+        ``forward_with_adjoint`` defines them at ``w[r]``."""
+        circuit, runs = self.circuit, self.runs
+        n, measured, n_params = circuit.n_qubits, circuit.measured_qubit, circuit.n_params
+        w = np.asarray(w, dtype=float)
+        if w.shape != (runs, n_params):
+            raise ConfigurationError(f"expected a ({runs}, {n_params}) parameter array, got shape {w.shape}")
         derivs = [group.bind(w) for group in self._groups]
         psi = self._psi
-        np.copyto(psi, self._prefix)
+        n_points = len(self._prefix)
+        np.copyto(psi.reshape(runs, n_points, -1), self._prefix)
         for planned in self._plans:
             kernels.apply_planned(planned, psi)
-        preds = qsim.expectation_z_kernel(psi, n, measured)
+        preds = qsim.expectation_z_kernel(psi, n, measured).reshape(runs, n_points)
 
-        dpreds = np.zeros((circuit.n_params, len(psi)))
+        dpreds = np.zeros((runs, n_params, n_points))
         lam = np.multiply(psi, kernels.z_signs(n, measured), out=self._lam)
         for i in range(len(self._plans) - 1, -1, -1):
             inverse = self._inverses[i]
             kernels.apply_planned(inverse, psi)
             if self._slots[i] is not None:
                 g, part, rows = self._slots[i]
-                overlaps = _overlaps(lam, psi, inverse.left, inverse.right)
-                dpreds[rows] = 2.0 * (derivs[g][part] * overlaps).sum(axis=(-2, -1)).real
+                overlaps = _overlaps(lam, psi, inverse.left, inverse.right, self._conj)
+                grads = 2.0 * (derivs[g][part] * overlaps.reshape(runs, n_points, 2, 2)).sum(axis=(-2, -1)).real
+                dpreds[:, rows] = np.swapaxes(grads, 0, 1)
             if i:
                 kernels.apply_planned(inverse, lam)
         return preds, dpreds
@@ -599,11 +612,13 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     sums conj(lam) on target bit i times psi on target bit j.  The
     backward sweep stops at the first trainable gate.
 
-    This compiles the circuit at ``xs`` and evaluates it once; a caller
-    that evaluates the same points at many parameter vectors keeps one
-    ``CompiledCircuit`` instead.
+    This compiles the circuit at ``xs`` for one run and evaluates it
+    once; a caller that evaluates the same points at many parameter
+    vectors keeps one ``CompiledCircuit`` instead.
     """
-    return CompiledCircuit(circuit, xs).forward_with_adjoint(w)
+    xs, w = _batch_args(circuit, xs, w)
+    preds, dpreds = CompiledCircuit(circuit, xs).forward_with_adjoint(w[None])
+    return preds[0], dpreds[0]
 
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:

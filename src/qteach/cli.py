@@ -22,9 +22,9 @@ Config files are plain ``key = value`` lines ('#' starts a comment).
 Every run writes ``summary.json`` plus per-run CSV curves and prediction
 maps; reruns with the same config are byte-identical.  A run first deletes
 from its output directory the files a run writes, and no others, so a
-rerun leaves no stale file of an earlier one.  Seeds run in order on one
-thread: ``--threads`` is accepted and ignored, though a value below 1 is
-still a usage error.
+rerun leaves no stale file of an earlier one.  All seeds train together,
+in lockstep on one thread: ``--threads`` is accepted and ignored, though a
+value below 1 is still a usage error.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ _OWNED_FILES = ("summary.json", "config.txt", "FAILED.txt", "loss_*.csv", "accur
 
 def run(config: ExperimentConfig, n_workers: int = 1) -> int:
     """Execute one experiment; returns a process exit status."""
-    # n_workers is ignored: seeds run in order on one thread.  perfbench's
+    # n_workers is ignored: seeds train in lockstep on one thread.  perfbench's
     # child.py still passes it positionally; both go together (ROADMAP
     # item 1).
     out = Path(config.out)
@@ -324,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="override the config's output directory")
     parser.add_argument("--seeds", type=int, help="override the config's n_seeds")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; seeds run in order")
+                        help="accepted for compatibility and ignored; seeds train in lockstep on one thread")
     args = parser.parse_args(argv)
 
     try:

@@ -18,7 +18,12 @@ class UnsupportedArchitectureError(QTeachError, ValueError):
 
 
 class TrainingDivergedError(QTeachError, RuntimeError):
-    """The loss became non-finite during optimization."""
+    """The loss became non-finite during optimization.  ``run`` is the
+    index of the diverging run among those trained in lockstep, if any."""
+
+    def __init__(self, message: str, run=None):
+        super().__init__(message)
+        self.run = run
 
 
 class ConfigParseError(QTeachError, ValueError):

@@ -2,32 +2,39 @@
 to amplitudes.
 
 Amplitudes live in a C-contiguous (B, 2^n) complex128 array, one row per
-data point; every row evolves under the same parameter vector.  Every
-kernel mutates the array in place with numpy.
+data point.  The rows may hold R runs of B / R points each, every run
+under its own parameter vector.  Every kernel mutates the array in place
+with numpy.
 
-A 2x2 matrix payload broadcasts against the amplitudes viewed as (B,
-left, 2, right), so its shape says what it indexes by: (2, 2) is shared
-by all points and (B, 2, 2) holds one matrix per point.  With qubit 0 as
-MSB, a basis index splits as l * (2 * right) + bit * right + r where
-left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP payload is the
-pair of index arrays (target bit 0, target bit 1) to swap; a PHASE
-payload lists the indices to negate.
+A 2x2 matrix payload broadcasts against the amplitudes viewed as
+``payload.shape[:-3] + (-1, left, 2, right)``, so its shape says what it
+indexes by: (2, 2) is shared by all rows, (B, 2, 2) holds one matrix per
+row, (R, 1, 2, 2) one per run and (R, B / R, 2, 2) one per run and point.
+With qubit 0 as MSB, a basis index splits as l * (2 * right) + bit *
+right + r where left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP
+payload is the pair of index arrays (target bit 0, target bit 1) to swap;
+a PHASE payload lists the indices to negate.
+
+Every intermediate array of a gate is a view of one of two flat scratch
+buffers per thread, which grow to the largest half-state served, so a
+gate allocates no array of its own once they are large enough (numpy may
+still buffer a strided operand inside one call).
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from functools import lru_cache
 
 import numpy as np
 
 # dispatch modes for planned operations; the matrix modes share one
 # kernel and differ only in the payload shape above
-MODE_CONST = 0    # one 2x2 matrix shared by all points
-MODE_PER_B = 1    # matrix indexed by data point
-# Never produced since the engine evolves one parameter vector at a
-# time; kept distinct because perfbench/spans.py looks up all six names.
-MODE_PER_S = 2
-MODE_PER_ROW = 3
+MODE_CONST = 0    # one 2x2 matrix shared by all rows
+MODE_PER_B = 1    # matrix indexed by row (data point)
+MODE_PER_S = 2    # matrix indexed by run (parameter vector)
+MODE_PER_ROW = 3  # matrix indexed by run and data point
 MODE_FLIP = 4     # basis-permutation pairs (X / CNOT / MCX)
 MODE_PHASE = 5    # sign flip on listed indices (CZ)
 
@@ -44,25 +51,57 @@ class PlannedOp:
         self.payload = payload
 
 
+class _Scratch(threading.local):
+    """The calling thread's two flat complex buffers.  Kernels only write
+    them before reading them, so nothing carries over from one gate to
+    the next; one set per thread keeps concurrent callers apart."""
+
+    def __init__(self):
+        self.flat = (np.empty(0, dtype=complex), np.empty(0, dtype=complex))
+
+
+_scratch = _Scratch()
+
+
+def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch arrays of ``shape``, views of the thread's flat buffers,
+    which are replaced by larger ones when too small."""
+    size = math.prod(shape)
+    if _scratch.flat[0].size < size:
+        _scratch.flat = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return _scratch.flat[0][:size].reshape(shape), _scratch.flat[1][:size].reshape(shape)
+
+
 def _apply_matrix(amps, left, right, mats):
-    a = amps.reshape(-1, left, 2, right)
+    a = amps.reshape(mats.shape[:-3] + (-1, left, 2, right))
     a0 = a[..., 0, :]
     a1 = a[..., 1, :]
-    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (B, left, right)
-    old0 = a0.copy()
-    a[..., 0, :] = m[..., 0, 0, :, :] * a0 + m[..., 0, 1, :, :] * a1
-    a[..., 1, :] = m[..., 1, 0, :, :] * old0 + m[..., 1, 1, :, :] * a1
+    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (..., rows, left, right)
+    new0, tmp = _buffers(a0.shape)
+    np.multiply(m[..., 0, 0, :, :], a0, out=new0)
+    np.multiply(m[..., 0, 1, :, :], a1, out=tmp)
+    np.add(new0, tmp, out=new0)
+    np.multiply(m[..., 1, 0, :, :], a0, out=tmp)
+    np.copyto(a0, new0)
+    np.multiply(m[..., 1, 1, :, :], a1, out=new0)
+    np.add(tmp, new0, out=a1)
 
 
 def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
     """Apply one lowered gate to (B, dim) amplitudes in place."""
     if op.mode == MODE_FLIP:
         idx0, idx1 = op.payload
-        tmp = amps[:, idx0]
-        amps[:, idx0] = amps[:, idx1]
-        amps[:, idx1] = tmp
+        at0, at1 = _buffers((len(amps), len(idx0)))
+        # mode="clip" lets take write straight into out; the indices are in range
+        np.take(amps, idx0, axis=1, out=at0, mode="clip")
+        np.take(amps, idx1, axis=1, out=at1, mode="clip")
+        amps[:, idx0] = at1
+        amps[:, idx1] = at0
     elif op.mode == MODE_PHASE:
-        amps[:, op.payload] *= -1.0
+        hit, _ = _buffers((len(amps), len(op.payload)))
+        np.take(amps, op.payload, axis=1, out=hit, mode="clip")
+        np.multiply(hit, -1.0, out=hit)
+        amps[:, op.payload] = hit
     else:
         _apply_matrix(amps, op.left, op.right, op.payload)
 

@@ -17,9 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuits import ArchitectureId, build, forward_batch
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, StructuralError, TrainingDivergedError
 from .metrics import PredictionMap, accuracy, prediction_map, relative_entropy
-from .training import TrainConfig, TrainRun, binarize, train
+# train is not called here, but stays importable as teacher_student.train,
+# the name perfbench/spans.py wraps
+from .training import TrainConfig, TrainRun, binarize, train, train_lockstep  # noqa: F401
 
 #: role tags for deriving independent seed streams
 _ROLE_TEACHER = 0
@@ -181,47 +183,50 @@ def run_experiment(
     curves, relative entropy between prediction maps) and, when
     ``include_binary``, one binary-label training from which the accuracy
     score is taken; otherwise the accuracy is the sign-accuracy of the
-    continuous run.  Seeds run in order, and every seed draws its own
-    teacher and student initializations from ``derive_seed``.
+    continuous run.  Every seed draws its own teacher and student
+    initializations from ``derive_seed``.  All seeds' datasets and teacher
+    maps come first; then each student trains all its runs, every seed and
+    label kind, in one ``train_lockstep`` call, with the same results as
+    one ``train`` call per run.  A diverging run is named by student, seed
+    and label kind.
     """
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")
     grid = np.asarray(grid, dtype=float)
     bounds = _grid_bounds(grid)
     teacher_circuit = build(teacher)
-    student_circuits = [build(s) for s in students]
+    datasets = [generate_dataset(teacher, grid, derive_seed(cfg.seed, s, _ROLE_TEACHER)) for s in range(n_seeds)]
+    teacher_maps = [prediction_map(teacher_circuit, dataset.teacher_params, map_resolution, bounds)
+                    for dataset in datasets]
+    kinds = ("continuous", "binary") if include_binary else ("continuous",)
+    roles = {"continuous": _ROLE_STUDENT, "binary": _ROLE_STUDENT_BINARY}
+    tags = [(s, kind) for s in range(n_seeds) for kind in kinds]  # (seed, label kind) of each run
 
-    datasets, teacher_maps = [], []
-    per_student = [[] for _ in students]
-    for s in range(n_seeds):
-        dataset = generate_dataset(teacher, grid, derive_seed(cfg.seed, s, _ROLE_TEACHER))
-        teacher_map = prediction_map(teacher_circuit, dataset.teacher_params, map_resolution, bounds)
-        datasets.append(dataset)
-        teacher_maps.append(teacher_map)
-        for k, (student, student_circuit) in enumerate(zip(students, student_circuits)):
-            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT, k))
-            run = train(student_circuit, dataset, run_cfg, "continuous", architecture=student)
-            student_map = prediction_map(student_circuit, run.final_params, map_resolution, bounds)
-            rel = relative_entropy(teacher_map, student_map)
-            if include_binary:
-                bin_cfg = replace(cfg, seed=derive_seed(cfg.seed, s, _ROLE_STUDENT_BINARY, k))
-                bin_run = train(student_circuit, dataset, bin_cfg, "binary", architecture=student)
-            else:
-                bin_run = None
-            acc = accuracy((bin_run or run).final_preds, dataset.y_binary)
-            per_student[k].append((run, bin_run, student_map, rel, acc))
-
-    outcomes = [
-        StudentOutcome(
+    outcomes = []
+    for k, student in enumerate(students):
+        student_circuit = build(student)
+        runs = [(datasets[s], replace(cfg, seed=derive_seed(cfg.seed, s, roles[kind], k)), kind)
+                for s, kind in tags]
+        try:
+            trained = train_lockstep(student_circuit, runs, architecture=student)
+        except TrainingDivergedError as exc:
+            if exc.run is None:
+                raise
+            s, kind = tags[exc.run]
+            raise TrainingDivergedError(f"student {student.name}, seed {s}, {kind} labels: {exc}",
+                                        run=exc.run) from exc
+        cont_runs = trained[::len(kinds)]
+        bin_runs = trained[1::len(kinds)] if include_binary else None
+        maps = [prediction_map(student_circuit, run.final_params, map_resolution, bounds) for run in cont_runs]
+        outcomes.append(StudentOutcome(
             architecture=student,
-            runs=[r[0] for r in records],
-            binary_runs=[r[1] for r in records] if include_binary else None,
-            maps=[r[2] for r in records],
-            rel_entropies=np.array([r[3] for r in records]),
-            accuracies=np.array([r[4] for r in records]),
-        )
-        for student, records in zip(students, per_student)
-    ]
+            runs=cont_runs,
+            binary_runs=bin_runs,
+            maps=maps,
+            rel_entropies=np.array([relative_entropy(t, m) for t, m in zip(teacher_maps, maps)]),
+            accuracies=np.array([accuracy(run.final_preds, dataset.y_binary)
+                                 for run, dataset in zip(bin_runs or cont_runs, datasets)]),
+        ))
     return ExperimentResult(
         teacher=teacher,
         n_seeds=n_seeds,

@@ -15,23 +15,31 @@ polynomial of degree at most d_c in x_c, and so is each d<Z>/dw_j
 Its values at the N = (2 d1 + 1)(2 d2 + 1) ``circuits.periodic_samples``
 therefore fix it, and its gradient, exactly at every training point,
 through the (B, N) interpolation matrix K
-(``circuits.interpolation_weights``).  Each ``train`` or ``gradient``
-call compiles the circuit once at the N samples
-(``circuits.CompiledCircuit``: the data-only prefix is evolved once), and
-every epoch evaluates the compiled adjoint at the current parameters;
-preds = K f(t) and the loss gradient is (2 / B) df(t) (K^T r) with
-r = preds - y.  For any B this equals the adjoint on the B points
-themselves up to rounding.
+(``circuits.interpolation_weights``).  Training compiles the circuit once
+at the N samples (``circuits.CompiledCircuit``: the data-only prefix is
+evolved once), and every epoch evaluates the compiled adjoint at the
+current parameters; preds = K f(t) and the loss gradient is
+(2 / B) df(t) (K^T r) with r = preds - y.  For any B this equals the
+adjoint on the B points themselves up to rounding.
+
+``train_lockstep`` trains R runs of one circuit that share the points,
+``epochs``, ``learning_rate``, ``optimizer`` and ``init_scale`` (seeds and
+labels may differ) in one epoch loop: the runs' states are stacked as
+rows, so each epoch makes one forward and one backward sweep for all of
+them, and the optimizer steps an (R, P) parameter array.  Every
+operation acts on each run's numbers as a single run's would, so each
+result equals ``train``'s bit for bit; ``train`` is the loop with R = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from . import circuits
 from .circuits import (ArchitectureId, CircuitSpec, CompiledCircuit, forward_many, interpolation_weights,
                        periodic_samples)
 from .errors import ConfigurationError, TrainingDivergedError
@@ -115,24 +123,27 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
     return float(np.mean((y - preds) ** 2))
 
 
-def _sampling(circuit: CircuitSpec, points: np.ndarray) -> tuple[CompiledCircuit, np.ndarray]:
-    """``(compiled, weights)``: the circuit compiled at the N periodic
-    samples each epoch runs it on, and the (B, N) interpolation matrix
-    from them to ``points``."""
+def _sampling(circuit: CircuitSpec, points: np.ndarray, runs: int = 1) -> tuple[CompiledCircuit, np.ndarray]:
+    """``(compiled, weights)``: the circuit compiled for ``runs`` parameter
+    vectors at the N periodic samples each epoch runs it on, and the (B, N)
+    interpolation matrix from them to ``points``."""
     weights = interpolation_weights(circuit, points)
-    return CompiledCircuit(circuit, periodic_samples(circuit)[1]), weights
+    return CompiledCircuit(circuit, periodic_samples(circuit)[1], runs), weights
 
 
 def _loss_grad_preds(w, sampling, y):
-    """Loss, its gradient, and the predictions at the training points, from
-    one adjoint evaluation on the ``_sampling`` samples."""
+    """Losses (R,), gradients (R, P) and predictions at the training points
+    (R, B) of R runs, run r at the parameters ``w[r]`` against the labels
+    ``y[r]``, from one adjoint evaluation of all of them on the
+    ``_sampling`` samples."""
     compiled, weights = sampling
     values, dvalues = compiled.forward_with_adjoint(w)
-    # einsum keeps the sums in numpy's own loops (no threaded BLAS)
-    preds = np.einsum("bn,n->b", weights, values)
+    # einsum keeps the sums in numpy's own loops (no threaded BLAS); each
+    # run's sums are the ones a single run makes, bit for bit
+    preds = np.einsum("bn,rn->rb", weights, values)
     residual = preds - y
-    grad = (2.0 / len(y)) * np.einsum("pn,n->p", dvalues, np.einsum("bn,b->n", weights, residual))
-    return float(np.mean(residual**2)), grad, preds
+    grad = (2.0 / y.shape[1]) * np.einsum("rpn,rn->rp", dvalues, np.einsum("bn,rb->rn", weights, residual))
+    return np.mean(residual**2, axis=1), grad, preds
 
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:
@@ -141,40 +152,75 @@ def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "conti
     steps with at ``w``."""
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
-    _, grad, _ = _loss_grad_preds(np.asarray(w, dtype=float), _sampling(circuit, points), y)
-    return grad
+    w = np.asarray(w, dtype=float)
+    _, grad, _ = _loss_grad_preds(w[None], _sampling(circuit, points), y[None])
+    return grad[0]
 
 
 def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "continuous",
           architecture: Optional[ArchitectureId] = None) -> TrainRun:
-    """Full-batch gradient descent from a seeded uniform initialization.
+    """Full-batch gradient descent from a seeded uniform initialization:
+    ``train_lockstep`` with one run."""
+    return train_lockstep(circuit, [(data, cfg, label_kind)], architecture)[0]
 
-    Each epoch takes the loss, the predictions and the adjoint gradient
-    from the model's N periodic samples (module docstring).
-    ``final_preds`` and ``final_loss`` are evaluated on the points
-    directly.
+
+def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Optional[ArchitectureId] = None
+                   ) -> list[TrainRun]:
+    """Train one circuit in several runs at once; one ``TrainRun`` per run.
+
+    Each run is a ``(data, cfg, label_kind)`` triple, trained as ``train``
+    trains it and with the same result bit for bit.  The runs must share
+    the training points and every ``TrainConfig`` field but ``seed``, so
+    that one epoch loop serves them all: each epoch evaluates the compiled
+    adjoint for every run of a block in one sweep (module docstring).
+    Blocks hold as many runs as fit ``circuits._BLOCK_BYTES`` of
+    amplitudes, and at least one.  A ``TrainingDivergedError`` names in
+    ``run`` the index of the run it stopped; within a block that is the
+    first run to diverge, at the earliest epoch.
     """
-    y = _targets(data, label_kind)
-    points = np.asarray(data.points, dtype=float)
-    sampling = _sampling(circuit, points)
-    y_binary = np.asarray(data.y_binary, dtype=float)
+    runs = list(runs)
+    if not runs:
+        raise ConfigurationError("no runs to train")
+    targets = [_targets(data, label_kind) for data, _, label_kind in runs]
+    points = np.asarray(runs[0][0].points, dtype=float)
+    shared = ("epochs", "learning_rate", "optimizer", "init_scale")
+    first = runs[0][1]
+    for data, cfg, _ in runs[1:]:
+        if any(getattr(cfg, name) != getattr(first, name) for name in shared):
+            raise ConfigurationError(f"runs trained in lockstep must share {', '.join(shared)}")
+        if not np.array_equal(np.asarray(data.points, dtype=float), points):
+            raise ConfigurationError("runs trained in lockstep must share their training points")
+    n_samples = len(periodic_samples(circuit)[1])
+    per_block = max(1, circuits._BLOCK_BYTES // (n_samples * 16 << circuit.n_qubits))
+    trained: list[TrainRun] = []
+    for start in range(0, len(runs), per_block):
+        block = slice(start, start + per_block)
+        trained += _train_block(circuit, points, runs[block], targets[block], start, architecture)
+    return trained
 
-    rng = np.random.default_rng(cfg.seed)
-    w = rng.uniform(0.0, cfg.init_scale, circuit.n_params)
 
-    loss_curve = np.empty(cfg.epochs)
-    acc_curve = np.empty(cfg.epochs) if label_kind == "binary" else None
+def _train_block(circuit, points, runs, targets, start, architecture) -> list[TrainRun]:
+    """The runs of one lockstep block, the first of them run ``start``."""
+    cfg = runs[0][1]
+    sampling = _sampling(circuit, points, len(runs))
+    y = np.array(targets)
+    y_binary = np.array([np.asarray(data.y_binary, dtype=float) for data, _, _ in runs])
+    w = np.array([np.random.default_rng(run_cfg.seed).uniform(0.0, cfg.init_scale, circuit.n_params)
+                  for _, run_cfg, _ in runs])
+
+    loss_curves = np.empty((len(runs), cfg.epochs))
+    acc_curves = np.empty((len(runs), cfg.epochs))
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     for t in range(cfg.epochs):
-        value, grad, preds = _loss_grad_preds(w, sampling, y)
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"loss is not finite at epoch {t}")
-        loss_curve[t] = value
-        if acc_curve is not None:
-            acc_curve[t] = float(np.mean(binarize(preds) == y_binary))
+        values, grad, preds = _loss_grad_preds(w, sampling, y)
+        diverged = np.flatnonzero(~np.isfinite(values))
+        if len(diverged):
+            raise TrainingDivergedError(f"loss is not finite at epoch {t}", run=start + int(diverged[0]))
+        loss_curves[:, t] = values
+        acc_curves[:, t] = np.mean(binarize(preds) == y_binary, axis=1)
         if cfg.optimizer is Optimizer.VANILLA_GD:
             w = w - cfg.learning_rate * grad
         else:
@@ -184,18 +230,22 @@ def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "conti
             v_hat = v / (1.0 - beta2 ** (t + 1))
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    if not np.all(np.isfinite(w)):
-        raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs")
-    final_preds = forward_many(circuit, points, w)
-    final_loss = float(np.mean((y - final_preds) ** 2))
-    if not np.isfinite(final_loss):
-        raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs")
-    return TrainRun(
-        loss_curve=loss_curve,
-        accuracy_curve=acc_curve,
-        final_params=w,
-        final_preds=final_preds,
-        final_loss=final_loss,
-        config=cfg,
-        architecture=architecture,
-    )
+    del sampling  # frees the block's state buffers before the final evaluations
+    trained = []
+    for r, ((_, run_cfg, label_kind), y_run) in enumerate(zip(runs, targets)):
+        if not np.all(np.isfinite(w[r])):
+            raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs", run=start + r)
+        final_preds = forward_many(circuit, points, w[r])
+        final_loss = float(np.mean((y_run - final_preds) ** 2))
+        if not np.isfinite(final_loss):
+            raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs", run=start + r)
+        trained.append(TrainRun(
+            loss_curve=loss_curves[r].copy(),
+            accuracy_curve=acc_curves[r].copy() if label_kind == "binary" else None,
+            final_params=w[r].copy(),
+            final_preds=final_preds,
+            final_loss=final_loss,
+            config=run_cfg,
+            architecture=architecture,
+        ))
+    return trained

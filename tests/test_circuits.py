@@ -26,12 +26,13 @@ from qteach.circuits import (
     forward_many,
     forward_with_adjoint,
     parse_architecture,
+    periodic_samples,
     reuploading,
 )
 from qteach.errors import ConfigurationError
 from qteach.qsim import GateKind, dense_unitary_oracle
 
-from conftest import ALL_ARCHITECTURES, mixed_spec, param_shift_reference, random_circuit
+from conftest import ALL_ARCHITECTURES, all_models, mixed_spec, param_shift_reference, random_circuit
 
 EXPECTED_SHAPES = {
     # family -> (n_qubits, n_params, encoding_count, measured_qubit)
@@ -341,18 +342,36 @@ class TestCompiledCircuit:
         xs = rng.uniform(-np.pi, np.pi, (13, 2))
         compiled = CompiledCircuit(circuit, xs)
         w1, w2 = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
-        results = [(w, compiled.forward_with_adjoint(w)) for w in (w1, w2, w1)]
+        results = [(w, compiled.forward_with_adjoint(w[None])) for w in (w1, w2, w1)]
         for w, (preds, dpreds) in results:
             ref_preds, ref_dpreds = forward_with_adjoint(circuit, xs, w)
-            np.testing.assert_array_equal(preds, ref_preds)
-            np.testing.assert_array_equal(dpreds, ref_dpreds)
+            np.testing.assert_array_equal(preds[0], ref_preds)
+            np.testing.assert_array_equal(dpreds[0], ref_dpreds)
+
+    @pytest.mark.parametrize("model", all_models() + [pytest.param(None, id="mixed_spec")])
+    def test_stacked_runs_equal_single_runs(self, model, rng):
+        """Compiled for R runs, an (R, P) evaluation gives in row r what one
+        run at w[r] gives, bit for bit, at random points and at the
+        periodic samples."""
+        circuit = mixed_spec() if model is None else build(model)
+        for xs in (rng.uniform(-np.pi, np.pi, (11, 2)), periodic_samples(circuit)[1]):
+            single = CompiledCircuit(circuit, xs)
+            for runs in (1, 2, 3, 5):
+                w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
+                preds, dpreds = CompiledCircuit(circuit, xs, runs).forward_with_adjoint(w)
+                assert preds.shape == (runs, len(xs))
+                assert dpreds.shape == (runs, circuit.n_params, len(xs))
+                for r in range(runs):
+                    ref_preds, ref_dpreds = single.forward_with_adjoint(w[r:r + 1])
+                    np.testing.assert_array_equal(preds[r], ref_preds[0])
+                    np.testing.assert_array_equal(dpreds[r], ref_dpreds[0])
 
     def test_returned_arrays_survive_the_next_call(self, rng):
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
         compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
-        preds, dpreds = compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        preds, dpreds = compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
         kept = preds.copy(), dpreds.copy()
-        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
         np.testing.assert_array_equal(preds, kept[0])
         np.testing.assert_array_equal(dpreds, kept[1])
 
@@ -374,13 +393,15 @@ class TestCompiledCircuit:
             apply_planned(planned, amps)
 
         monkeypatch.setattr(kernels, "apply_planned", counting)
-        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, circuit.n_params))
+        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
         assert len(applied) == 3 * (len(circuit.ops) - first) - 1
         assert all(planned.mode != kernels.MODE_PER_B for planned in applied)  # no data gate
 
-    @pytest.mark.parametrize("w", [np.zeros(13), np.zeros(11), np.zeros((2, 12)), np.zeros(())],
-                             ids=["too_long", "too_short", "parameter_batch", "scalar"])
+    @pytest.mark.parametrize("w", [np.zeros((1, 13)), np.zeros((1, 11)), np.zeros((2, 12)), np.zeros(()),
+                                   np.zeros(12)],
+                             ids=["too_long", "too_short", "parameter_batch", "scalar", "one_unstacked_vector"])
     def test_bad_parameter_vector_rejected(self, w):
+        """Compiled for one run, an evaluation takes a (1, 12) array."""
         compiled = CompiledCircuit(COMPILED_MODELS["dissipative_qp"], np.zeros((3, 2)))  # 12 parameters
         with pytest.raises(ConfigurationError):
             compiled.forward_with_adjoint(w)

@@ -157,6 +157,11 @@ class TestRerunIntoSameDirectory:
         assert self._run(FAILING_RUN, tmp_path) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["FAILED.txt", "config.txt"]
 
+    def test_failure_marker_names_the_diverging_run(self, tmp_path):
+        assert self._run(FAILING_RUN, tmp_path) == 1
+        text = (tmp_path / "FAILED.txt").read_text()
+        assert text.startswith("student dissipative_qp, seed 0, continuous labels: loss is not finite")
+
     def test_successful_rerun_removes_failure_marker(self, tmp_path):
         assert self._run(FAILING_RUN, tmp_path) == 1
         assert (tmp_path / "FAILED.txt").is_file()

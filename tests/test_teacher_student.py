@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qteach.circuits import build, dissipative_qp, reuploading
-from qteach.errors import ConfigurationError, StructuralError
+from qteach.errors import ConfigurationError, StructuralError, TrainingDivergedError
 from qteach.teacher_student import (
     LabeledGrid,
     derive_seed,
@@ -166,3 +166,32 @@ class TestRunExperiment:
         student = result.students[0]
         assert student.binary_runs is None
         assert 0.0 <= student.mean_accuracy <= 1.0
+
+    def test_more_seeds_leave_the_first_seeds_unchanged(self, small_result):
+        """Every seed's runs train in one lockstep call per student, yet a
+        third seed changes nothing of seeds 0 and 1."""
+        three = run_experiment(
+            dissipative_qp(), [dissipative_qp(), reuploading(2)],
+            n_seeds=3, cfg=TrainConfig(epochs=12, seed=3), grid=make_grid(5), map_resolution=9,
+        )
+        for s in range(2):
+            np.testing.assert_array_equal(three.datasets[s].y_continuous, small_result.datasets[s].y_continuous)
+            np.testing.assert_array_equal(three.teacher_maps[s].values, small_result.teacher_maps[s].values)
+        for s_three, s_two in zip(three.students, small_result.students):
+            np.testing.assert_array_equal(s_three.rel_entropies[:2], s_two.rel_entropies)
+            np.testing.assert_array_equal(s_three.accuracies[:2], s_two.accuracies)
+            for runs_three, runs_two in ((s_three.runs, s_two.runs), (s_three.binary_runs, s_two.binary_runs)):
+                for run_three, run_two in zip(runs_three[:2], runs_two):
+                    np.testing.assert_array_equal(run_three.loss_curve, run_two.loss_curve)
+                    np.testing.assert_array_equal(run_three.final_params, run_two.final_params)
+                    assert run_three.config == run_two.config
+            for map_three, map_two in zip(s_three.maps[:2], s_two.maps):
+                np.testing.assert_array_equal(map_three.values, map_two.values)
+
+    @pytest.mark.parametrize("include_binary", [True, False])
+    def test_divergence_names_student_seed_and_label_kind(self, include_binary):
+        cfg = TrainConfig(learning_rate=1e308, epochs=4, seed=9)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            run_experiment(reuploading(2), [dissipative_qp()], n_seeds=2, cfg=cfg, grid=make_grid(5),
+                           map_resolution=7, include_binary=include_binary)
+        assert str(info.value).startswith("student dissipative_qp, seed 0, continuous labels: ")

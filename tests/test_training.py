@@ -3,18 +3,20 @@ differences here, and against the parameter-shift reference in
 test_circuits.py), the training loop, and epochs evaluated on the model's
 periodic samples (checked against the adjoint on the points)."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qteach import training
-from qteach.circuits import (CircuitSpec, DataRef, ParamRef, SlotOp, build, dissipative_qp, forward_batch,
-                             forward_with_adjoint, interpolation_weights, periodic_samples, reuploading)
+from qteach import circuits, training
+from qteach.circuits import (ArchitectureId, CircuitSpec, DataRef, Family, ParamRef, SlotOp, build, dissipative_qp,
+                             forward_batch, forward_with_adjoint, interpolation_weights, periodic_samples,
+                             reuploading)
 from qteach.errors import ConfigurationError, TrainingDivergedError
 from qteach.qsim import GateKind
 from qteach.teacher_student import LabeledGrid, generate_dataset, make_grid
-from qteach.training import LABEL_KINDS, Optimizer, TrainConfig, binarize, gradient, loss, train
+from qteach.training import LABEL_KINDS, Optimizer, TrainConfig, binarize, gradient, loss, train, train_lockstep
 
 from conftest import ALL_ARCHITECTURES, all_models, mixed_spec, tiny_dataset
 
@@ -225,13 +227,20 @@ class TestTrainConfigValidation:
         run = train(circuit, data, TrainConfig(epochs=1, init_scale=0.0))
         w = np.zeros(circuit.n_params)
         sampling = training._sampling(circuit, data.points)
-        assert run.loss_curve[0] == training._loss_grad_preds(w, sampling, data.y_continuous)[0]
+        assert run.loss_curve[0] == sampled_loss_grad_preds(w, sampling, data.y_continuous)[0]
         assert abs(run.loss_curve[0] - loss(circuit, w, data)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # training on the model's periodic samples
 # ---------------------------------------------------------------------------
+
+def sampled_loss_grad_preds(w, sampling, y):
+    """``training._loss_grad_preds`` for one run: loss, gradient and
+    predictions at the (P,) parameters ``w`` against the (B,) labels ``y``."""
+    values, grads, preds = training._loss_grad_preds(w[None], sampling, y[None])
+    return values[0], grads[0], preds[0]
+
 
 def direct_loss_grad_preds(circuit, w, points, y):
     """Loss, gradient and predictions from one adjoint evaluation on the
@@ -253,7 +262,7 @@ def reference_train(circuit, data, cfg, label_kind="continuous", sampled=False):
     losses = []
     for t in range(cfg.epochs):
         if sampled:
-            value, grad, _ = training._loss_grad_preds(w, sampling, y)
+            value, grad, _ = sampled_loss_grad_preds(w, sampling, y)
         else:
             value, grad, _ = direct_loss_grad_preds(circuit, w, data.points, y)
         losses.append(value)
@@ -295,7 +304,7 @@ class TestSpectralTraining:
         for name, points in {**SAMPLED_POINT_SETS, **few}.items():
             y = rng.uniform(-1.0, 1.0, len(points))
             w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-            value, grad, preds = training._loss_grad_preds(w, training._sampling(circuit, points), y)
+            value, grad, preds = sampled_loss_grad_preds(w, training._sampling(circuit, points), y)
             ref_value, ref_grad, ref_preds = direct_loss_grad_preds(circuit, w, points, y)
             assert abs(value - ref_value) <= 1e-12, name
             np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12, err_msg=name)
@@ -331,7 +340,7 @@ class TestSpectralTraining:
         circuit = build(dissipative_qp())
         data = tiny_dataset(rng, n_points)
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-        _, ref_grad, _ = training._loss_grad_preds(w, training._sampling(circuit, data.points), data.y_continuous)
+        _, ref_grad, _ = sampled_loss_grad_preds(w, training._sampling(circuit, data.points), data.y_continuous)
         np.testing.assert_array_equal(gradient(circuit, w, data), ref_grad)
         cfg = TrainConfig(epochs=3, seed=4)
         run = train(circuit, data, cfg)
@@ -369,7 +378,7 @@ class TestSpectralTraining:
 
         def spy(w, sampling, y):
             result = evaluate(w, sampling, y)
-            steps.append((w, result[1]))
+            steps.append((w[0], result[1][0]))
             return result
 
         monkeypatch.setattr(training, "_loss_grad_preds", spy)
@@ -393,3 +402,87 @@ class TestSpectralTraining:
             gradient(circuit, np.zeros(circuit.n_params), data)
         with pytest.raises(ConfigurationError):
             train(circuit, data, TrainConfig(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# runs trained in lockstep
+# ---------------------------------------------------------------------------
+
+def lockstep_runs(n_seeds=3, **cfg):
+    """A continuous and a binary run per seed on one 5 x 5 grid, each with
+    its own teacher dataset and initialization seed."""
+    grid = make_grid(5)
+    runs = []
+    for s in range(n_seeds):
+        data = generate_dataset(reuploading(2), grid, seed=s)
+        runs += [(data, TrainConfig(epochs=4, seed=10 * s + k, **cfg), kind) for k, kind in enumerate(LABEL_KINDS)]
+    return runs
+
+
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
+        assert (a.accuracy_curve is None) == (b.accuracy_curve is None)
+        if a.accuracy_curve is not None:
+            np.testing.assert_array_equal(a.accuracy_curve, b.accuracy_curve)
+        np.testing.assert_array_equal(a.final_params, b.final_params)
+        np.testing.assert_array_equal(a.final_preds, b.final_preds)
+        assert a.final_loss == b.final_loss
+        assert a.config == b.config
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("optimizer", list(Optimizer), ids=lambda o: o.value)
+    @pytest.mark.parametrize("student", [dissipative_qp(), reuploading(2), ArchitectureId(Family.QNN_TWO_QP)],
+                             ids=lambda a: a.name)
+    def test_block_splits_change_nothing(self, student, optimizer, monkeypatch):
+        """All runs in one block, blocks of two runs, and one run per block
+        (``train`` called run by run) give the same runs bit for bit."""
+        circuit = build(student)
+        runs = lockstep_runs(optimizer=optimizer)
+        whole = train_lockstep(circuit, runs)
+        assert_same_runs([train(circuit, *run) for run in runs], whole)
+        sizes = []
+        train_block = training._train_block
+
+        def spy(circuit, points, block, *rest):
+            sizes.append(len(block))
+            return train_block(circuit, points, block, *rest)
+
+        monkeypatch.setattr(training, "_train_block", spy)
+        run_bytes = len(periodic_samples(circuit)[1]) * 16 << circuit.n_qubits
+        for block_bytes in (2 * run_bytes, 1):  # 1 byte still holds one run
+            monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_bytes)
+            assert_same_runs(train_lockstep(circuit, runs), whole)
+        assert sizes == [2, 2, 2] + [1] * 6
+
+    @pytest.mark.parametrize("change", [{"epochs": 5}, {"learning_rate": 0.1},
+                                        {"optimizer": Optimizer.VANILLA_GD}, {"init_scale": 1.0}],
+                             ids=lambda c: next(iter(c)))
+    def test_runs_must_share_their_settings(self, change):
+        runs = lockstep_runs(1)
+        data, cfg, kind = runs[1]
+        runs[1] = (data, replace(cfg, **change), kind)
+        with pytest.raises(ConfigurationError):
+            train_lockstep(build(dissipative_qp()), runs)
+
+    def test_runs_must_share_their_points(self):
+        runs = lockstep_runs(1)
+        data, cfg, kind = runs[1]
+        runs[1] = (generate_dataset(reuploading(2), make_grid(5, -1.0, 1.0), seed=0), cfg, kind)
+        with pytest.raises(ConfigurationError):
+            train_lockstep(build(dissipative_qp()), runs)
+        with pytest.raises(ConfigurationError):
+            train_lockstep(build(dissipative_qp()), [])
+
+    def test_divergence_names_the_first_diverging_run(self):
+        """Run 3's labels overflow the loss at epoch 0; the others train
+        on.  The error names run 3, not run 0."""
+        runs = lockstep_runs(2)
+        data, cfg, _ = runs[3]
+        huge = LabeledGrid(data.points, np.full(len(data), 1e200), np.ones(len(data)))
+        runs[3] = (huge, cfg, "continuous")
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="epoch 0") as info:
+            train_lockstep(build(dissipative_qp()), runs)
+        assert info.value.run == 3
