@@ -381,10 +381,11 @@ def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
 def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
             w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
     """(plans, amps): ``ops`` lowered for the points ``xs`` under one
-    parameter vector ``w``, and the (B, 2^n) states they take |0...0> to."""
+    parameter vector ``w``, and the states they take |0...0> to, as the
+    (B, 2^n) transpose of a batch-minor (2^n, B) array (``kernels``)."""
     plans = [qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, _lowered_angles(op, xs, w))
              for op in ops]
-    amps = np.zeros((len(xs), 1 << n_qubits), dtype=complex)
+    amps = np.zeros((1 << n_qubits, len(xs)), dtype=complex).T
     amps[:, 0] = 1.0
     for planned in plans:
         kernels.apply_planned(planned, amps)
@@ -432,25 +433,25 @@ def _param_rows(op: SlotOp) -> list[int]:
 
 def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
     """The adjoint of a lowered gate: FLIP and PHASE are their own
-    inverses, a 2x2 payload is conjugate-transposed."""
+    inverses, a matrix payload is conjugate-transposed."""
     if planned.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE):
         return planned
     return kernels.PlannedOp(planned.mode, planned.left, planned.right, _dagger(planned.payload))
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every 2x2 matrix in a stack."""
-    return np.ascontiguousarray(np.conj(np.swapaxes(mats, -1, -2)))
+    """Conjugate transpose of every matrix in a (2, 2, ...) payload."""
+    return np.ascontiguousarray(np.conj(np.swapaxes(mats, 0, 1)))
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int, conj: np.ndarray) -> np.ndarray:
-    """(B, 2, 2) per-row S_ij = sum of conj(lam) on target bit i times psi
-    on target bit j, over the other qubits; ``conj`` is a buffer shaped
-    like ``lam`` that receives its conjugate."""
-    lam4 = np.conjugate(lam, out=conj).reshape(lam.shape[0], left, 2, right)
-    psi4 = psi.reshape(psi.shape[0], left, 2, right)
-    pairs = [np.einsum("blr,blr->b", lam4[:, :, i], psi4[:, :, j]) for i in (0, 1) for j in (0, 1)]
-    return np.stack(pairs, axis=-1).reshape(-1, 2, 2)
+    """(rows, 2, 2) per-row S_ij = sum of conj(lam) on target bit i times
+    psi on target bit j, over the other qubits, as one contraction of the
+    stored (left, 2, right, rows) views; ``conj`` is a buffer shaped like
+    ``lam`` that receives its conjugate."""
+    lam4 = np.conjugate(lam.T, out=conj.T).reshape(left, 2, right, -1)
+    psi4 = psi.T.reshape(left, 2, right, -1)
+    return np.einsum("lirb,ljrb->bij", lam4, psi4)
 
 
 class _RotationGroup:
@@ -495,8 +496,8 @@ class _RotationGroup:
         self.inverses = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
 
     def bind(self, w: np.ndarray) -> np.ndarray:
-        """Set the ops' (R, 1 or N, 2, 2) matrices and inverses at the
-        (R, P) parameters ``w`` in ``plans`` and ``inverses``; return the
+        """Set the ops' (2, 2, R, 1 or N) matrix payloads and inverses at
+        the (R, P) parameters ``w`` in ``plans`` and ``inverses``; return the
         (D, R, 1 or N, 2, 2) derivative matrices of all D trainable
         angles, op after op.
 
@@ -508,9 +509,10 @@ class _RotationGroup:
         self.angles[:p] = w.T[:, :, None]
         np.add(self.angles[:p], np.pi, out=self.angles[p:2 * p])
         mats = qsim.matrix_builder(self.kind)(self.angles[self.table])
-        base = mats[:k]
-        for planned, inverse, matrix, dagger in zip(self.plans, self.inverses, base, _dagger(base)):
-            planned.payload, inverse.payload = matrix, dagger
+        base = kernels.payload(mats[:k])  # (2, 2, K, R, 1 or N)
+        daggers = _dagger(base)
+        for j, (planned, inverse) in enumerate(zip(self.plans, self.inverses)):
+            planned.payload, inverse.payload = base[:, :, j], daggers[:, :, j]
         return 0.5 * mats[k:]
 
 
@@ -520,8 +522,10 @@ class CompiledCircuit:
     at any number of (runs, P) parameter arrays.
 
     The runs are stacked as rows: the state holds runs * N amplitude rows,
-    run r in rows r N .. (r + 1) N - 1, and every gate is one kernel call
-    for all of them.  Built once: the plans of the fixed gates after the
+    run r in rows r N .. (r + 1) N - 1, stored batch-minor as a
+    (2^n, runs * N) array (``kernels``), and every gate is one kernel call
+    for all of them; at each trainable gate one contraction gives the
+    overlaps of every row.  Built once: the plans of the fixed gates after the
     first trainable op and their inverses (data angles at the points
     tiled once per run), the state that the data-only prefix before that
     op takes |0...0> to, and one ``_RotationGroup`` per rotation kind and
@@ -539,9 +543,8 @@ class CompiledCircuit:
         trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
         first = trainable[0] if trainable else len(ops)
         _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
-        self._psi = np.empty((runs * len(xs), 1 << n), dtype=complex)
-        self._lam = np.empty_like(self._psi)
-        self._conj = np.empty_like(self._psi)
+        self._psi, self._lam, self._conj = (np.empty((1 << n, runs * len(xs)), dtype=complex).T
+                                            for _ in range(3))
 
         members: dict[tuple[GateKind, bool], list[int]] = {}
         for i in trainable:
@@ -579,7 +582,7 @@ class CompiledCircuit:
         derivs = [group.bind(w) for group in self._groups]
         psi = self._psi
         n_points = len(self._prefix)
-        np.copyto(psi.reshape(runs, n_points, -1), self._prefix)
+        np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in self._plans:
             kernels.apply_planned(planned, psi)
         preds = qsim.expectation_z_kernel(psi, n, measured).reshape(runs, n_points)

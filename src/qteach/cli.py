@@ -35,7 +35,7 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .analysis import (
     normalization_experiment,
 )
 from .circuits import Encoding, parse_architecture
-from .errors import ConfigParseError, QTeachError
+from .errors import ConfigParseError, QTeachError, TrainingDivergedError
 from .metrics import prediction_map, write_prediction_map
 from .teacher_student import ExperimentResult, make_grid, run_experiment
 from .training import Optimizer, TrainConfig, TrainRun
@@ -216,7 +216,11 @@ def _write_summary(out: Path, summary: dict) -> None:
 # experiment dispatch
 # ---------------------------------------------------------------------------
 
-def _run_teacher_student(config: ExperimentConfig, out: Path) -> dict:
+# Each runner computes its experiment and returns (summary, write), where
+# write(out) writes every artifact but summary.json; ``run`` calls it in
+# the "writing artifacts" phase.
+
+def _run_teacher_student(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     encoding = Encoding(config.encoding)
     teacher = parse_architecture(config.teacher, encoding)
     students = [parse_architecture(name, encoding) for name in config.students]
@@ -225,21 +229,23 @@ def _run_teacher_student(config: ExperimentConfig, out: Path) -> dict:
         teacher, students, config.n_seeds, config.train_config(), grid,
         map_resolution=config.map_resolution,
     )
-    _write_experiment_artifacts(out, result)
-    return result.summary()
+    return result.summary(), lambda out: _write_experiment_artifacts(out, result)
 
 
-def _run_encoding_pca(config: ExperimentConfig, out: Path) -> dict:
+def _run_encoding_pca(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     study = encoding_study(config.n_points, config.radius, config.seed)
     labels = study.dataset.labels
-    for encoding_name, projection in study.projections.items():
-        path = out / f"projection_{_safe_name(encoding_name)}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "projection_1", "projection_2", "label"])
-            for point, proj, label in zip(study.dataset.points, projection.projected, labels):
-                writer.writerow([repr(float(point[0])), repr(float(point[1])),
-                                 repr(float(proj[0])), repr(float(proj[1])), int(label)])
+
+    def write(out: Path) -> None:
+        for encoding_name, projection in study.projections.items():
+            path = out / f"projection_{_safe_name(encoding_name)}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["x1", "x2", "projection_1", "projection_2", "label"])
+                for point, proj, label in zip(study.dataset.points, projection.projected, labels):
+                    writer.writerow([repr(float(point[0])), repr(float(point[1])),
+                                     repr(float(proj[0])), repr(float(proj[1])), int(label)])
+
     return {
         "experiment": "encoding_pca",
         "n_points": config.n_points,
@@ -250,33 +256,45 @@ def _run_encoding_pca(config: ExperimentConfig, out: Path) -> dict:
             name: [float(v) for v in proj.explained_variance]
             for name, proj in study.projections.items()
         },
-    }
+    }, write
 
 
-def _run_labelling(config: ExperimentConfig, out: Path) -> dict:
+def _run_labelling(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     report = labelling_experiment(
         config.train_config(), config.n_points, config.radius, config.seed
     )
-    for case in report.cases:
-        _write_run_curves(out, case.name, case.run)
-        write_prediction_map(
-            prediction_map(case.circuit, case.run.final_params, config.map_resolution),
-            out / f"map_{case.name}.csv",
-        )
+    maps = [prediction_map(case.circuit, case.run.final_params, config.map_resolution) for case in report.cases]
+
+    def write(out: Path) -> None:
+        for case, case_map in zip(report.cases, maps):
+            _write_run_curves(out, case.name, case.run)
+            write_prediction_map(case_map, out / f"map_{case.name}.csv")
+
     summary = report.summary()
     summary["experiment"] = "labelling"
-    return summary
+    return summary, write
 
 
-def _run_normalization(config: ExperimentConfig, out: Path) -> dict:
+def _run_normalization(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
     report = normalization_experiment(
         config.train_config(), config.n_seeds, config.resolution, config.map_resolution
     )
-    _write_experiment_artifacts(out, report.full_range, tag="pi_")
-    _write_experiment_artifacts(out, report.unit_range, tag="unit_")
+
+    def write(out: Path) -> None:
+        _write_experiment_artifacts(out, report.full_range, tag="pi_")
+        _write_experiment_artifacts(out, report.unit_range, tag="unit_")
+
     summary = report.summary()
     summary["experiment"] = "normalization"
-    return summary
+    return summary, write
+
+
+_RUNNERS = {
+    "teacher_student": _run_teacher_student,
+    "encoding_pca": _run_encoding_pca,
+    "labelling": _run_labelling,
+    "normalization": _run_normalization,
+}
 
 
 #: every file a run may write; a run first deletes these and nothing else,
@@ -286,11 +304,17 @@ _OWNED_FILES = ("summary.json", "config.txt", "FAILED.txt", "loss_*.csv", "accur
 
 
 def run(config: ExperimentConfig, n_workers: int = 1) -> int:
-    """Execute one experiment; returns a process exit status."""
+    """Execute one experiment; returns a process exit status.
+
+    A failure writes ``FAILED.txt``: a diverging training run names its
+    student, seed and label kind, any other failure the phase it stopped
+    in ("preparing the output directory", "running the <experiment>
+    experiment" or "writing artifacts"), then the exception text."""
     # n_workers is ignored: seeds train in lockstep on one thread.  perfbench's
     # child.py still passes it positionally; both go together (ROADMAP
     # item 1).
     out = Path(config.out)
+    phase = "preparing the output directory"
     try:
         out.mkdir(parents=True, exist_ok=True)
         for pattern in _OWNED_FILES:
@@ -298,19 +322,16 @@ def run(config: ExperimentConfig, n_workers: int = 1) -> int:
                 if path.is_file():
                     path.unlink()
         (out / "config.txt").write_text(format_config(config))
-        if config.experiment == "teacher_student":
-            summary = _run_teacher_student(config, out)
-        elif config.experiment == "encoding_pca":
-            summary = _run_encoding_pca(config, out)
-        elif config.experiment == "labelling":
-            summary = _run_labelling(config, out)
-        else:
-            summary = _run_normalization(config, out)
+        phase = f"running the {config.experiment} experiment"
+        summary, write = _RUNNERS[config.experiment](config)
+        phase = "writing artifacts"
+        write(out)
         _write_summary(out, summary)
     except (QTeachError, OSError) as exc:
+        message = str(exc) if isinstance(exc, TrainingDivergedError) else f"{phase}: {exc}"
         if out.is_dir():
-            (out / "FAILED.txt").write_text(f"{exc}\n")
-        print(f"error: {exc}", file=sys.stderr)
+            (out / "FAILED.txt").write_text(f"{message}\n")
+        print(f"error: {message}", file=sys.stderr)
         return 1
     return 0
 

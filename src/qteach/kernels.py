@@ -1,24 +1,27 @@
 """In-place batched statevector kernels: the only code that applies gates
 to amplitudes.
 
-Amplitudes live in a C-contiguous (B, 2^n) complex128 array, one row per
-data point.  The rows may hold R runs of B / R points each, every run
-under its own parameter vector.  Every kernel mutates the array in place
-with numpy.
+A batch of states is stored as one C-contiguous (2^n, rows) complex128
+array, so the long rows axis is innermost and contiguous; callers hand
+the kernels its transpose, a (rows, 2^n) view, one row per state.  The
+rows may hold R runs of N points each, run r in rows r N .. (r + 1) N - 1,
+every run under its own parameter vector.  Every kernel mutates the
+amplitudes in place with numpy, and is correct on any memory order.
 
-A 2x2 matrix payload broadcasts against the amplitudes viewed as
-``payload.shape[:-3] + (-1, left, 2, right)``, so its shape says what it
-indexes by: (2, 2) is shared by all rows, (B, 2, 2) holds one matrix per
-row, (R, 1, 2, 2) one per run and (R, B / R, 2, 2) one per run and point.
-With qubit 0 as MSB, a basis index splits as l * (2 * right) + bit *
-right + r where left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP
-payload is the pair of index arrays (target bit 0, target bit 1) to swap;
-a PHASE payload lists the indices to negate.
+A 2x2 matrix payload is stored as (2, 2, *batch), so entry [i, j] is one
+contiguous block that broadcasts against the stored amplitudes viewed as
+``(left, 2, right) + batch``: (2, 2) is shared by all rows, (2, 2, B)
+holds one matrix per row, (2, 2, R, 1) one per run and (2, 2, R, N) one
+per run and point.  With qubit 0 as MSB, a basis index splits as
+l * (2 * right) + bit * right + r where left = 2^qubit and
+right = 2^(n - 1 - qubit).  A FLIP payload is the pair of index arrays
+(target bit 0, target bit 1) whose rows of the stored array swap; a
+PHASE payload lists the rows to negate.
 
 Every intermediate array of a gate is a view of one of two flat scratch
 buffers per thread, which grow to the largest half-state served, so a
 gate allocates no array of its own once they are large enough (numpy may
-still buffer a strided operand inside one call).
+still buffer an operand inside one call).
 """
 
 from __future__ import annotations
@@ -72,38 +75,45 @@ def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return _scratch.flat[0][:size].reshape(shape), _scratch.flat[1][:size].reshape(shape)
 
 
-def _apply_matrix(amps, left, right, mats):
-    a = amps.reshape(mats.shape[:-3] + (-1, left, 2, right))
-    a0 = a[..., 0, :]
-    a1 = a[..., 1, :]
-    m = mats[..., None, None]  # (..., 2, 2, 1, 1) against (..., rows, left, right)
+def payload(mats: np.ndarray) -> np.ndarray:
+    """A (..., 2, 2) stack of matrices as a (2, 2, ...) matrix payload."""
+    return np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+
+
+def _apply_matrix(stored, left, right, mats):
+    # (left, 2, right) + batch: the batch is (rows,), or (R, N) for a
+    # payload indexed by run
+    a = stored.reshape((left, 2, right) + mats.shape[2:-1] + (-1,))
+    a0 = a[:, 0]
+    a1 = a[:, 1]
     new0, tmp = _buffers(a0.shape)
-    np.multiply(m[..., 0, 0, :, :], a0, out=new0)
-    np.multiply(m[..., 0, 1, :, :], a1, out=tmp)
+    np.multiply(mats[0, 0], a0, out=new0)
+    np.multiply(mats[0, 1], a1, out=tmp)
     np.add(new0, tmp, out=new0)
-    np.multiply(m[..., 1, 0, :, :], a0, out=tmp)
+    np.multiply(mats[1, 0], a0, out=tmp)
     np.copyto(a0, new0)
-    np.multiply(m[..., 1, 1, :, :], a1, out=new0)
+    np.multiply(mats[1, 1], a1, out=new0)
     np.add(tmp, new0, out=a1)
 
 
 def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
-    """Apply one lowered gate to (B, dim) amplitudes in place."""
+    """Apply one lowered gate to (rows, dim) amplitudes in place."""
+    stored = amps.T
     if op.mode == MODE_FLIP:
         idx0, idx1 = op.payload
-        at0, at1 = _buffers((len(amps), len(idx0)))
+        at0, at1 = _buffers((len(idx0), stored.shape[1]))
         # mode="clip" lets take write straight into out; the indices are in range
-        np.take(amps, idx0, axis=1, out=at0, mode="clip")
-        np.take(amps, idx1, axis=1, out=at1, mode="clip")
-        amps[:, idx0] = at1
-        amps[:, idx1] = at0
+        np.take(stored, idx0, axis=0, out=at0, mode="clip")
+        np.take(stored, idx1, axis=0, out=at1, mode="clip")
+        stored[idx0] = at1
+        stored[idx1] = at0
     elif op.mode == MODE_PHASE:
-        hit, _ = _buffers((len(amps), len(op.payload)))
-        np.take(amps, op.payload, axis=1, out=hit, mode="clip")
+        hit, _ = _buffers((len(op.payload), stored.shape[1]))
+        np.take(stored, op.payload, axis=0, out=hit, mode="clip")
         np.multiply(hit, -1.0, out=hit)
-        amps[:, op.payload] = hit
+        stored[op.payload] = hit
     else:
-        _apply_matrix(amps, op.left, op.right, op.payload)
+        _apply_matrix(stored, op.left, op.right, op.payload)
 
 
 def bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:

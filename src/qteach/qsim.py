@@ -9,9 +9,11 @@ sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 gate reaches amplitudes (``circuits.CompiledCircuit`` plans its
 trainable rotations itself, from ``matrix_builder``).  Its angles are scalars or one value per data
 point, so a lowered gate acts on a batch of points under one parameter
-vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
+vector; its matrices are stored as the (2, 2, ...) payloads ``kernels``
+documents.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
 measurement kernels (``expectation_z_kernel``,
-``probability_vector_kernel``) accept arbitrary leading batch axes.
+``probability_vector_kernel``) accept arbitrary leading batch axes in any
+memory order, such as the (rows, 2^n) transpose of a batch-minor state.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
 and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).
@@ -215,7 +217,8 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
     ``angles`` are scalars or (B,) arrays, one entry per data point.  A
     rotation whose angles are all scalars lowers to one (2, 2) matrix
     (MODE_CONST); any (B,) angle gives one matrix per point (MODE_PER_B),
-    whether the other angles are data, parameters or constants.
+    whether the other angles are data, parameters or constants, stored as
+    a (2, 2, B) payload.
     """
     if kind is GateKind.CZ:
         return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
@@ -228,7 +231,15 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, HADAMARD)
     mats = matrix_builder(kind)(angles)
     mode = kernels.MODE_CONST if mats.shape == (2, 2) else kernels.MODE_PER_B
-    return kernels.PlannedOp(mode, left, right, mats)
+    return kernels.PlannedOp(mode, left, right, kernels.payload(mats))
+
+
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 as a new C-ordered real array, whatever the order of ``amps``
+    (real part squared plus imaginary part squared, as ``x**2`` rounds)."""
+    probs = np.square(amps.real, out=np.empty(amps.shape))
+    probs += np.square(amps.imag)
+    return probs
 
 
 def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -236,9 +247,11 @@ def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndar
     (the exact value lies there; roundoff can exceed it by ~1e-16).
 
     The reduction runs per row with a fixed order, so a state's value
-    does not depend on how many others share the batch."""
+    does not depend on how many others share the batch, nor on the
+    memory order of ``amps``: the probabilities are squared into a
+    C-ordered array before the reduction."""
     _check_indices(n_qubits, (qubit,))
-    probs = amps.real**2 + amps.imag**2
+    probs = _probabilities(amps)
     vals = (probs * kernels.z_signs(n_qubits, qubit)).sum(axis=-1)
     return np.clip(vals, -1.0, 1.0)
 
@@ -252,7 +265,7 @@ def probability_vector_kernel(amps: np.ndarray, n_qubits: int, qubits: Sequence[
     _check_indices(n_qubits, qubits)
     batch = amps.shape[:-1]
     nb = len(batch)
-    probs = (amps.real**2 + amps.imag**2).reshape(batch + (2,) * n_qubits)
+    probs = _probabilities(amps).reshape(batch + (2,) * n_qubits)
     drop = tuple(nb + q for q in range(n_qubits) if q not in qubits)
     marg = probs.sum(axis=drop) if drop else probs
     # remaining qubit axes sit in ascending index order; permute to the listed order

@@ -366,6 +366,47 @@ class TestCompiledCircuit:
                     np.testing.assert_array_equal(preds[r], ref_preds[0])
                     np.testing.assert_array_equal(dpreds[r], ref_dpreds[0])
 
+    @pytest.mark.parametrize("model", all_models())
+    def test_stacked_runs_match_dense_oracle(self, model, rng):
+        """The hot path on R = 3 stacked runs of many points, and
+        ``forward_many`` at those points, against the Kronecker-product
+        oracle for every point and run; gradients against parameter
+        shift."""
+        circuit = build(model)
+        xs = rng.uniform(-np.pi, np.pi, (10, 2))
+        w = rng.uniform(0, 2 * np.pi, (3, circuit.n_params))
+        preds, dpreds = CompiledCircuit(circuit, xs, runs=3).forward_with_adjoint(w)
+        signs = kernels.z_signs(circuit.n_qubits, circuit.measured_qubit)
+        for r in range(3):
+            oracle = [np.abs(dense_unitary_oracle(circuit, x, w[r])[:, 0]) ** 2 @ signs for x in xs]
+            np.testing.assert_allclose(preds[r], oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(forward_many(circuit, xs, w[r]), oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dpreds[r], param_shift_reference(circuit, xs, w[r])[1], rtol=0, atol=1e-12)
+
+    def test_kernels_receive_rows_by_amplitudes(self, rng, monkeypatch):
+        """Every gate that ``CompiledCircuit`` and ``forward_many`` apply
+        gets a (rows, 2^n) view of a batch-minor (2^n, rows) array: the
+        shape the benchmark tracer reads rows and amplitudes from."""
+        circuit = COMPILED_MODELS["reuploading:2@rot_h"]
+        dim, runs, xs = 1 << circuit.n_qubits, 3, rng.uniform(-np.pi, np.pi, (9, 2))
+        shapes = []
+        apply_planned = kernels.apply_planned
+
+        def recording(planned, amps):
+            assert amps.T.flags.c_contiguous
+            shapes.append(amps.shape)
+            apply_planned(planned, amps)
+
+        monkeypatch.setattr(kernels, "apply_planned", recording)
+        compiled = CompiledCircuit(circuit, xs, runs)
+        prefix = len(shapes)
+        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (runs, circuit.n_params)))
+        assert set(shapes[:prefix]) == {(len(xs), dim)}
+        assert set(shapes[prefix:]) == {(runs * len(xs), dim)}
+        shapes.clear()
+        forward_many(circuit, xs, rng.uniform(0, 2 * np.pi, circuit.n_params))
+        assert set(shapes) == {(len(xs), dim)} and len(shapes) == len(circuit.ops)
+
     def test_returned_arrays_survive_the_next_call(self, rng):
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
         compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))

@@ -162,6 +162,15 @@ class TestRerunIntoSameDirectory:
         text = (tmp_path / "FAILED.txt").read_text()
         assert text.startswith("student dissipative_qp, seed 0, continuous labels: loss is not finite")
 
+    def test_failure_marker_names_the_phase(self, tmp_path):
+        """An error outside training, here a map path that cannot be
+        opened for writing, names the phase it stopped in."""
+        (tmp_path / "map_teacher_0.csv").mkdir()
+        assert self._run(SMALL_RUN, tmp_path) == 1
+        text = (tmp_path / "FAILED.txt").read_text()
+        assert text.startswith("writing artifacts: ") and "map_teacher_0.csv" in text
+        assert not (tmp_path / "summary.json").exists()
+
     def test_successful_rerun_removes_failure_marker(self, tmp_path):
         assert self._run(FAILING_RUN, tmp_path) == 1
         assert (tmp_path / "FAILED.txt").is_file()

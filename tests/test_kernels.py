@@ -1,15 +1,27 @@
 """The planned kernels on stacked runs, and their reused scratch buffers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qteach import kernels
+from qteach import kernels, qsim
 from qteach.kernels import PlannedOp
+from qteach.qsim import GateKind, GateOp
+
+def per_row(values, runs, points):
+    """Values shaped like a payload's batch ((), (R N,), (R, 1) or (R, N))
+    as one value per row of R stacked runs of N points."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values.reshape(runs, points)
+    return np.broadcast_to(values, (runs, points)).reshape(-1)
 
 
-def plain_apply(op, amps):
-    """The gate arithmetic of ``apply_planned`` written with fresh
-    temporaries and no scratch: the reference it must equal bit for bit."""
+def plain_apply(op, amps, runs, points):
+    """The gate arithmetic of ``apply_planned`` written row by row with
+    fresh temporaries and no scratch: the reference it must equal bit for
+    bit."""
     if op.mode == kernels.MODE_FLIP:
         idx0, idx1 = op.payload
         tmp = amps[:, idx0]
@@ -18,27 +30,29 @@ def plain_apply(op, amps):
     elif op.mode == kernels.MODE_PHASE:
         amps[:, op.payload] *= -1.0
     else:
-        mats = op.payload
-        a = amps.reshape(mats.shape[:-3] + (-1, op.left, 2, op.right))
-        m = mats[..., None, None]
-        old0 = a[..., 0, :].copy()
-        a[..., 0, :] = m[..., 0, 0, :, :] * old0 + m[..., 0, 1, :, :] * a[..., 1, :]
-        a[..., 1, :] = m[..., 1, 0, :, :] * old0 + m[..., 1, 1, :, :] * a[..., 1, :]
+        m = [[per_row(op.payload[i, j], runs, points) for j in (0, 1)] for i in (0, 1)]
+        for b, row in enumerate(amps):
+            a = row.reshape(op.left, 2, op.right)
+            old0 = a[:, 0].copy()
+            a[:, 0] = m[0][0][b] * old0 + m[0][1][b] * a[:, 1]
+            a[:, 1] = m[1][0][b] * old0 + m[1][1][b] * a[:, 1]
 
 
-def random_state(rng, rows, n_qubits):
-    return rng.standard_normal((rows, 1 << n_qubits)) + 1j * rng.standard_normal((rows, 1 << n_qubits))
+def random_state(rng, rows, n_qubits, order="C"):
+    amps = rng.standard_normal((rows, 1 << n_qubits)) + 1j * rng.standard_normal((rows, 1 << n_qubits))
+    return np.asarray(amps, order=order)
 
 
 def random_matrices(rng, shape):
-    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    """Random (2, 2, *shape) matrix payloads."""
+    return rng.standard_normal((2, 2) + shape) + 1j * rng.standard_normal((2, 2) + shape)
 
 
 def random_op(rng, n_qubits, runs, points):
     """A random gate on ``runs`` stacked runs of ``points`` rows: a matrix
     shared by all rows, per row, per run or per run and point, or a FLIP
-    or PHASE."""
-    kind = int(rng.integers(6))
+    or PHASE (on two qubits or more)."""
+    kind = int(rng.integers(6 if n_qubits > 1 else 4))
     if kind == 4:
         target, control = rng.permutation(n_qubits)[:2]
         return PlannedOp(kernels.MODE_FLIP, 0, 0, kernels.flip_pairs(n_qubits, (int(control),), int(target)))
@@ -54,40 +68,98 @@ class TestStackedRuns:
     @pytest.mark.parametrize("n_qubits", [1, 3, 5])
     @pytest.mark.parametrize("runs", [1, 2, 5])
     def test_per_run_payload_equals_it_repeated_per_row(self, runs, n_qubits, rng):
-        """An (R, 1, 2, 2) payload acts on each run's N rows as the same
-        matrices repeated to (R N, 2, 2) do, and (R, N, 2, 2) as its
-        (R N, 2, 2) reshape, bit for bit."""
+        """A (2, 2, R, 1) payload acts on each run's N rows as the same
+        matrices repeated to (2, 2, R N) do, and (2, 2, R, N) as its
+        (2, 2, R N) reshape, bit for bit, on C- and F-ordered states."""
         points = 7
-        for qubit in range(n_qubits):
+        for qubit, order in itertools.product(range(n_qubits), "CF"):
             left, right = kernels.bit_split(n_qubits, qubit)
-            amps = random_state(rng, runs * points, n_qubits)
+            amps = random_state(rng, runs * points, n_qubits, order)
             per_run = random_matrices(rng, (runs, 1))
             per_point = random_matrices(rng, (runs, points))
-            cases = [(kernels.MODE_PER_S, per_run, np.repeat(per_run[:, 0], points, axis=0)),
-                     (kernels.MODE_PER_ROW, per_point, per_point.reshape(-1, 2, 2))]
+            cases = [(kernels.MODE_PER_S, per_run, np.repeat(per_run[..., 0], points, axis=-1)),
+                     (kernels.MODE_PER_ROW, per_point, per_point.reshape(2, 2, -1))]
             for mode, stacked, rows in cases:
-                got, want = amps.copy(), amps.copy()
+                got, want = amps.copy(order="K"), amps.copy(order="K")
                 kernels.apply_planned(PlannedOp(mode, left, right, stacked), got)
                 kernels.apply_planned(PlannedOp(kernels.MODE_PER_B, left, right, rows), want)
                 np.testing.assert_array_equal(got, want)
 
     def test_each_run_evolves_as_alone(self, rng):
         """Run r of a stacked state ends where it ends evolved by itself
-        under matrices [r]."""
+        under matrices [:, :, r], with the stacked state and the lone runs
+        in either memory order."""
         runs, points, n_qubits = 3, 4, 4
         ops = [random_op(rng, n_qubits, runs, points) for _ in range(30)]
+        for order, alone_order in ("CF", "FC"):
+            amps = random_state(rng, runs * points, n_qubits, order)
+            alone = [np.array(amps[r * points:(r + 1) * points], order=alone_order) for r in range(runs)]
+            for op in ops:
+                kernels.apply_planned(op, amps)
+                for r, rows in enumerate(alone):
+                    payload = op.payload
+                    if op.mode in (kernels.MODE_PER_S, kernels.MODE_PER_ROW):
+                        payload = payload[:, :, r:r + 1]
+                    elif op.mode == kernels.MODE_PER_B:
+                        payload = payload[:, :, r * points:(r + 1) * points]
+                    kernels.apply_planned(PlannedOp(op.mode, op.left, op.right, payload), rows)
+            np.testing.assert_array_equal(amps, np.concatenate(alone))
+
+    @pytest.mark.parametrize("n_qubits", [1, 3, 5, 7])
+    def test_memory_order_does_not_change_a_bit(self, n_qubits, rng):
+        """The same gates on C- and F-ordered copies of one state give
+        array_equal results, for every payload shape."""
+        runs, points = 4, 5
         amps = random_state(rng, runs * points, n_qubits)
-        alone = [amps[r * points:(r + 1) * points].copy() for r in range(runs)]
-        for op in ops:
+        c_amps, f_amps = amps.copy(order="C"), amps.copy(order="F")
+        for _ in range(40):
+            op = random_op(rng, n_qubits, runs, points)
+            kernels.apply_planned(op, c_amps)
+            kernels.apply_planned(op, f_amps)
+        np.testing.assert_array_equal(c_amps, f_amps)
+
+
+def random_gate_rows(rng, n_qubits, runs, points):
+    """A random gate as a lowered op plus the ``GateOp`` each row gets:
+    a rotation whose angles have one of the four payload batch shapes, or
+    H, X, CNOT, MCX or CZ shared by every row."""
+    qubits = [int(q) for q in rng.permutation(n_qubits)]
+    target = qubits[0]
+    if n_qubits > 1 and rng.integers(3) == 0:
+        kind = [GateKind.X, GateKind.CNOT, GateKind.MCX, GateKind.CZ][int(rng.integers(4))]
+        controls = {GateKind.X: (), GateKind.CNOT: tuple(qubits[1:2]), GateKind.CZ: tuple(qubits[1:2]),
+                    GateKind.MCX: tuple(qubits[1:1 + int(rng.integers(1, n_qubits))])}[kind]
+        gate = GateOp(kind, (target,), controls)
+        return qsim.lower_gate(kind, n_qubits, target, controls), [gate] * (runs * points)
+    kind = [GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ROT, GateKind.H][int(rng.integers(5))]
+    if kind is GateKind.H:
+        return qsim.lower_gate(kind, n_qubits, target), [GateOp(kind, (target,))] * (runs * points)
+    mode = int(rng.integers(4))
+    shape = [(), (runs * points,), (runs, 1), (runs, points)][mode]
+    angles = [rng.uniform(-np.pi, np.pi, shape) for _ in range(qsim.ANGLE_COUNTS[kind])]
+    left, right = kernels.bit_split(n_qubits, target)
+    op = PlannedOp(mode, left, right, kernels.payload(qsim.matrix_builder(kind)(angles)))
+    rows = np.stack([per_row(a, runs, points) for a in angles], axis=1)
+    return op, [GateOp(kind, (target,), params=tuple(row)) for row in rows]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 4, 6])
+    def test_gate_sequences_match_per_row_unitaries(self, n_qubits, order, rng):
+        """Random gate sequences on R stacked runs of N rows, with every
+        payload shape, give in each row what that row's own gates do as
+        full Kronecker-product unitaries."""
+        runs, points = 3, 4
+        amps = random_state(rng, runs * points, n_qubits, order)
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        want = amps.copy()
+        for _ in range(25):
+            op, gates = random_gate_rows(rng, n_qubits, runs, points)
             kernels.apply_planned(op, amps)
-            for r, rows in enumerate(alone):
-                payload = op.payload
-                if op.mode in (kernels.MODE_PER_S, kernels.MODE_PER_ROW):
-                    payload = payload[r:r + 1]
-                elif op.mode == kernels.MODE_PER_B:
-                    payload = payload[r * points:(r + 1) * points]
-                kernels.apply_planned(PlannedOp(op.mode, op.left, op.right, payload), rows)
-        np.testing.assert_array_equal(amps, np.concatenate(alone))
+            for b, gate in enumerate(gates):
+                want[b] = qsim.gate_unitary(gate, n_qubits) @ want[b]
+        np.testing.assert_allclose(amps, want, rtol=0, atol=1e-12)
 
 
 class TestScratch:
@@ -99,13 +171,13 @@ class TestScratch:
         empty = np.empty(0, dtype=complex)
         monkeypatch.setattr(kernels._scratch, "flat", (empty, empty))
         shapes = [(2, 3, 5), (4, 2, 3)]  # (runs, points, qubits)
-        states = [random_state(rng, r * p, n) for r, p, n in shapes]
+        states = [random_state(rng, r * p, n, order) for (r, p, n), order in zip(shapes, "FC")]
         refs = [s.copy() for s in states]
         for step in range(60):
             k = step % 2
             runs, points, n_qubits = shapes[k]
             op = random_op(rng, n_qubits, runs, points)
             kernels.apply_planned(op, states[k])
-            plain_apply(op, refs[k])
+            plain_apply(op, refs[k], runs, points)
             np.testing.assert_array_equal(states[k], refs[k], err_msg=f"step {step}")
         assert [buf.size for buf in kernels._scratch.flat] == [max(s.size for s in states) // 2] * 2
