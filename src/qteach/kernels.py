@@ -1,18 +1,17 @@
 """In-place batched statevector kernels: the only code that applies gates
 to amplitudes.
 
-A batch of states is stored as one C-contiguous (2^n, rows) complex128
-array, so the long rows axis is innermost and contiguous; callers hand
-the kernels its transpose, a (rows, 2^n) view, one row per state.  The
-rows may hold R runs of N points each, run r in rows r N .. (r + 1) N - 1,
-every run under its own parameter vector.  Every kernel mutates the
-amplitudes in place with numpy, and is correct on any memory order.
+A batch of states is stored batch-minor, as a C-contiguous (2^n, rows)
+complex128 array, and the kernels receive its (rows, 2^n) transpose, one
+row per state, so the long rows axis is innermost.  The rows may hold R
+runs of N points each, every run under its own parameter vector.  Every
+kernel mutates the amplitudes in place, in any memory order.
 
-A 2x2 matrix payload is stored as (2, 2, *batch), so entry [i, j] is one
-contiguous block that broadcasts against the stored amplitudes viewed as
-``(left, 2, right) + batch``: (2, 2) is shared by all rows, (2, 2, B)
-holds one matrix per row, (2, 2, R, 1) one per run and (2, 2, R, N) one
-per run and point.  With qubit 0 as MSB, a basis index splits as
+A 2x2 matrix payload is stored as (2, 2, *batch): each entry [i, j] is a
+contiguous block broadcast against the stored array viewed as
+(left, 2, right) + batch.  (2, 2) is shared by all rows, (2, 2, B) holds
+one matrix per row, (2, 2, R, 1) one per run and (2, 2, R, N) one per run
+and point.  With qubit 0 as MSB, a basis index splits as
 l * (2 * right) + bit * right + r where left = 2^qubit and
 right = 2^(n - 1 - qubit).  A FLIP payload is the pair of index arrays
 (target bit 0, target bit 1) whose rows of the stored array swap; a

@@ -9,11 +9,10 @@ sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 gate reaches amplitudes (``circuits.CompiledCircuit`` plans its
 trainable rotations itself, from ``matrix_builder``).  Its angles are scalars or one value per data
 point, so a lowered gate acts on a batch of points under one parameter
-vector; its matrices are stored as the (2, 2, ...) payloads ``kernels``
-documents.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
+vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
 measurement kernels (``expectation_z_kernel``,
-``probability_vector_kernel``) accept arbitrary leading batch axes in any
-memory order, such as the (rows, 2^n) transpose of a batch-minor state.
+``probability_vector_kernel``) accept arbitrary leading batch axes, in
+any memory order.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
 and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).
@@ -235,8 +234,7 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:
-    """|amps|^2 as a new C-ordered real array, whatever the order of ``amps``
-    (real part squared plus imaginary part squared, as ``x**2`` rounds)."""
+    """|amps|^2 as a new C-ordered real array, whatever the order of ``amps``."""
     probs = np.square(amps.real, out=np.empty(amps.shape))
     probs += np.square(amps.imag)
     return probs
@@ -248,8 +246,7 @@ def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndar
 
     The reduction runs per row with a fixed order, so a state's value
     does not depend on how many others share the batch, nor on the
-    memory order of ``amps``: the probabilities are squared into a
-    C-ordered array before the reduction."""
+    memory order of ``amps``."""
     _check_indices(n_qubits, (qubit,))
     probs = _probabilities(amps)
     vals = (probs * kernels.z_signs(n_qubits, qubit)).sum(axis=-1)
