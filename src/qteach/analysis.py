@@ -34,7 +34,7 @@ from .circuits import (
     dissipative_qp,
     reuploading,
 )
-from .errors import ConfigurationError, StructuralError
+from .errors import ConfigurationError, StructuralError, TrainingDivergedError
 from .metrics import accuracy
 from .teacher_student import ExperimentResult, LabeledGrid, derive_seed, make_grid, run_experiment
 from .training import TrainConfig, TrainRun, train
@@ -72,8 +72,8 @@ def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> n
     only the encoding gates the architecture builders emit to |00>."""
     builder = circuits._Builder(encoding)
     builder.encode(0, 1)
-    _, amps = circuits._states(builder.ops, 2, data.points, np.empty(0))
-    return qsim.probability_vector_kernel(amps, 2, (0, 1))
+    return circuits._measured(builder.ops, 2, data.points, np.empty(0),
+                              lambda amps: qsim.probability_vector_kernel(amps, 2, (0, 1)), (4,))
 
 
 @dataclass
@@ -217,7 +217,8 @@ def labelling_experiment(cfg: TrainConfig, n_points: int = 500,
                          radius: float = DEFAULT_RADIUS, seed: int = 0) -> LabellingReport:
     """Train the dissipative perceptron on circular data three ways:
     inner = -1 (works), flipped labels (fails), flipped labels with a
-    Pauli X before measurement (works again)."""
+    Pauli X before measurement (works again).  A diverging training is
+    named by its case."""
     data = circular_dataset(n_points, radius, seed)
     base_circuit = build(dissipative_qp())
     x_circuit = append_x_on_measured(base_circuit)
@@ -230,7 +231,10 @@ def labelling_experiment(cfg: TrainConfig, n_points: int = 500,
     for i, (name, circuit, labels) in enumerate(setups):
         dataset = _labelled(data.points, labels)
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, i, _ROLE_LABELLING))
-        run = train(circuit, dataset, run_cfg, "binary")
+        try:
+            run = train(circuit, dataset, run_cfg, "binary")
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"labelling case {name}: {exc}", run=exc.run) from exc
         acc = accuracy(run.final_preds, labels)
         probs = ancilla_probabilities(circuit, data.points, run.final_params)
         minus_mean = probs[labels < 0].mean(axis=0)
@@ -284,15 +288,16 @@ class NormalizationReport:
 
 def normalization_experiment(cfg: TrainConfig, n_seeds: int = 10, resolution: int = 21,
                              map_resolution: int = 51) -> NormalizationReport:
-    """Deep-teacher comparison on [-pi, pi] inputs versus [-1, 1] inputs."""
+    """Deep-teacher comparison on [-pi, pi] inputs versus [-1, 1] inputs.
+    A diverging run is named by its input range, then as
+    ``run_experiment`` names it."""
     teacher = ArchitectureId(Family.DEEP_TEACHER4)
     students = [dissipative_qp(), reuploading(2)]
-    full_range_result = run_experiment(
-        teacher, students, n_seeds, cfg, make_grid(resolution, -np.pi, np.pi),
-        map_resolution=map_resolution, include_binary=False,
-    )
-    unit_range_result = run_experiment(
-        teacher, students, n_seeds, cfg, make_grid(resolution, -1.0, 1.0),
-        map_resolution=map_resolution, include_binary=False,
-    )
-    return NormalizationReport(full_range=full_range_result, unit_range=unit_range_result)
+    results = []
+    for lo, hi, label in ((-np.pi, np.pi, "[-pi, pi]"), (-1.0, 1.0, "[-1, 1]")):
+        try:
+            results.append(run_experiment(teacher, students, n_seeds, cfg, make_grid(resolution, lo, hi),
+                                          map_resolution=map_resolution, include_binary=False))
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"inputs on {label}: {exc}", run=exc.run) from exc
+    return NormalizationReport(full_range=results[0], unit_range=results[1])

@@ -344,16 +344,13 @@ def _points(xs) -> np.ndarray:
 
 
 def _params(circuit: CircuitSpec, w) -> np.ndarray:
-    """``w`` as one (P,) float parameter vector."""
+    """``w`` as one (P,) finite float parameter vector."""
     w = np.asarray(w, dtype=float)
     if w.shape != (circuit.n_params,):
         raise ConfigurationError(f"expected one vector of {circuit.n_params} parameters, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("parameters must be finite")
     return w
-
-
-def _batch_args(circuit: CircuitSpec, xs, w) -> tuple[np.ndarray, np.ndarray]:
-    """``xs`` as (B, 2) finite points and ``w`` as one (P,) parameter vector, both float."""
-    return _points(xs), _params(circuit, w)
 
 
 def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
@@ -373,7 +370,7 @@ def _lowered_angles(op: SlotOp, xs: np.ndarray, w: np.ndarray) -> list:
 def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
     """Resolve all slots into executable gates for one point and one
     parameter vector."""
-    xs, w = _batch_args(circuit, np.asarray(x, dtype=float)[None], w)
+    xs, w = _points(np.asarray(x, dtype=float)[None]), _params(circuit, w)
     return [GateOp(op.kind, op.targets, op.controls, tuple(_lowered_angles(op, xs[0], w)))
             for op in circuit.ops]
 
@@ -392,7 +389,7 @@ def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
     return plans, amps
 
 
-# Bytes of amplitudes forward_many evolves at once.  Rows evolve
+# Bytes of amplitudes ``_measured`` evolves at once.  Rows evolve
 # independently, so splitting the points into blocks leaves every output
 # bit-identical; it bounds the working set (a block's state plus the
 # kernels' temporaries) at a few MiB however many points a call asks
@@ -400,17 +397,26 @@ def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
 _BLOCK_BYTES = 1 << 20
 
 
+def _measured(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray, w: np.ndarray, measure,
+              width: tuple[int, ...] = ()) -> np.ndarray:
+    """(B,) + width array of ``measure(amps)`` for the states ``ops`` take
+    |0...0> to at the (B, 2) points ``xs`` under one parameter vector
+    ``w``; the points evolve in blocks of about ``_BLOCK_BYTES`` of
+    amplitudes."""
+    step = max(1, _BLOCK_BYTES // (16 << n_qubits))
+    out = np.empty((len(xs),) + width)
+    for start in range(0, len(xs), step):
+        # no name holds a block's state, so it is freed before the next block evolves
+        out[start:start + step] = measure(_states(ops, n_qubits, xs[start:start + step], w)[1])
+    return out
+
+
 def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
-    under one parameter vector ``w``; shape (B,).  The points evolve in
-    blocks of about ``_BLOCK_BYTES`` of amplitudes."""
-    xs, w = _batch_args(circuit, xs, w)
-    step = max(1, _BLOCK_BYTES // (16 << circuit.n_qubits))
-    vals = np.empty(len(xs))
-    for start in range(0, len(xs), step):
-        _, amps = _states(circuit.ops, circuit.n_qubits, xs[start:start + step], w)
-        vals[start:start + step] = qsim.expectation_z_kernel(amps, circuit.n_qubits, circuit.measured_qubit)
-    return vals
+    under one parameter vector ``w``; shape (B,)."""
+    xs, w = _points(xs), _params(circuit, w)
+    n, measured = circuit.n_qubits, circuit.measured_qubit
+    return _measured(circuit.ops, n, xs, w, lambda amps: qsim.expectation_z_kernel(amps, n, measured))
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -440,18 +446,19 @@ def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a (2, 2, ...) payload."""
-    return np.ascontiguousarray(np.conj(np.swapaxes(mats, 0, 1)))
+    """Conjugate transpose of every matrix in a (2, 2, ...) payload; each
+    entry [i, j] of the result is again one contiguous block."""
+    return np.conj(np.swapaxes(mats, 0, 1))
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int, conj: np.ndarray) -> np.ndarray:
-    """(rows, 2, 2) per-row S_ij = sum of conj(lam) on target bit i times
-    psi on target bit j, over the other qubits, as one contraction of the
-    stored (left, 2, right, rows) views; ``conj`` is a buffer shaped like
-    ``lam`` that receives its conjugate."""
+    """(2, 2, rows) S_ij per row: the sum of conj(lam) on target bit i
+    times psi on target bit j, over the other qubits, as one contraction
+    of the stored (left, 2, right, rows) views; ``conj`` is a buffer shaped
+    like ``lam`` that receives its conjugate."""
     lam4 = np.conjugate(lam.T, out=conj.T).reshape(left, 2, right, -1)
     psi4 = psi.T.reshape(left, 2, right, -1)
-    return np.einsum("lirb,ljrb->bij", lam4, psi4)
+    return np.einsum("lirb,ljrb->ijb", lam4, psi4)
 
 
 class _RotationGroup:
@@ -461,30 +468,31 @@ class _RotationGroup:
 
     ``table`` (angles, M) indexes the rows of ``angles`` (rows, R, 1 or
     N): the P parameters, the P parameters shifted by pi, then the
-    constants and data columns, filled once.  Its first K columns are the
-    K ops' own angles; then, op after op, one column per trainable angle
-    with that angle shifted by pi.  So one gather and one
-    ``qsim.matrix_builder`` call give every matrix and every derivative
-    matrix of the group, for all R runs."""
+    constants and data columns of the ops, filled once.  Its first K
+    columns are the K ops' own angles; then, op after op, one copy of the
+    op's column per trainable angle, with that angle's row moved to its
+    shifted parameter.  So one gather and one ``qsim.matrix_builder`` call
+    give every matrix and every derivative matrix of the group, for all R
+    runs."""
 
     def __init__(self, kind: GateKind, ops: list[SlotOp], n_qubits: int, n_params: int,
                  xs: np.ndarray, per_point: bool, runs: int):
         self.kind, self.n_params = kind, n_params
         fixed: list = []  # constants and data columns, the rows after the 2 P parameter rows
 
-        def row(angle: AngleExpr, shifted: bool) -> int:
+        def row(angle: AngleExpr) -> int:
             if isinstance(angle, ParamRef):
-                return angle.index + n_params * shifted
+                return angle.index
             fixed.append(angle.value if isinstance(angle, Const) else xs[:, angle.component])
             return 2 * n_params + len(fixed) - 1
 
-        columns = [[row(a, False) for a in op.angles] for op in ops]
+        columns = [[row(a) for a in op.angles] for op in ops]
         #: per op, the slice of its derivative matrices in ``bind``'s result
         self.slices = []
-        for op in ops:
+        for op, rows in zip(ops, columns[:len(ops)]):
             slots = [pos for pos, a in enumerate(op.angles) if isinstance(a, ParamRef)]
             start = len(columns) - len(ops)
-            columns += [[row(a, pos == shift) for pos, a in enumerate(op.angles)] for shift in slots]
+            columns += [[r + n_params * (pos == shift) for pos, r in enumerate(rows)] for shift in slots]
             self.slices.append(slice(start, start + len(slots)))
         self.table = np.array(columns).T
         self.angles = np.empty((2 * n_params + len(fixed), runs, len(xs) if per_point else 1))
@@ -498,22 +506,23 @@ class _RotationGroup:
     def bind(self, w: np.ndarray) -> np.ndarray:
         """Set the ops' (2, 2, R, 1 or N) matrix payloads and inverses at
         the (R, P) parameters ``w`` in ``plans`` and ``inverses``; return the
-        (D, R, 1 or N, 2, 2) derivative matrices of all D trainable
-        angles, op after op.
+        (2, 2, D, R, 1 or N) derivative matrices U(a + pi) of all D
+        trainable angles, op after op.  All three are views of one
+        ``matrix_builder`` output and of its one dagger.
 
         Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
         derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle
         of Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
-        M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M."""
+        twice M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M.
+        So a derivative matrix is U(a + pi) = 2 dU/da."""
         p, k = self.n_params, len(self.plans)
         self.angles[:p] = w.T[:, :, None]
         np.add(self.angles[:p], np.pi, out=self.angles[p:2 * p])
-        mats = qsim.matrix_builder(self.kind)(self.angles[self.table])
-        base = kernels.payload(mats[:k])  # (2, 2, K, R, 1 or N)
-        daggers = _dagger(base)
+        mats = qsim.matrix_builder(self.kind)(self.angles[self.table])  # (2, 2, K + D, R, 1 or N)
+        daggers = _dagger(mats[:, :, :k])
         for j, (planned, inverse) in enumerate(zip(self.plans, self.inverses)):
-            planned.payload, inverse.payload = base[:, :, j], daggers[:, :, j]
-        return 0.5 * mats[k:]
+            planned.payload, inverse.payload = mats[:, :, j], daggers[:, :, j]
+        return mats[:, :, k:]
 
 
 class CompiledCircuit:
@@ -530,10 +539,13 @@ class CompiledCircuit:
     tiled once per run), the state that the data-only prefix before that
     op takes |0...0> to, and one ``_RotationGroup`` per rotation kind and
     matrix shape of the trainable ops.  Per evaluation: every group's
-    matrices, inverses and derivative matrices, then both sweeps from the
-    prefix state.  Trainable gates stay separate ops.  The psi, lam and
-    conj buffers are reused, so one instance must not be evaluated from
-    two threads at once; the arrays it returns are new on every call.
+    matrices, inverses and derivative matrices U(a + pi), all (2, 2, ...)
+    views of one builder call per group and of its dagger, then both
+    sweeps from the prefix state; at a trainable gate d<Z>/dw = Re sum_ij
+    U(a + pi)_ij S_ij with S the ``_overlaps`` of that gate.  Trainable
+    gates stay separate ops.  The psi, lam and conj buffers are reused, so
+    one instance must not be evaluated from two threads at once; the
+    arrays it returns are new on every call.
     """
 
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
@@ -595,7 +607,7 @@ class CompiledCircuit:
             if self._slots[i] is not None:
                 g, part, rows = self._slots[i]
                 overlaps = _overlaps(lam, psi, inverse.left, inverse.right, self._conj)
-                grads = 2.0 * (derivs[g][part] * overlaps.reshape(runs, n_points, 2, 2)).sum(axis=(-2, -1)).real
+                grads = (derivs[g][:, :, part] * overlaps.reshape(2, 2, 1, runs, n_points)).sum(axis=(0, 1)).real
                 dpreds[:, rows] = np.swapaxes(grads, 0, 1)
             if i:
                 kernels.apply_planned(inverse, lam)
@@ -612,23 +624,26 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     back through the gate inverses.  At trainable gate k, with psi the
     state entering it and lam the measured Z pulled back to its output,
     d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
-    sums conj(lam) on target bit i times psi on target bit j.  The
-    backward sweep stops at the first trainable gate.
+    sums conj(lam) on target bit i times psi on target bit j; as
+    dU/da = U(a + pi) / 2 for every angle a, this is Re sum_ij
+    U(a + pi)_ij S_ij.  The backward sweep stops at the first trainable
+    gate.
 
     This compiles the circuit at ``xs`` for one run and evaluates it
     once; a caller that evaluates the same points at many parameter
     vectors keeps one ``CompiledCircuit`` instead.
     """
-    xs, w = _batch_args(circuit, xs, w)
+    xs, w = _points(xs), _params(circuit, w)
     preds, dpreds = CompiledCircuit(circuit, xs).forward_with_adjoint(w[None])
     return preds[0], dpreds[0]
 
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point."""
-    xs, w = _batch_args(circuit, xs, w)
-    _, amps = _states(circuit.ops, circuit.n_qubits, xs, w)
-    return qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
+    xs, w = _points(xs), _params(circuit, w)
+    n, measured = circuit.n_qubits, circuit.measured_qubit
+    return _measured(circuit.ops, n, xs, w, lambda amps: qsim.probability_vector_kernel(amps, n, (measured,)),
+                     (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,15 @@ row per state, so the long rows axis is innermost.  The rows may hold R
 runs of N points each, every run under its own parameter vector.  Every
 kernel mutates the amplitudes in place, in any memory order.
 
-A 2x2 matrix payload is stored as (2, 2, *batch): each entry [i, j] is a
-contiguous block broadcast against the stored array viewed as
-(left, 2, right) + batch.  (2, 2) is shared by all rows, (2, 2, B) holds
-one matrix per row, (2, 2, R, 1) one per run and (2, 2, R, N) one per run
-and point.  With qubit 0 as MSB, a basis index splits as
-l * (2 * right) + bit * right + r where left = 2^qubit and
-right = 2^(n - 1 - qubit).  A FLIP payload is the pair of index arrays
-(target bit 0, target bit 1) whose rows of the stored array swap; a
-PHASE payload lists the rows to negate.
+A 2x2 matrix payload is (2, 2, *batch), the layout ``qsim``'s rotation
+builders return, and is applied as is: each entry [i, j] is a contiguous
+block broadcast against the stored array viewed as (left, 2, right) +
+batch.  (2, 2) is shared by all rows, (2, 2, B) holds one matrix per row,
+(2, 2, R, 1) one per run and (2, 2, R, N) one per run and point.  With
+qubit 0 as MSB, a basis index splits as l * (2 * right) + bit * right + r
+where left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP payload is
+the pair of index arrays (target bit 0, target bit 1) whose rows of the
+stored array swap; a PHASE payload lists the rows to negate.
 
 Every intermediate array of a gate is a view of one of two flat scratch
 buffers per thread, which grow to the largest half-state served, so a
@@ -72,11 +72,6 @@ def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     if _scratch.flat[0].size < size:
         _scratch.flat = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
     return _scratch.flat[0][:size].reshape(shape), _scratch.flat[1][:size].reshape(shape)
-
-
-def payload(mats: np.ndarray) -> np.ndarray:
-    """A (..., 2, 2) stack of matrices as a (2, 2, ...) matrix payload."""
-    return np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
 
 
 def _apply_matrix(stored, left, right, mats):

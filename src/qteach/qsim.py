@@ -4,10 +4,16 @@ Bit convention: qubit 0 is the most significant bit of a basis-state
 index, i.e. for n qubits the state |b0 b1 ... b(n-1)> sits at index
 sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 
-``lower_gate`` turns a gate into a ``kernels.PlannedOp`` and
-``kernels.apply_planned`` applies it; that is the one path by which any
-gate reaches amplitudes (``circuits.CompiledCircuit`` plans its
-trainable rotations itself, from ``matrix_builder``).  Its angles are scalars or one value per data
+The rotation builders return their matrices in the one layout the
+kernels apply: angles of shape ``batch`` give a (2, 2) + batch array, so
+each entry [i, j] is one contiguous block, and scalar angles give a
+plain (2, 2) matrix.
+
+``lower_gate`` turns a gate into a ``kernels.PlannedOp`` whose payload is
+the builder's output as is, and ``kernels.apply_planned`` applies it;
+that is the one path by which any gate reaches amplitudes
+(``circuits.CompiledCircuit`` plans its trainable rotations itself, from
+``matrix_builder``).  Its angles are scalars or one value per data
 point, so a lowered gate acts on a batch of points under one parameter
 vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
 measurement kernels (``expectation_z_kernel``,
@@ -130,18 +136,19 @@ def new_state(n_qubits: int) -> QuantumState:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrix builders (angles may be scalars or broadcastable arrays)
+# 2x2 matrix builders: angles of shape batch (scalars or broadcastable
+# arrays) give a (2, 2) + batch array
 # ---------------------------------------------------------------------------
 
 def rx_matrix(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    m = np.empty(theta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -1j * s
-    m[..., 1, 0] = -1j * s
-    m[..., 1, 1] = c
+    m = np.empty((2, 2) + theta.shape, dtype=complex)
+    m[0, 0] = c
+    m[0, 1] = -1j * s
+    m[1, 0] = -1j * s
+    m[1, 1] = c
     return m
 
 
@@ -149,20 +156,20 @@ def ry_matrix(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    m = np.empty(theta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
+    m = np.empty((2, 2) + theta.shape, dtype=complex)
+    m[0, 0] = c
+    m[0, 1] = -s
+    m[1, 0] = s
+    m[1, 1] = c
     return m
 
 
 def rz_matrix(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     phase = np.exp(-0.5j * theta)
-    m = np.zeros(theta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = phase
-    m[..., 1, 1] = np.conj(phase)
+    m = np.zeros((2, 2) + theta.shape, dtype=complex)
+    m[0, 0] = phase
+    m[1, 1] = np.conj(phase)
     return m
 
 
@@ -175,11 +182,11 @@ def rot_matrix(phi, theta, omega) -> np.ndarray:
     )
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    m = np.empty(np.shape(c) + (2, 2), dtype=complex)
-    m[..., 0, 0] = np.exp(-0.5j * (phi + omega)) * c
-    m[..., 0, 1] = -np.exp(0.5j * (phi - omega)) * s
-    m[..., 1, 0] = np.exp(-0.5j * (phi - omega)) * s
-    m[..., 1, 1] = np.exp(0.5j * (phi + omega)) * c
+    m = np.empty((2, 2) + np.shape(c), dtype=complex)
+    m[0, 0] = np.exp(-0.5j * (phi + omega)) * c
+    m[0, 1] = -np.exp(0.5j * (phi - omega)) * s
+    m[1, 0] = np.exp(-0.5j * (phi - omega)) * s
+    m[1, 1] = np.exp(0.5j * (phi + omega)) * c
     return m
 
 
@@ -192,7 +199,7 @@ _MATRIX_BUILDERS = {
 
 
 def matrix_builder(kind: GateKind):
-    """Angle-sequence -> 2x2 matrix builder for a rotation gate kind."""
+    """Angle-sequence -> (2, 2) + batch matrix builder for a rotation gate kind."""
     try:
         return _MATRIX_BUILDERS[kind]
     except KeyError:
@@ -216,8 +223,8 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
     ``angles`` are scalars or (B,) arrays, one entry per data point.  A
     rotation whose angles are all scalars lowers to one (2, 2) matrix
     (MODE_CONST); any (B,) angle gives one matrix per point (MODE_PER_B),
-    whether the other angles are data, parameters or constants, stored as
-    a (2, 2, B) payload.
+    whether the other angles are data, parameters or constants: the
+    builder's (2, 2, B) output is the payload.
     """
     if kind is GateKind.CZ:
         return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
@@ -230,7 +237,7 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
         return kernels.PlannedOp(kernels.MODE_CONST, left, right, HADAMARD)
     mats = matrix_builder(kind)(angles)
     mode = kernels.MODE_CONST if mats.shape == (2, 2) else kernels.MODE_PER_B
-    return kernels.PlannedOp(mode, left, right, kernels.payload(mats))
+    return kernels.PlannedOp(mode, left, right, mats)
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:

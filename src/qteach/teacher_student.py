@@ -119,12 +119,6 @@ class StudentOutcome:
         return np.mean([run.loss_curve for run in self.runs], axis=0)
 
     @property
-    def mean_accuracy_curve(self) -> Optional[np.ndarray]:
-        if not self.binary_runs:
-            return None
-        return np.mean([run.accuracy_curve for run in self.binary_runs], axis=0)
-
-    @property
     def mean_final_loss(self) -> float:
         return float(np.mean([run.final_loss for run in self.runs]))
 
@@ -210,8 +204,6 @@ def run_experiment(
         try:
             trained = train_lockstep(student_circuit, runs, architecture=student)
         except TrainingDivergedError as exc:
-            if exc.run is None:
-                raise
             s, kind = tags[exc.run]
             raise TrainingDivergedError(f"student {student.name}, seed {s}, {kind} labels: {exc}",
                                         run=exc.run) from exc

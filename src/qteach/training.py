@@ -152,7 +152,7 @@ def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "conti
     steps with at ``w``."""
     y = _targets(data, label_kind)
     points = np.asarray(data.points, dtype=float)
-    w = np.asarray(w, dtype=float)
+    w = circuits._params(circuit, w)
     _, grad, _ = _loss_grad_preds(w[None], _sampling(circuit, points), y[None])
     return grad[0]
 

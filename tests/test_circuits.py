@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteach import circuits, kernels, qsim
+from qteach import analysis, circuits, kernels, qsim
 from qteach.circuits import (
     ArchitectureId,
     CompiledCircuit,
@@ -258,6 +258,44 @@ class TestForward:
         whole_state = xs.shape[0] * 16 << circuit.n_qubits  # 16 MB
         assert peak < 8 * circuits._BLOCK_BYTES < whole_state
 
+    @pytest.mark.parametrize("path", ["ancilla_probabilities", "encoding_probability_vectors"])
+    def test_probability_working_sets_bounded_by_block(self, path, rng):
+        """The measured-qubit and encoding probabilities evolve their points
+        in forward_many's blocks: beyond their result they allocate a few
+        blocks' worth, not their whole 12.8 MB state."""
+        if path == "ancilla_probabilities":
+            circuit = build(dissipative_qp())
+            n_qubits, xs = circuit.n_qubits, rng.uniform(-np.pi, np.pi, (100_000, 2))
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            evaluate = lambda: ancilla_probabilities(circuit, xs, w)  # noqa: E731
+        else:
+            data = analysis.circular_dataset(200_000, seed=1)
+            n_qubits, xs = 2, data.points
+            evaluate = lambda: analysis.encoding_probability_vectors(Encoding.ROT_H, data)  # noqa: E731
+        tracemalloc.start()
+        try:
+            result = evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole_state = xs.shape[0] * 16 << n_qubits
+        assert peak - result.nbytes < 8 * circuits._BLOCK_BYTES < whole_state
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 49])
+    def test_probability_blocks_bit_identical(self, block_rows, rng, monkeypatch):
+        """Blocks of any size, one point included, leave the measured-qubit
+        and encoding probabilities unchanged."""
+        circuit = mixed_spec()
+        data = analysis.circular_dataset(50, seed=2)
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        whole = [ancilla_probabilities(circuit, data.points, w)] + [
+            analysis.encoding_probability_vectors(encoding, data) for encoding in Encoding]
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << 2)
+        blocked = [ancilla_probabilities(circuit, data.points, w)] + [
+            analysis.encoding_probability_vectors(encoding, data) for encoding in Encoding]
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want)
+
 
 def random_slot_ops(rng, n_qubits, n_gates, n_params):
     """Random SlotOps whose angles are constants, data or parameters."""
@@ -455,12 +493,14 @@ BAD_BATCH_ARGS = {
     "non_finite_point": (np.array([[0.0, 1.0], [np.inf, 0.0]]), np.zeros(QP.n_params)),
     "parameter_batch": (np.zeros((3, 2)), np.zeros((2, QP.n_params))),
     "wrong_length": (np.zeros((3, 2)), np.zeros(QP.n_params + 1)),
+    "non_finite_parameter": (np.zeros((3, 2)), np.where(np.arange(QP.n_params) == 4, np.nan, 0.0)),
 }
 
 
 class TestArguments:
-    """Every evaluation takes (B, 2) finite points and one (P,) parameter
-    vector; anything else is a ConfigurationError, never a wrong result."""
+    """Every evaluation takes (B, 2) finite points and one (P,) finite
+    parameter vector; anything else is a ConfigurationError, never a wrong
+    result."""
 
     @pytest.mark.parametrize("case", list(BAD_BATCH_ARGS))
     @pytest.mark.parametrize("evaluate", [forward_batch, forward_with_adjoint, ancilla_probabilities],
@@ -469,6 +509,14 @@ class TestArguments:
         xs, w = BAD_BATCH_ARGS[case]
         with pytest.raises(ConfigurationError):
             evaluate(QP, xs, w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("evaluate", [forward, bind], ids=lambda f: f.__name__)
+    def test_single_point_evaluators_reject_non_finite_parameters(self, evaluate, value):
+        w = np.zeros(QP.n_params)
+        w[-1] = value
+        with pytest.raises(ConfigurationError):
+            evaluate(QP, np.zeros(2), w)
 
     @pytest.mark.parametrize("evaluate", [forward, bind], ids=lambda f: f.__name__)
     def test_single_point_evaluators_reject_batch(self, evaluate):

@@ -205,6 +205,11 @@ class TestLabellingRun:
             assert (tmp_path / f"map_{case['name']}.csv").is_file()
             assert (tmp_path / f"loss_{case['name']}.csv").is_file()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the loss non-finite
+    def test_divergence_names_the_case(self, tmp_path):
+        message = diverged_run(tmp_path, "experiment = labelling\nn_points = 40\nepochs = 3\nmap_resolution = 9\n")
+        assert message.startswith("labelling case inner_minus: loss is not finite at epoch ")
+
 
 class TestNormalizationRun:
     def test_artifacts(self, tmp_path):
@@ -217,6 +222,25 @@ class TestNormalizationRun:
         assert "gap_ratio" in summary
         assert (tmp_path / "map_pi_teacher_0.csv").is_file()
         assert (tmp_path / "map_unit_teacher_0.csv").is_file()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the loss non-finite
+    def test_divergence_names_the_range(self, tmp_path):
+        message = diverged_run(
+            tmp_path, "experiment = normalization\nn_seeds = 1\nresolution = 4\nepochs = 2\nmap_resolution = 9\n")
+        assert message.startswith("inputs on [-pi, pi]: student dissipative_qp, seed 0, continuous labels: ")
+
+
+def diverged_run(tmp_path, config_text):
+    """Run ``config_text`` with a learning rate that makes training diverge
+    through ``main``; return the one line of its FAILED.txt."""
+    config_path = tmp_path / "diverges.cfg"
+    config_path.write_text(config_text + "learning_rate = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out)]) == 1
+    assert not (out / "summary.json").exists()
+    message = (out / "FAILED.txt").read_text()
+    assert message.endswith("\n") and message.count("\n") == 1
+    return message.rstrip("\n")
 
 
 class TestMain:

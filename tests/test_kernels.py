@@ -1,11 +1,14 @@
 """The planned kernels on stacked runs, and their reused scratch buffers."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from qteach import kernels, qsim
+from qteach.circuits import ArchitectureId, CompiledCircuit, Family, build, forward_batch, reuploading
 from qteach.kernels import PlannedOp
 from qteach.qsim import GateKind, GateOp
 
@@ -138,7 +141,7 @@ def random_gate_rows(rng, n_qubits, runs, points):
     shape = [(), (runs * points,), (runs, 1), (runs, points)][mode]
     angles = [rng.uniform(-np.pi, np.pi, shape) for _ in range(qsim.ANGLE_COUNTS[kind])]
     left, right = kernels.bit_split(n_qubits, target)
-    op = PlannedOp(mode, left, right, kernels.payload(qsim.matrix_builder(kind)(angles)))
+    op = PlannedOp(mode, left, right, qsim.matrix_builder(kind)(angles))
     rows = np.stack([per_row(a, runs, points) for a in angles], axis=1)
     return op, [GateOp(kind, (target,), params=tuple(row)) for row in rows]
 
@@ -181,3 +184,43 @@ class TestScratch:
             plain_apply(op, refs[k], runs, points)
             np.testing.assert_array_equal(states[k], refs[k], err_msg=f"step {step}")
         assert [buf.size for buf in kernels._scratch.flat] == [max(s.size for s in states) // 2] * 2
+
+    def test_threads_keep_their_own_buffers(self, rng):
+        """Two threads that evaluate their own ``CompiledCircuit`` and
+        ``forward_batch`` at once, with the interpreter switching threads as
+        often as it can, get the serial results bit for bit: each thread's
+        gates use that thread's scratch buffers."""
+        jobs = []
+        for circuit, runs in ((build(ArchitectureId(Family.QNN_TWO_QP)), 2), (build(reuploading(2)), 3)):
+            xs = rng.uniform(-np.pi, np.pi, (12, 2))
+            w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
+            jobs.append((CompiledCircuit(circuit, xs, runs), circuit, xs, w))
+
+        def evaluate(compiled, circuit, xs, w):
+            preds, dpreds = compiled.forward_with_adjoint(w)
+            return preds, dpreds, forward_batch(circuit, xs, w[0])
+
+        serial = [evaluate(*job) for job in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def worker(k):
+            start.wait()
+            for _ in range(20):
+                results[k].append(evaluate(*jobs[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, results):
+            assert len(got) == 20
+            for outputs in got:
+                for a, b in zip(outputs, want):
+                    np.testing.assert_array_equal(a, b)

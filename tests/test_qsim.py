@@ -230,3 +230,18 @@ def test_rot_is_rz_ry_rz_product(rng):
         phi, theta, omega = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
         product = qsim.rz_matrix(omega) @ qsim.ry_matrix(theta) @ qsim.rz_matrix(phi)
         np.testing.assert_allclose(qsim.rot_matrix(phi, theta, omega), product, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 1), (3, 4)], ids=str)
+@pytest.mark.parametrize("kind", [k for k, n in qsim.ANGLE_COUNTS.items() if n], ids=lambda k: k.value)
+def test_builders_return_matrices_batch_minor(kind, shape, rng):
+    """Angles of shape ``batch`` give a (2, 2) + batch array, the layout
+    the kernels apply as is, and every batch entry is bit for bit the
+    matrix built from that entry's scalar angles."""
+    angles = [rng.uniform(-2 * np.pi, 2 * np.pi, shape) for _ in range(qsim.ANGLE_COUNTS[kind])]
+    mats = qsim.matrix_builder(kind)(angles)
+    assert mats.shape == (2, 2) + shape
+    for idx in np.ndindex(shape):
+        scalar = qsim.matrix_builder(kind)([float(a[idx]) for a in angles])
+        assert scalar.shape == (2, 2)
+        np.testing.assert_array_equal(mats[(slice(None), slice(None)) + idx], scalar)

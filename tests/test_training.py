@@ -102,6 +102,17 @@ class TestGradient:
         grad = gradient(circuit, np.zeros(circuit.n_params), data)
         np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("evaluate", [loss, gradient], ids=lambda f: f.__name__)
+    def test_non_finite_parameters_rejected(self, evaluate, value, rng):
+        """loss and gradient check ``w`` as the evaluators do, instead of
+        returning NaN."""
+        circuit = build(dissipative_qp())
+        w = np.zeros(circuit.n_params)
+        w[3] = value
+        with pytest.raises(ConfigurationError):
+            evaluate(circuit, w, tiny_dataset(rng))
+
     def test_small_after_convergence(self):
         grid = make_grid(3)
         dataset = generate_dataset(dissipative_qp(), grid, seed=5)
