@@ -182,7 +182,9 @@ def run_experiment(
     maps come first; then each student trains all its runs, every seed and
     label kind, in one ``train_lockstep`` call, with the same results as
     one ``train`` call per run.  A diverging run is named by student, seed
-    and label kind.
+    and label kind.  Every map is held as its Fourier coefficients
+    (``metrics.prediction_map``), so the result keeps a few hundred
+    numbers per map whatever ``map_resolution`` is.
     """
     if n_seeds < 1:
         raise ConfigurationError(f"n_seeds must be >= 1, got {n_seeds}")

@@ -199,6 +199,9 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Op
     return trained
 
 
+# A diverging run overflows inside numpy; the finite checks below name it,
+# so numpy's overflow and invalid-value warnings would only repeat them.
+@np.errstate(over="ignore", invalid="ignore")
 def _train_block(circuit, points, runs, targets, start, architecture) -> list[TrainRun]:
     """The runs of one lockstep block, the first of them run ``start``."""
     cfg = runs[0][1]

@@ -1,10 +1,14 @@
 """Config parsing, artifact layout, and determinism of the CLI runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qteach
 from qteach.cli import ExperimentConfig, format_config, main, parse_config, run
 from qteach.errors import ConfigParseError
 
@@ -130,7 +134,6 @@ class TestRun:
 FAILING_RUN = SMALL_RUN + "learning_rate = 1e308\n"  # training diverges
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestRerunIntoSameDirectory:
     """An output directory describes exactly one run."""
 
@@ -205,7 +208,6 @@ class TestLabellingRun:
             assert (tmp_path / f"map_{case['name']}.csv").is_file()
             assert (tmp_path / f"loss_{case['name']}.csv").is_file()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the loss non-finite
     def test_divergence_names_the_case(self, tmp_path):
         message = diverged_run(tmp_path, "experiment = labelling\nn_points = 40\nepochs = 3\nmap_resolution = 9\n")
         assert message.startswith("labelling case inner_minus: loss is not finite at epoch ")
@@ -223,11 +225,32 @@ class TestNormalizationRun:
         assert (tmp_path / "map_pi_teacher_0.csv").is_file()
         assert (tmp_path / "map_unit_teacher_0.csv").is_file()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the loss non-finite
     def test_divergence_names_the_range(self, tmp_path):
         message = diverged_run(
             tmp_path, "experiment = normalization\nn_seeds = 1\nresolution = 4\nepochs = 2\nmap_resolution = 9\n")
         assert message.startswith("inputs on [-pi, pi]: student dissipative_qp, seed 0, continuous labels: ")
+
+
+DIVERGING_RUNS = {
+    "teacher_student": SMALL_RUN,
+    "labelling": "experiment = labelling\nn_points = 40\nepochs = 3\nmap_resolution = 9\n",
+    "normalization": "experiment = normalization\nn_seeds = 1\nresolution = 4\nepochs = 2\nmap_resolution = 9\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(DIVERGING_RUNS))
+def test_diverging_run_prints_one_error_line(tmp_path, kind):
+    """The overflow of a diverging training prints no numpy warnings: a
+    CLI process writes its ``error:`` line and nothing else to stderr."""
+    config_path = tmp_path / "diverges.cfg"
+    config_path.write_text(DIVERGING_RUNS[kind] + "learning_rate = 1e308\n")
+    src = str(Path(qteach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qteach.cli", "--config", str(config_path),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 def diverged_run(tmp_path, config_text):

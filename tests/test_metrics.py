@@ -1,14 +1,17 @@
 """Prediction maps, the relative-entropy comparison, and accuracy."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qteach import circuits
 from qteach.circuits import (
     ArchitectureId,
     CircuitSpec,
     DataRef,
+    Encoding,
     Family,
     ParamRef,
     SlotOp,
@@ -20,6 +23,7 @@ from qteach.errors import ConfigurationError, StructuralError
 from qteach.metrics import (
     PredictionMap,
     accuracy,
+    fourier_coefficients,
     fourier_degrees,
     kl_divergence,
     normalize_to_distribution,
@@ -165,6 +169,116 @@ class TestSpectralMap:
         assert spectrum[~above].max() > 1e-3
 
 
+def _dense_values(pmap):
+    """The whole grid's series summed at once, as maps were summed before
+    they were kept as coefficients: the blocked sums must equal it bit for
+    bit."""
+    axis = pmap.axis()
+    waves1, waves2 = (np.exp(1j * axis[:, None] * np.fft.fftfreq(n, 1.0 / n)) for n in pmap.coefficients.shape)
+    values = np.einsum("ik,kj->ij", waves1, np.einsum("kl,jl->kj", pmap.coefficients, waves2)).real
+    return np.clip(values, -1.0, 1.0)
+
+
+def _two_maps(rng, resolution, arch=ArchitectureId(Family.DEEP_TEACHER4, encoding=Encoding.ROT_H)):
+    """Two maps of random draws of ``arch``, by default the model with the
+    largest series (17 x 17 coefficients)."""
+    circuit = build(arch)
+    return [prediction_map(circuit, rng.uniform(0, 2 * np.pi, circuit.n_params), resolution) for _ in range(2)]
+
+
+class TestCoefficientMap:
+    """Maps kept as Fourier coefficients and summed in row blocks."""
+
+    def test_map_keeps_the_fourier_coefficients(self, rng):
+        circuit = build(ArchitectureId(Family.REUPLOADING, layers=2))
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        pmap = prediction_map(circuit, w, 31)
+        d1, d2 = fourier_degrees(circuit)
+        assert pmap.coefficients.shape == (2 * d1 + 1, 2 * d2 + 1)
+        np.testing.assert_array_equal(pmap.coefficients, fourier_coefficients(circuit, w))
+
+    @pytest.mark.parametrize("resolution", [51, 251, 1001])
+    @pytest.mark.parametrize("arch", all_models())
+    def test_blocks_equal_the_dense_sum_bit_for_bit(self, arch, resolution, rng, monkeypatch):
+        """1-row blocks, ragged blocks (6 and 64 rows divide none of the
+        resolutions), and the default blocks: one up to 256 rows, 65 rows
+        at 1001."""
+        circuit = build(arch)
+        pmap = prediction_map(circuit, rng.uniform(0, 2 * np.pi, circuit.n_params), resolution)
+        dense = _dense_values(pmap)
+        for rows in (1, 6, 64, None):
+            if rows is not None:
+                monkeypatch.setattr(circuits, "_BLOCK_BYTES", 16 * resolution * rows)
+            full, rest = divmod(resolution, pmap.block_rows())
+            assert [len(block) for block in pmap.blocks()] == [pmap.block_rows()] * full + [rest] * (rest > 0)
+            np.testing.assert_array_equal(pmap.values, dense)
+            monkeypatch.undo()
+        if resolution == 1001:
+            assert pmap.block_rows() == 65
+        else:
+            assert pmap.block_rows() >= resolution  # a whole map of up to 256 x 256 is one block
+
+    def test_stored_array_map_gives_its_values_in_blocks(self, rng):
+        pmap = random_map(rng, resolution=9)
+        expected = pmap.values.copy()
+        blocks = list(pmap.blocks(4))
+        assert [len(block) for block in blocks] == [4, 4, 1]
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        blocks[0][:] = 0.0  # a block is the caller's own copy
+        np.testing.assert_array_equal(pmap.values, expected)
+
+    def test_relative_entropy_in_blocks_matches_the_dense_formula(self, rng):
+        teacher, student = _two_maps(rng, 1001)
+        assert teacher.block_rows() < teacher.resolution
+        dense = [PredictionMap(1001, m.lo, m.hi, _dense_values(m)) for m in (teacher, student)]
+        expected = kl_divergence(*map(normalize_to_distribution, dense))
+        assert relative_entropy(teacher, student) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert relative_entropy(*dense) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("resolution", [251, 1001])
+    def test_relative_entropy_of_one_block_is_bit_identical(self, rng, monkeypatch, resolution):
+        teacher, student = _two_maps(rng, resolution)
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", max(circuits._BLOCK_BYTES, 16 * resolution**2))
+        assert teacher.block_rows() >= resolution
+        expected = kl_divergence(normalize_to_distribution(teacher), normalize_to_distribution(student))
+        assert relative_entropy(teacher, student) == expected
+
+    @pytest.mark.parametrize("level", [-1.0, 0.3, 1.0])
+    def test_constant_maps_in_blocks_have_zero_relative_entropy(self, monkeypatch, level):
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", 16 * 7 * 2)
+        a = PredictionMap(7, 0.0, 1.0, np.full((7, 7), level))
+        b = PredictionMap(7, 0.0, 1.0, np.zeros((7, 7)))
+        assert relative_entropy(a, b) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rows", [1, 6, 64, None])
+    def test_csv_bytes_equal_the_whole_map_writer(self, tmp_path, rng, monkeypatch, rows):
+        pmap = _two_maps(rng, 251, ArchitectureId(Family.QNN_TWO_QP))[0]
+        if rows is not None:
+            monkeypatch.setattr(circuits, "_BLOCK_BYTES", 16 * 251 * rows)
+        write_prediction_map(pmap, tmp_path / "map.csv")
+        whole = (f"resolution,lo,hi\r\n251,{pmap.lo!r},{pmap.hi!r}\r\n"
+                 + "".join(",".join(map(repr, row)) + "\r\n" for row in _dense_values(pmap).tolist()))
+        assert (tmp_path / "map.csv").read_bytes() == whole.encode()
+
+    def test_writing_and_comparing_large_maps_stay_within_two_mib(self, tmp_path, rng):
+        teacher, student = _two_maps(rng, 1001)
+        tracemalloc.start()
+        try:
+            write_prediction_map(teacher, tmp_path / "map.csv")
+            relative_entropy(teacher, student)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20 < 1001**2 * 8
+
+    def test_coefficients_must_be_a_finite_matrix(self):
+        for coefficients in (np.zeros(3), np.full((3, 3), np.nan)):
+            with pytest.raises(StructuralError):
+                PredictionMap(5, -1.0, 1.0, coefficients=coefficients)
+        with pytest.raises(StructuralError):
+            PredictionMap(2, -1.0, 1.0, np.zeros((2, 2)), coefficients=np.zeros((3, 3)))
+
+
 class TestNormalizeToDistribution:
     def test_constant_zero_map_is_uniform(self):
         pmap = PredictionMap(2, 0.0, 1.0, np.zeros((2, 2)))
@@ -196,6 +310,13 @@ class TestRelativeEntropy:
         expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
         assert kl_divergence([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.14384103622589045, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_kl_divergence_rejects_entries_not_finite_and_positive(self, side, bad):
+        good, broken = np.array([0.5, 0.25, 0.25]), np.array([0.5, 0.25, bad])
+        with pytest.raises(StructuralError):
+            kl_divergence(*((broken, good) if side == "p" else (good, broken)))
 
     def test_gibbs_inequality_on_random_maps(self, rng):
         for _ in range(200):
@@ -272,8 +393,14 @@ class TestMapCsv:
         "resolution,lo,hi\n2,nan,inf\n0.1,0.2\n0.3,0.4\n",
         "resolution,lo,hi\n2,1.0,-1.0\n0.1,0.2\n0.3,0.4\n",
         "resolution,lo,hi\n1,-1.0,1.0\n0.1\n",
+        "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n",
+        "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n0.3,0.4\n0.5,0.6\n",
+        "resolution,lo,hi\n2,-1.0,1.0\n0.1,0.2\n\n0.3,0.4\n",
+        "resolution,lo,hi\n100000,-1.0,1.0\n0.1,0.2\n0.3,0.4\n",
+        "",
     ], ids=["foreign_header", "ragged_rows", "non_numeric_value", "non_integer_resolution",
-            "one_field_header_row", "non_finite_bounds", "inverted_bounds", "resolution_one"])
+            "one_field_header_row", "non_finite_bounds", "inverted_bounds", "resolution_one",
+            "missing_row", "extra_row", "blank_row", "resolution_beyond_the_file", "empty_file"])
     def test_rejects_foreign_csv(self, tmp_path, text):
         path = tmp_path / "junk.csv"
         path.write_text(text)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qteach import metrics, teacher_student
 from qteach.circuits import build, dissipative_qp, reuploading
 from qteach.errors import ConfigurationError, StructuralError, TrainingDivergedError
 from qteach.teacher_student import (
@@ -195,3 +196,27 @@ class TestRunExperiment:
             run_experiment(reuploading(2), [dissipative_qp()], n_seeds=2, cfg=cfg, grid=make_grid(5),
                            map_resolution=7, include_binary=include_binary)
         assert str(info.value).startswith("student dissipative_qp, seed 0, continuous labels: ")
+
+    def test_each_map_runs_its_circuit_once(self, monkeypatch):
+        """Maps are kept as coefficients: every use after ``prediction_map``
+        sums the series again, here over several blocks, and never runs the
+        circuit again.  forward_batch labels each seed's grid and samples
+        each map; prediction_map is called once per map."""
+        calls = {"forward_batch": 0, "prediction_map": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(metrics, "forward_batch")
+        counted(teacher_student, "forward_batch")
+        counted(teacher_student, "prediction_map")
+        result = run_experiment(reuploading(2), [dissipative_qp(), reuploading(2)], n_seeds=2,
+                                cfg=TrainConfig(epochs=2, seed=4), grid=make_grid(4), map_resolution=300)
+        assert result.teacher_maps[0].block_rows() < 300
+        assert calls == {"forward_batch": 2 + 2 + 2 * 2, "prediction_map": 2 + 2 * 2}
+        assert all(m.coefficients is not None for m in result.teacher_maps + result.students[0].maps)

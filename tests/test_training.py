@@ -203,6 +203,15 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(build(dissipative_qp()), data, cfg, label_kind)
 
+    def test_overflow_in_the_final_evaluation_raises(self):
+        """One epoch leaves the parameters finite near 1e308, where the
+        final evaluation's rotation angles overflow: the final-loss check
+        names it, without numpy warnings."""
+        data = generate_dataset(reuploading(2), make_grid(3), seed=1)
+        cfg = TrainConfig(learning_rate=1e308, epochs=1)
+        with pytest.raises(TrainingDivergedError, match="^final loss is not finite after 1 epochs$"):
+            train(build(reuploading(2)), data, cfg)
+
     def test_metadata_is_json_ready(self, rng):
         import json
 
