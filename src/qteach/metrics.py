@@ -293,8 +293,9 @@ def read_prediction_map(path) -> PredictionMap:
             lo, hi = float(meta[1]), float(meta[2])
         except ValueError as exc:
             raise malformed(exc) from None
-        # every value takes at least two bytes, so this bounds the array
-        # below by what the file can hold
+        # every value takes at least two bytes of the file (a digit and a
+        # separator), so a resolution too large for the file is rejected
+        # before its array is allocated
         if resolution < 2 or resolution * resolution > os.fstat(fh.fileno()).st_size:
             raise malformed(f"resolution {resolution} does not fit the file")
         values = np.empty((resolution, resolution))

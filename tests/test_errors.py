@@ -53,8 +53,8 @@ TYPED_ERRORS = {
     "prediction_map_values_shape": (StructuralError, lambda: metrics.PredictionMap(3, -1.0, 1.0, np.zeros((2, 2)))),
     "kl_divergence_shapes": (StructuralError, lambda: metrics.kl_divergence(np.full(2, 0.5), np.full(3, 1 / 3))),
     "kl_divergence_zero_entry": (StructuralError, lambda: metrics.kl_divergence([0.5, 0.5], [1.0, 0.0])),
-    "prediction_map_coefficients_not_finite": (
-        StructuralError, lambda: metrics.PredictionMap(3, -1.0, 1.0, coefficients=np.full((3, 3), np.inf))),
+    "kl_divergence_negative_entry": (StructuralError, lambda: metrics.kl_divergence([1.5, -0.5], [0.5, 0.5])),
+    "kl_divergence_non_finite_entry": (StructuralError, lambda: metrics.kl_divergence([0.5, 0.5], [np.nan, 0.5])),
     # analysis
     "separability_lengths": (
         StructuralError,
