@@ -61,6 +61,8 @@ def circular_dataset(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if not (np.isfinite(radius) and radius > 0):
         raise ConfigurationError(f"radius must be finite and > 0, got {radius}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-np.pi, np.pi, size=(n, 2))
     labels = np.where(np.sum(points**2, axis=1) < radius**2, -1.0, 1.0)
@@ -218,8 +220,13 @@ def labelling_experiment(cfg: TrainConfig, n_points: int = 500,
     """Train the dissipative perceptron on circular data three ways:
     inner = -1 (works), flipped labels (fails), flipped labels with a
     Pauli X before measurement (works again).  A diverging training is
-    named by its case."""
+    named by its case; a dataset with no point of one class is refused
+    before any training."""
     data = circular_dataset(n_points, radius, seed)
+    for label, name in ((-1.0, "inside"), (1.0, "outside")):
+        if not np.any(data.labels == label):
+            raise ConfigurationError(f"labelling needs both classes: none of the {n_points} points lies "
+                                     f"{name} the circle of radius {radius:g} (class {label:+g})")
     base_circuit = build(dissipative_qp())
     x_circuit = append_x_on_measured(base_circuit)
     cases = []

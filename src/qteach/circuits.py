@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -389,6 +390,48 @@ def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
     return plans, amps
 
 
+# gates that map basis states to basis states, up to sign: pulled back
+# through them, a +-1 diagonal observable stays one
+_FLIPS = (GateKind.X, GateKind.CNOT, GateKind.MCX)
+
+
+@lru_cache(maxsize=64)
+def _program(circuit: CircuitSpec) -> tuple[tuple[SlotOp, ...], int, np.ndarray]:
+    """``(ops, n_qubits, signs)``: what every evaluator simulates so that
+    <signs> of the state ``ops`` take |0...0> to on ``n_qubits`` qubits
+    equals the circuit's measured <Z>.
+
+    The measured Z is pulled back through the trailing X / CNOT / MCX / CZ
+    gates: a flip permutes the +-1 diagonal (``kernels.flip_pairs``), a CZ
+    commutes with it.  A qubit no remaining gate touches stays |0>, so it
+    is dropped with the sign entries where its bit is 1, and the others
+    are renumbered in order.  A gate without parameters whose wires no
+    earlier gate left in place touches commutes to the front, into the
+    data-only prefix ``CompiledCircuit`` evolves once."""
+    ops, n = list(circuit.ops), circuit.n_qubits
+    signs = kernels.z_signs(n, circuit.measured_qubit).copy()
+    while ops and ops[-1].kind in _FLIPS + (GateKind.CZ,):
+        op = ops.pop()
+        if op.kind in _FLIPS:
+            idx0, idx1 = kernels.flip_pairs(n, op.controls, op.targets[0])
+            signs[idx0], signs[idx1] = signs[idx1], signs[idx0]
+    kept = sorted({q for op in ops for q in op.targets + op.controls})
+    renumber = {q: i for i, q in enumerate(kept)}
+    signs = signs.reshape((2,) * n)[tuple(slice(None) if q in renumber else 0 for q in range(n))].ravel()
+    signs.setflags(write=False)
+    hoisted, rest, busy = [], [], set()
+    for op in ops:
+        op = replace(op, targets=tuple(renumber[q] for q in op.targets),
+                     controls=tuple(renumber[q] for q in op.controls))
+        wires = set(op.targets + op.controls)
+        if _param_rows(op) or wires & busy:
+            rest.append(op)
+            busy |= wires
+        else:
+            hoisted.append(op)
+    return tuple(hoisted + rest), len(kept), signs
+
+
 # Bytes of amplitudes ``_measured`` evolves at once.  Rows evolve
 # independently, so splitting the points into blocks leaves every output
 # bit-identical; it bounds the working set (a block's state plus the
@@ -415,8 +458,8 @@ def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndar
     """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
     under one parameter vector ``w``; shape (B,)."""
     xs, w = _points(xs), _params(circuit, w)
-    n, measured = circuit.n_qubits, circuit.measured_qubit
-    return _measured(circuit.ops, n, xs, w, lambda amps: qsim.expectation_z_kernel(amps, n, measured))
+    ops, n, signs = _program(circuit)
+    return _measured(ops, n, xs, w, lambda amps: qsim.expectation_z_kernel(amps, signs))
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -530,28 +573,31 @@ class CompiledCircuit:
     ``runs`` parameter vectors at a time, compiled once and then evaluated
     at any number of (runs, P) parameter arrays.
 
-    The runs are stacked as rows: the state holds runs * N amplitude rows,
-    run r in rows r N .. (r + 1) N - 1, stored batch-minor as a
-    (2^n, runs * N) array (``kernels``), and every gate is one kernel call
-    for all of them; at each trainable gate one contraction gives the
-    overlaps of every row.  Built once: the plans of the fixed gates after the
-    first trainable op and their inverses (data angles at the points
-    tiled once per run), the state that the data-only prefix before that
-    op takes |0...0> to, and one ``_RotationGroup`` per rotation kind and
-    matrix shape of the trainable ops.  Per evaluation: every group's
-    matrices, inverses and derivative matrices U(a + pi), all (2, 2, ...)
-    views of one builder call per group and of its dagger, then both
-    sweeps from the prefix state; at a trainable gate d<Z>/dw = Re sum_ij
-    U(a + pi)_ij S_ij with S the ``_overlaps`` of that gate.  Trainable
-    gates stay separate ops.  The psi, lam and conj buffers are reused, so
-    one instance must not be evaluated from two threads at once; the
-    arrays it returns are new on every call.
+    It evolves the circuit's readout program (``_program``: n' qubits and
+    a +-1 diagonal observable), as ``forward_many`` does.  The runs are
+    stacked as rows: the state holds runs * N amplitude rows, run r in
+    rows r N .. (r + 1) N - 1, stored batch-minor as a (2^n', runs * N)
+    array (``kernels``), and every gate is one kernel call for all of
+    them; at each trainable gate one contraction gives the overlaps of
+    every row.  Built once: the plans of the fixed gates after the
+    program's first trainable op and their inverses (data angles at the
+    points tiled once per run), the state that the data-only prefix
+    before that op takes |0...0> to, and one ``_RotationGroup`` per
+    rotation kind and matrix shape of the trainable ops.  Per evaluation:
+    every group's matrices, inverses and derivative matrices U(a + pi),
+    all (2, 2, ...) views of one builder call per group and of its dagger,
+    then both sweeps from the prefix state, with lam = signs * psi at the
+    end; at a trainable gate d<Z>/dw = Re sum_ij U(a + pi)_ij S_ij with S
+    the ``_overlaps`` of that gate.  Trainable gates stay separate ops.
+    The psi, lam and conj buffers (2^n' wide) are reused, so one instance
+    must not be evaluated from two threads at once; the arrays it returns
+    are new on every call.
     """
 
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
         xs = _points(xs)
         self.circuit, self.runs = circuit, runs
-        n, ops = circuit.n_qubits, circuit.ops
+        ops, n, self._signs = _program(circuit)
         trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
         first = trainable[0] if trainable else len(ops)
         _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
@@ -586,8 +632,7 @@ class CompiledCircuit:
         """``(preds, dpreds)`` at the (runs, P) parameters ``w``: preds
         (runs, N) and dpreds (runs, P, N), row r as the function
         ``forward_with_adjoint`` defines them at ``w[r]``."""
-        circuit, runs = self.circuit, self.runs
-        n, measured, n_params = circuit.n_qubits, circuit.measured_qubit, circuit.n_params
+        runs, n_params, signs = self.runs, self.circuit.n_params, self._signs
         w = np.asarray(w, dtype=float)
         if w.shape != (runs, n_params):
             raise ConfigurationError(f"expected a ({runs}, {n_params}) parameter array, got shape {w.shape}")
@@ -597,10 +642,10 @@ class CompiledCircuit:
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in self._plans:
             kernels.apply_planned(planned, psi)
-        preds = qsim.expectation_z_kernel(psi, n, measured).reshape(runs, n_points)
+        preds = qsim.expectation_z_kernel(psi, signs).reshape(runs, n_points)
 
         dpreds = np.zeros((runs, n_params, n_points))
-        lam = np.multiply(psi, kernels.z_signs(n, measured), out=self._lam)
+        lam = np.multiply(psi, signs, out=self._lam)
         for i in range(len(self._plans) - 1, -1, -1):
             inverse = self._inverses[i]
             kernels.apply_planned(inverse, psi)
@@ -619,10 +664,13 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
 
     Returns ``(preds, dpreds)``: preds (B,) equal
     ``forward_many`` at ``w`` bit for bit, and dpreds (P, B) holds
-    d preds / d w_j.  After one forward sweep, a backward sweep (Jones
-    & Gacon, arXiv:2009.02823) carries the state psi and lam = Z psi
-    back through the gate inverses.  At trainable gate k, with psi the
-    state entering it and lam the measured Z pulled back to its output,
+    d preds / d w_j.  Both sweeps run on the circuit's readout program
+    (``_program``), whose +-1 diagonal O is the measured Z pulled back
+    through the trailing flips and CZs.  After one forward sweep, a
+    backward sweep (Jones & Gacon, arXiv:2009.02823) carries the state psi
+    and lam = O psi back through the gate inverses.  At trainable gate k,
+    with psi the state entering it and lam the observable pulled back to
+    its output,
     d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
     sums conj(lam) on target bit i times psi on target bit j; as
     dU/da = U(a + pi) / 2 for every angle a, this is Re sum_ij
@@ -639,10 +687,12 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
 
 
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point."""
+    """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point:
+    the weights of the readout program's +1 and -1 sign entries."""
     xs, w = _points(xs), _params(circuit, w)
-    n, measured = circuit.n_qubits, circuit.measured_qubit
-    return _measured(circuit.ops, n, xs, w, lambda amps: qsim.probability_vector_kernel(amps, n, (measured,)),
+    ops, n, signs = _program(circuit)
+    masks = np.array([signs > 0, signs < 0], dtype=float)
+    return _measured(ops, n, xs, w, lambda amps: (qsim._probabilities(amps)[:, None] * masks).sum(axis=-1),
                      (2,))
 
 

@@ -247,16 +247,16 @@ def _probabilities(amps: np.ndarray) -> np.ndarray:
     return probs
 
 
-def expectation_z_kernel(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    """<Z> of one qubit for every state in the batch, clipped to [-1, 1]
-    (the exact value lies there; roundoff can exceed it by ~1e-16).
+def expectation_z_kernel(amps: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """<O> of a +-1 diagonal observable O (``signs``, one entry per basis
+    index; Z on one qubit is ``kernels.z_signs``) for every state in the
+    batch, clipped to [-1, 1] (the exact value lies there; roundoff can
+    exceed it by ~1e-16).
 
     The reduction runs per row with a fixed order, so a state's value
     does not depend on how many others share the batch, nor on the
     memory order of ``amps``."""
-    _check_indices(n_qubits, (qubit,))
-    probs = _probabilities(amps)
-    vals = (probs * kernels.z_signs(n_qubits, qubit)).sum(axis=-1)
+    vals = (_probabilities(amps) * signs).sum(axis=-1)
     return np.clip(vals, -1.0, 1.0)
 
 
@@ -301,7 +301,8 @@ def run_gates(state: QuantumState, gates: Iterable[GateOp]) -> QuantumState:
 
 
 def expectation_z(state: QuantumState, qubit: int) -> float:
-    return float(expectation_z_kernel(state.amplitudes, state.n_qubits, qubit))
+    _check_indices(state.n_qubits, (qubit,))
+    return float(expectation_z_kernel(state.amplitudes, kernels.z_signs(state.n_qubits, qubit)))
 
 
 def probability_vector(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigurationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -174,9 +176,10 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Op
     that one epoch loop serves them all: each epoch evaluates the compiled
     adjoint for every run of a block in one sweep (module docstring).
     Blocks hold as many runs as fit ``circuits._BLOCK_BYTES`` of
-    amplitudes, and at least one.  A ``TrainingDivergedError`` names in
-    ``run`` the index of the run it stopped; within a block that is the
-    first run to diverge, at the earliest epoch.
+    amplitudes of the circuit's readout program (2^n' per sample and run,
+    ``circuits._program``), and at least one.  A ``TrainingDivergedError``
+    names in ``run`` the index of the run it stopped; within a block that
+    is the first run to diverge, at the earliest epoch.
     """
     runs = list(runs)
     if not runs:
@@ -191,7 +194,7 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Op
         if not np.array_equal(np.asarray(data.points, dtype=float), points):
             raise ConfigurationError("runs trained in lockstep must share their training points")
     n_samples = len(periodic_samples(circuit)[1])
-    per_block = max(1, circuits._BLOCK_BYTES // (n_samples * 16 << circuit.n_qubits))
+    per_block = max(1, circuits._BLOCK_BYTES // (n_samples * 16 << circuits._program(circuit)[1]))
     trained: list[TrainRun] = []
     for start in range(0, len(runs), per_block):
         block = slice(start, start + per_block)

@@ -4,6 +4,7 @@ labelling / normalization experiment plumbing."""
 import numpy as np
 import pytest
 
+from qteach import analysis
 from qteach.analysis import (
     DEFAULT_RADIUS,
     PcaProjection,
@@ -231,6 +232,15 @@ class TestLabellingExperiment:
 
     def test_x_fix_restores_accuracy(self, report):
         assert abs(report.case("flipped_with_x").accuracy - report.case("inner_minus").accuracy) < 0.05
+
+    @pytest.mark.parametrize("radius, empty", [(0.01, "inside"), (10.0, "outside")])
+    def test_an_empty_class_is_refused_before_training(self, radius, empty, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite an empty class")
+
+        monkeypatch.setattr(analysis, "train", no_training)
+        with pytest.raises(ConfigurationError, match=f"lies {empty} the circle"):
+            labelling_experiment(TrainConfig(epochs=2), n_points=4, radius=radius)
 
     def test_summary_schema(self, report):
         import json

@@ -232,7 +232,7 @@ class TestForward:
         assert len(xs) % block_rows != 0  # the last block is ragged
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
         whole = forward_many(circuit, xs, w)
-        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuit.n_qubits)
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._program(circuit)[1])
         sizes = []
         states = circuits._states
 
@@ -422,11 +422,13 @@ class TestCompiledCircuit:
             np.testing.assert_allclose(dpreds[r], param_shift_reference(circuit, xs, w[r])[1], rtol=0, atol=1e-12)
 
     def test_kernels_receive_rows_by_amplitudes(self, rng, monkeypatch):
-        """Every gate that ``CompiledCircuit`` and ``forward_many`` apply
-        gets a (rows, 2^n) view of a batch-minor (2^n, rows) array: the
-        shape the benchmark tracer reads rows and amplitudes from."""
+        """Every gate of the readout program that ``CompiledCircuit`` and
+        ``forward_many`` apply gets a (rows, 2^n') view of a batch-minor
+        (2^n', rows) array, n' the program's qubits: the shape the
+        benchmark tracer reads rows and amplitudes from."""
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
-        dim, runs, xs = 1 << circuit.n_qubits, 3, rng.uniform(-np.pi, np.pi, (9, 2))
+        ops, n, _ = circuits._program(circuit)
+        dim, runs, xs = 1 << n, 3, rng.uniform(-np.pi, np.pi, (9, 2))
         shapes = []
         apply_planned = kernels.apply_planned
 
@@ -443,7 +445,7 @@ class TestCompiledCircuit:
         assert set(shapes[prefix:]) == {(runs * len(xs), dim)}
         shapes.clear()
         forward_many(circuit, xs, rng.uniform(0, 2 * np.pi, circuit.n_params))
-        assert set(shapes) == {(len(xs), dim)} and len(shapes) == len(circuit.ops)
+        assert set(shapes) == {(len(xs), dim)} and len(shapes) == len(ops)
 
     def test_returned_arrays_survive_the_next_call(self, rng):
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
@@ -455,13 +457,13 @@ class TestCompiledCircuit:
         np.testing.assert_array_equal(dpreds, kept[1])
 
     def test_evaluation_skips_the_data_only_prefix(self, rng, monkeypatch):
-        """dissipative_qp opens with two data-only RX gates.  An evaluation
-        applies the F later ops forward and backward to psi, and all but the
-        first trainable one backward to lam: 3 F - 1 gates, none of the
-        prefix."""
+        """dissipative_qp's program opens with two data-only RX gates.  An
+        evaluation applies the F later program ops forward and backward to
+        psi, and all but the first trainable one backward to lam: 3 F - 1
+        gates, none of the prefix."""
         circuit = COMPILED_MODELS["dissipative_qp"]
-        first = next(i for i, op in enumerate(circuit.ops)
-                     if any(isinstance(a, ParamRef) for a in op.angles))
+        ops = circuits._program(circuit)[0]
+        first = next(i for i, op in enumerate(ops) if any(isinstance(a, ParamRef) for a in op.angles))
         assert first == 2
         compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
         applied = []
@@ -473,7 +475,7 @@ class TestCompiledCircuit:
 
         monkeypatch.setattr(kernels, "apply_planned", counting)
         compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
-        assert len(applied) == 3 * (len(circuit.ops) - first) - 1
+        assert len(applied) == 3 * (len(ops) - first) - 1
         assert all(planned.mode != kernels.MODE_PER_B for planned in applied)  # no data gate
 
     @pytest.mark.parametrize("w", [np.zeros((1, 13)), np.zeros((1, 11)), np.zeros((2, 12)), np.zeros(()),
@@ -484,6 +486,141 @@ class TestCompiledCircuit:
         compiled = CompiledCircuit(COMPILED_MODELS["dissipative_qp"], np.zeros((3, 2)))  # 12 parameters
         with pytest.raises(ConfigurationError):
             compiled.forward_with_adjoint(w)
+
+
+def folded_spec():
+    """Trailing CNOT, CZ, MCX, CZ and CNOT gates; the CNOTs target q1 and
+    q2, not the measured q3, and the first one changes which data-qubit
+    patterns the MCX reads out."""
+    ops = (
+        SlotOp(GateKind.RX, (0,), angles=(DataRef(0),)),
+        SlotOp(GateKind.RX, (1,), angles=(DataRef(1),)),
+        SlotOp(GateKind.ROT, (0,), angles=(ParamRef(0), ParamRef(1), ParamRef(2))),
+        SlotOp(GateKind.ROT, (1,), angles=(ParamRef(3), ParamRef(4), ParamRef(5))),
+        SlotOp(GateKind.RY, (2,), angles=(ParamRef(6),)),
+        SlotOp(GateKind.CNOT, (1,), controls=(0,)),
+        SlotOp(GateKind.CZ, (2,), controls=(1,)),
+        SlotOp(GateKind.MCX, (3,), controls=(1, 2)),
+        SlotOp(GateKind.CZ, (3,), controls=(0,)),
+        SlotOp(GateKind.CNOT, (2,), controls=(3,)),
+    )
+    return circuits.CircuitSpec(n_qubits=4, ops=ops, measured_qubit=3, n_params=7, encoding_count=1)
+
+
+def readout_variants():
+    """Every model, with and without a trailing X on its measured qubit."""
+    return [pytest.param(arch, flip, id=f"{arch.name}{'+x' if flip else ''}")
+            for arch in (p.values[0] for p in all_models()) for flip in (False, True)]
+
+
+def with_x(circuit, flip):
+    return append_x_on_measured(circuit) if flip else circuit
+
+
+class TestReadoutProgram:
+    """``circuits._program``: the qubits and gates every evaluator
+    simulates, and the +-1 diagonal it reads out."""
+
+    @staticmethod
+    def _readouts(circuit, x, w):
+        """(program, full circuit) readouts at one point, both from the
+        Kronecker-product oracle."""
+        ops, n, signs = circuits._program(circuit)
+        gates = [qsim.GateOp(op.kind, op.targets, op.controls, tuple(circuits._lowered_angles(op, x, w)))
+                 for op in ops]
+        program = np.abs(qsim.circuit_unitary(gates, n)[:, 0]) ** 2 @ signs
+        full = np.abs(dense_unitary_oracle(circuit, x, w)[:, 0]) ** 2 @ kernels.z_signs(
+            circuit.n_qubits, circuit.measured_qubit)
+        return program, full
+
+    @pytest.mark.parametrize("arch, flip", readout_variants())
+    def test_readout_matches_dense_oracle(self, arch, flip, rng):
+        circuit = with_x(build(arch), flip)
+        for _ in range(2):
+            x = rng.uniform(-np.pi, np.pi, 2)
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            program, full = self._readouts(circuit, x, w)
+            assert abs(program - full) <= 1e-12
+            assert abs(forward(circuit, x, w) - full) <= 1e-12
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("arch", [a.values[0] for a in all_models()
+                                      if a.values[0].family not in (Family.DEEP_DISSIPATIVE_QP,
+                                                                    Family.RANDOM_DEEP_QP)],
+                             ids=lambda a: a.name)
+    def test_mcx_readout_drops_the_ancilla(self, arch, flip):
+        """The trailing MCX (and eight_gate_qp's last CNOT, and the X) fold
+        into the signs, so no FLIP or PHASE op ends the program and the
+        ancilla is never simulated."""
+        circuit = with_x(build(arch), flip)
+        ops, n, signs = circuits._program(circuit)
+        assert n == circuit.n_qubits - 1 and signs.shape == (1 << n,)
+        assert ops[-1].kind not in (GateKind.X, GateKind.CNOT, GateKind.MCX, GateKind.CZ)
+        folded = (2 if arch.family is Family.EIGHT_GATE_QP else 1) + flip
+        assert len(ops) == len(circuit.ops) - folded
+
+    def test_perceptron_reads_the_and_of_its_data_qubits(self):
+        """<Z> of the ancilla after MCX is <(-1)^(q0 AND q1)>, and -1 times
+        that after an appended X."""
+        circuit = build(dissipative_qp())
+        np.testing.assert_array_equal(circuits._program(circuit)[2], [1, 1, 1, -1])
+        np.testing.assert_array_equal(circuits._program(append_x_on_measured(circuit))[2], [-1, -1, -1, 1])
+
+    @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda e: e.value)
+    def test_random_deep_qp_keeps_every_qubit(self, encoding):
+        """A ROT acts on its measured qubit last: nothing folds or drops."""
+        circuit = build(ArchitectureId(Family.RANDOM_DEEP_QP, encoding=encoding))
+        ops, n, signs = circuits._program(circuit)
+        assert n == 5 == circuit.n_qubits
+        assert ops == circuit.ops
+        np.testing.assert_array_equal(signs, kernels.z_signs(5, circuit.measured_qubit))
+
+    def test_second_encoding_joins_the_prefix(self):
+        """qnn_two_qp's second perceptron encodes on qubits the first never
+        touches, so both encodings lead its program."""
+        circuit = build(ArchitectureId(Family.QNN_TWO_QP))
+        ops, n, _ = circuits._program(circuit)
+        assert n == 6
+        assert [op.is_encoding() for op in ops[:5]] == [True] * 4 + [False]
+        assert [op.targets for op in ops[:4]] == [(0,), (1,), (3,), (4,)]
+
+    def test_trailing_cz_and_cnots_off_the_measured_qubit(self, rng):
+        circuit = folded_spec()
+        ops, n, _ = circuits._program(circuit)
+        assert n == 3 and len(ops) == 5
+        xs = rng.uniform(-np.pi, np.pi, (6, 2))
+        for _ in range(3):
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            for x in xs:
+                program, full = self._readouts(circuit, x, w)
+                assert abs(program - full) <= 1e-12
+            preds, dpreds = forward_with_adjoint(circuit, xs, w)
+            np.testing.assert_array_equal(preds, forward_many(circuit, xs, w))
+            full = [self._readouts(circuit, x, w)[1] for x in xs]
+            np.testing.assert_allclose(preds, full, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dpreds, param_shift_reference(circuit, xs, w)[1], rtol=0, atol=1e-12)
+
+    def test_a_circuit_of_trailing_gates_simulates_no_qubit(self, rng):
+        circuit = circuits.CircuitSpec(n_qubits=2, ops=(SlotOp(GateKind.X, (1,)),), measured_qubit=1,
+                                       n_params=0, encoding_count=0)
+        assert circuits._program(circuit)[:2] == ((), 0)
+        xs = rng.uniform(-np.pi, np.pi, (3, 2))
+        np.testing.assert_array_equal(forward_many(circuit, xs, np.zeros(0)), [-1.0] * 3)
+        np.testing.assert_array_equal(ancilla_probabilities(circuit, xs, np.zeros(0)), [[0.0, 1.0]] * 3)
+        preds, dpreds = forward_with_adjoint(circuit, xs, np.zeros(0))
+        np.testing.assert_array_equal(preds, [-1.0] * 3)
+        assert dpreds.shape == (0, 3)
+
+    @pytest.mark.parametrize("arch, flip", readout_variants())
+    def test_ancilla_probabilities_match_the_full_marginal(self, arch, flip, rng):
+        """The program's +1 / -1 weights against the measured qubit's
+        marginal of the whole circuit's state."""
+        circuit = with_x(build(arch), flip)
+        xs = rng.uniform(-np.pi, np.pi, (8, 2))
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        _, amps = circuits._states(circuit.ops, circuit.n_qubits, xs, w)
+        full = qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
+        np.testing.assert_allclose(ancilla_probabilities(circuit, xs, w), full, rtol=0, atol=1e-15)
 
 
 QP = build(dissipative_qp())

@@ -253,6 +253,24 @@ def test_diverging_run_prints_one_error_line(tmp_path, kind):
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
+def test_labelling_with_an_empty_class_fails_before_training(tmp_path):
+    """Four points all outside a tiny circle leave the -1 class empty: the
+    process exits 1 with one ``error:`` line and no numpy warning, and
+    writes only its config and FAILED.txt."""
+    config_path = tmp_path / "empty.cfg"
+    config_path.write_text("experiment = labelling\nn_points = 4\nradius = 0.01\nepochs = 2\nmap_resolution = 9\n")
+    src = str(Path(qteach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "qteach.cli", "--config", str(config_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: running the labelling experiment: "), done.stderr
+    assert "inside the circle of radius 0.01 (class -1)" in lines[0]
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED.txt", "config.txt"]
+
+
 def diverged_run(tmp_path, config_text):
     """Run ``config_text`` with a learning rate that makes training diverge
     through ``main``; return the one line of its FAILED.txt."""
@@ -314,6 +332,15 @@ class TestMain:
         out = tmp_path / "results"
         assert main(["--config", str(config_path), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["teacher_student", "encoding_pca", "labelling", "normalization"])
+    def test_negative_seed_fails_without_writing(self, tmp_path, capsys, experiment):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_text(MINIMAL.replace("teacher_student", experiment) + "seed = -1\n")
+        out = tmp_path / "results"
+        assert main(["--config", str(config_path), "--out", str(out)]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [["--seeds", "0"], ["--seeds", "-2"], ["--threads", "0"]])

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qteach import cli, metrics, qsim
-from qteach.analysis import PcaProjection, separability_score
+from qteach.analysis import PcaProjection, circular_dataset, separability_score
 from qteach.circuits import (ArchitectureId, CircuitSpec, DataRef, Family, ParamRef, SlotOp, build,
                              dissipative_qp, parse_architecture)
 from qteach.errors import ConfigParseError, ConfigurationError, QTeachError, StructuralError
 from qteach.qsim import GateKind, GateOp, QuantumState
-from qteach.training import loss
+from qteach.training import TrainConfig, loss
 
 from conftest import tiny_dataset
 
@@ -48,6 +48,7 @@ TYPED_ERRORS = {
     "unknown_encoding": (ConfigParseError, lambda: cli.parse_config("experiment = labelling\nencoding = amplitude\n")),
     "unknown_optimizer": (ConfigParseError, lambda: cli.parse_config("experiment = labelling\noptimizer = sgd\n")),
     "resolution_below_two": (ConfigParseError, lambda: cli.parse_config("experiment = labelling\nresolution = 1\n")),
+    "negative_config_seed": (ConfigParseError, lambda: cli.parse_config("experiment = encoding_pca\nseed = -1\n")),
     "non_finite_summary_metric": (QTeachError, lambda: cli._check_finite({"cases": [{"loss": float("nan")}]})),
     # metrics
     "prediction_map_values_shape": (StructuralError, lambda: metrics.PredictionMap(3, -1.0, 1.0, np.zeros((2, 2)))),
@@ -56,10 +57,12 @@ TYPED_ERRORS = {
     "kl_divergence_negative_entry": (StructuralError, lambda: metrics.kl_divergence([1.5, -0.5], [0.5, 0.5])),
     "kl_divergence_non_finite_entry": (StructuralError, lambda: metrics.kl_divergence([0.5, 0.5], [np.nan, 0.5])),
     # analysis
+    "negative_dataset_seed": (ConfigurationError, lambda: circular_dataset(10, seed=-1)),
     "separability_lengths": (
         StructuralError,
         lambda: separability_score(PcaProjection(np.eye(2), np.zeros((3, 2)), np.ones(2)), np.ones(2))),
     # training
+    "negative_train_seed": (ConfigurationError, lambda: TrainConfig(seed=-1)),
     "unknown_label_kind": (
         ConfigurationError,
         lambda: loss(build(dissipative_qp()), np.zeros(12), tiny_dataset(np.random.default_rng(0)), "ternary")),

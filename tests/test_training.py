@@ -471,7 +471,7 @@ class TestLockstep:
             return train_block(circuit, points, block, *rest)
 
         monkeypatch.setattr(training, "_train_block", spy)
-        run_bytes = len(periodic_samples(circuit)[1]) * 16 << circuit.n_qubits
+        run_bytes = len(periodic_samples(circuit)[1]) * 16 << circuits._program(circuit)[1]
         for block_bytes in (2 * run_bytes, 1):  # 1 byte still holds one run
             monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_bytes)
             assert_same_runs(train_lockstep(circuit, runs), whole)
