@@ -591,12 +591,10 @@ class TestReadoutProgram:
         xs = rng.uniform(-np.pi, np.pi, (6, 2))
         for _ in range(3):
             w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-            for x in xs:
-                program, full = self._readouts(circuit, x, w)
-                assert abs(program - full) <= 1e-12
+            program, full = np.array([self._readouts(circuit, x, w) for x in xs]).T
+            np.testing.assert_allclose(program, full, rtol=0, atol=1e-12)
             preds, dpreds = forward_with_adjoint(circuit, xs, w)
             np.testing.assert_array_equal(preds, forward_many(circuit, xs, w))
-            full = [self._readouts(circuit, x, w)[1] for x in xs]
             np.testing.assert_allclose(preds, full, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dpreds, param_shift_reference(circuit, xs, w)[1], rtol=0, atol=1e-12)
 
