@@ -23,7 +23,8 @@ Every run writes ``summary.json`` plus per-run CSV curves and prediction
 maps; reruns with the same config are byte-identical.  A run first deletes
 from its output directory the files a run writes, and no others, so a
 rerun leaves no stale file of an earlier one.  All seeds train together,
-in lockstep on one thread: ``--threads`` is accepted and ignored, though a
+in lockstep on one thread, and BLAS runs on one thread too (see
+``qteach/__init__.py``): ``--threads`` is accepted and ignored, though a
 value below 1 is still a usage error.
 """
 
@@ -345,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="override the config's output directory")
     parser.add_argument("--seeds", type=int, help="override the config's n_seeds")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; seeds train in lockstep on one thread")
+                        help="accepted for compatibility and ignored; a run uses one thread, BLAS included")
     args = parser.parse_args(argv)
 
     try:

@@ -32,10 +32,14 @@ DEFAULT_MAP_RESOLUTION = 51
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit seed from a tuple of integers (independent
-    streams for teachers and students come from distinct role tags)."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic 64-bit seed from a tuple of non-negative integers
+    (independent streams for teachers and students come from distinct role
+    tags).  Parts of any size are kept whole, so seeds that differ by a
+    multiple of 2^32 give different streams."""
+    parts = [int(p) for p in parts]
+    if any(p < 0 for p in parts):
+        raise ConfigurationError(f"seed parts must be >= 0, got {parts}")
+    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
 @dataclass

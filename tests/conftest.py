@@ -1,8 +1,13 @@
-"""Shared test helpers: random circuit generation and small datasets."""
+"""Shared test helpers: random circuit generation, small datasets, and the
+environment of a fresh interpreter."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qteach
 from qteach.circuits import (ArchitectureId, CircuitSpec, Const, DataRef, Encoding, Family, ParamRef, SlotOp,
                              forward_batch)
 from qteach.qsim import ANGLE_COUNTS, GateKind, GateOp
@@ -93,3 +98,17 @@ def tiny_dataset(rng: np.random.Generator, n_points: int = 5) -> LabeledGrid:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def fresh_env(**overrides) -> dict:
+    """``os.environ`` for a fresh interpreter that imports this checkout's
+    qteach: its source directory first on ``PYTHONPATH``, and each override
+    set, or removed where it is None."""
+    src = str(Path(qteach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env

@@ -1,14 +1,12 @@
 """Config parsing, artifact layout, and determinism of the CLI runner."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qteach
+from conftest import fresh_env
 from qteach.cli import ExperimentConfig, format_config, main, parse_config, run
 from qteach.errors import ConfigParseError
 
@@ -244,10 +242,9 @@ def test_diverging_run_prints_one_error_line(tmp_path, kind):
     CLI process writes its ``error:`` line and nothing else to stderr."""
     config_path = tmp_path / "diverges.cfg"
     config_path.write_text(DIVERGING_RUNS[kind] + "learning_rate = 1e308\n")
-    src = str(Path(qteach.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "qteach.cli", "--config", str(config_path),
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=fresh_env(),
+                          timeout=120)
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
@@ -259,16 +256,54 @@ def test_labelling_with_an_empty_class_fails_before_training(tmp_path):
     writes only its config and FAILED.txt."""
     config_path = tmp_path / "empty.cfg"
     config_path.write_text("experiment = labelling\nn_points = 4\nradius = 0.01\nepochs = 2\nmap_resolution = 9\n")
-    src = str(Path(qteach.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "qteach.cli", "--config", str(config_path), "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: running the labelling experiment: "), done.stderr
     assert "inside the circle of radius 0.01 (class -1)" in lines[0]
     assert sorted(p.name for p in out.iterdir()) == ["FAILED.txt", "config.txt"]
+
+
+BLAS_RUNS = {
+    "encoding_pca": "experiment = encoding_pca\nn_points = 60\nseed = 2\n",
+    "labelling": "experiment = labelling\nn_points = 40\nepochs = 3\nmap_resolution = 9\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(BLAS_RUNS))
+def test_blas_threads_change_no_result(tmp_path, kind):
+    """``encoding_pca`` is the one qteach path that calls BLAS (``@`` and
+    ``eigh``): runs under a one- and a two-thread OpenBLAS write the same
+    bytes, ``config.txt`` (which names the output directory) excepted."""
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(BLAS_RUNS[kind])
+
+    def written(threads: str) -> dict:
+        out = tmp_path / f"out_{threads}"
+        subprocess.run([sys.executable, "-m", "qteach.cli", "--config", str(config_path), "--out", str(out)],
+                       check=True, capture_output=True, env=fresh_env(OPENBLAS_NUM_THREADS=threads), timeout=120)
+        return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "config.txt"}
+
+    one = written("1")
+    assert "summary.json" in one
+    assert written("2") == one
+
+
+def test_blas_threads_change_no_pca():
+    """At 200,000 rows OpenBLAS splits ``pca_2d``'s products over its
+    threads (the small CLI runs above stay below its threshold), and the
+    projection and separability are still bit-identical."""
+    probe = ("import hashlib, numpy as np; from qteach.analysis import pca_2d, separability_score; "
+             "m = np.random.default_rng(0).random((200_000, 4)); p = pca_2d(m); "
+             "s = separability_score(p, np.where(m[:, 0] > 0.5, 1.0, -1.0)); "
+             "print(hashlib.sha256(p.components.tobytes() + p.projected.tobytes()"
+             " + p.explained_variance.tobytes()).hexdigest(), repr(s))")
+    prints = [subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                             env=fresh_env(OPENBLAS_NUM_THREADS=threads), timeout=120).stdout
+              for threads in ("1", "2")]
+    assert prints[0] == prints[1]
 
 
 def diverged_run(tmp_path, config_text):

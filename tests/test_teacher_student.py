@@ -97,6 +97,18 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         assert 0 <= derive_seed(123, 4, 5) < 2**64
 
+    def test_parts_below_2_32_keep_their_seeds(self):
+        masked = np.random.SeedSequence([11 & 0xFFFFFFFF, 0, 0]).generate_state(1, np.uint64)[0]
+        assert derive_seed(11, 0, 0) == int(masked)
+
+    def test_seeds_do_not_alias_modulo_2_32(self):
+        assert derive_seed(11 + 2**32, 0, 0) != derive_seed(11, 0, 0)
+
+    @pytest.mark.parametrize("parts", [(-1,), (11, -1, 0)], ids=str)
+    def test_negative_part_is_a_configuration_error(self, parts):
+        with pytest.raises(ConfigurationError):
+            derive_seed(*parts)
+
 
 @pytest.fixture(scope="module")
 def small_result():
