@@ -747,30 +747,3 @@ def interpolation_weights(circuit: CircuitSpec, xs) -> np.ndarray:
     k1, k2 = _dirichlet_weights(xs[:, 0], t1), _dirichlet_weights(xs[:, 1], t2)
     return (k1[:, :, None] * k2[:, None, :]).reshape(len(xs), -1)
 
-
-# ---------------------------------------------------------------------------
-# human-readable listing (documentation + golden tests)
-# ---------------------------------------------------------------------------
-
-def _angle_text(angle: AngleExpr) -> str:
-    if isinstance(angle, Const):
-        return repr(angle.value)
-    if isinstance(angle, DataRef):
-        return f"x[{angle.component}]"
-    return f"w[{angle.index}]"
-
-
-def describe(circuit: CircuitSpec) -> str:
-    """One gate per line, plus a header with the circuit's shape."""
-    lines = [
-        f"qubits: {circuit.n_qubits}  measured: {circuit.measured_qubit}  "
-        f"params: {circuit.n_params}  encodings: {circuit.encoding_count}"
-    ]
-    for op in circuit.ops:
-        args = ", ".join(_angle_text(a) for a in op.angles)
-        head = f"{op.kind.value}({args})" if args else op.kind.value
-        wires = ", ".join(f"q{q}" for q in op.controls + op.targets)
-        if op.controls:
-            wires = ", ".join(f"q{q}" for q in op.controls) + f" -> q{op.targets[0]}"
-        lines.append(f"{head} {wires}")
-    return "\n".join(lines)

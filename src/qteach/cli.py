@@ -14,7 +14,7 @@ Config files are plain ``key = value`` lines ('#' starts a comment).
     epochs         = training epochs              (default 150)
     learning_rate  = optimizer step               (default 0.05)
     optimizer      = adam | gd                    (default adam)
-    seed           = base seed                    (default 0)
+    seed           = base seed, below 2^32        (default 0)
     n_points       = circular dataset size        (default 500, encoding_pca/labelling)
     radius         = circular dataset radius      (default pi/sqrt(2))
     out            = output directory             (default qteach_out)

@@ -154,31 +154,6 @@ def prediction_map(circuit: CircuitSpec, w: np.ndarray, resolution: int,
     return PredictionMap(resolution, lo, hi, coefficients=fourier_coefficients(circuit, w))
 
 
-def normalize_to_distribution(pmap: PredictionMap) -> np.ndarray:
-    """Offset map values into a strictly positive distribution summing to 1.
-
-    The offset is the map's own minimum (plus the EPSILON floor), so the
-    distribution reflects the map's relief rather than its absolute
-    level; constant maps normalize to uniform.  This is the dense form of
-    the normalization ``relative_entropy`` applies block by block.
-    """
-    flat = pmap.values.ravel()
-    shifted = flat - flat.min() + EPSILON
-    return shifted / shifted.sum()
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p ln(p/q) for two strictly positive distributions; an entry that
-    is not finite and > 0 is a StructuralError."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise StructuralError(f"distribution shape mismatch: {p.shape} vs {q.shape}")
-    if not (np.all(np.isfinite(p) & (p > 0)) and np.all(np.isfinite(q) & (q > 0))):
-        raise StructuralError("distribution entries must be finite and > 0")
-    return float(np.sum(p * np.log(p / q)))
-
-
 def _offset(block: np.ndarray, low) -> np.ndarray:
     """block - low + EPSILON, in place."""
     block -= low
@@ -221,8 +196,9 @@ def relative_entropy(teacher_map: PredictionMap, student_map: PredictionMap) -> 
     Two passes over the maps' row blocks: the minimum and normalizing sum
     of each map, then the sum of p ln(p/q).  A map of one block keeps its
     offset block between the passes, so the result is bit for bit that of
-    ``kl_divergence`` on the two ``normalize_to_distribution``s; above one
-    block only the order of the sums differs.
+    the dense reference the tests keep (the whole maps offset by their
+    minima and EPSILON, normalized, then sum p ln(p/q)); above one block
+    only the order of the sums differs.
     """
     if not teacher_map.same_grid(student_map):
         raise StructuralError(

@@ -21,14 +21,16 @@ measurement kernels (``expectation_z_kernel``,
 any memory order.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
-and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).
+and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).  The tests
+check the builders and kernels against a naive Kronecker-product oracle
+(``tests/conftest.py``) that forms its own 2x2 matrices from these
+definitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,15 +39,9 @@ from . import kernels
 from .errors import ConfigurationError, StructuralError
 
 MAX_QUBITS = 20
-ORACLE_MAX_QUBITS = 10
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PROJ0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_PROJ1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 
 class GateKind(str, Enum):
@@ -308,68 +304,3 @@ def expectation_z(state: QuantumState, qubit: int) -> float:
 def probability_vector(state: QuantumState, qubits: Sequence[int]) -> np.ndarray:
     return probability_vector_kernel(state.amplitudes, state.n_qubits, qubits)
 
-
-# ---------------------------------------------------------------------------
-# dense-matrix oracle (intentionally naive: explicit Kronecker products)
-# ---------------------------------------------------------------------------
-
-def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
-def _base_matrix(gate: GateOp) -> np.ndarray:
-    if gate.kind in _MATRIX_BUILDERS:
-        return _MATRIX_BUILDERS[gate.kind](gate.params)
-    if gate.kind is GateKind.H:
-        return HADAMARD
-    if gate.kind in (GateKind.X, GateKind.CNOT, GateKind.MCX):
-        return PAULI_X
-    if gate.kind is GateKind.CZ:
-        return PAULI_Z
-    raise StructuralError(f"unknown gate kind {gate.kind!r}")
-
-
-def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of one gate, built from Kronecker products.
-
-    Controlled gates expand as a sum over control bit patterns with
-    projectors on the control slots.
-    """
-    _check_indices(n_qubits, gate.targets)
-    _check_indices(n_qubits, gate.controls)
-    base = _base_matrix(gate)
-    target = gate.targets[0]
-    if not gate.controls:
-        factors = [_ID2] * n_qubits
-        factors[target] = base
-        return _kron_chain(factors)
-    dim = 1 << n_qubits
-    full = np.zeros((dim, dim), dtype=complex)
-    k = len(gate.controls)
-    for pattern in range(1 << k):
-        factors = [_ID2] * n_qubits
-        bits = [(pattern >> (k - 1 - i)) & 1 for i in range(k)]
-        for c, b in zip(gate.controls, bits):
-            factors[c] = _PROJ1 if b else _PROJ0
-        factors[target] = base if all(bits) else _ID2
-        full += _kron_chain(factors)
-    return full
-
-
-def circuit_unitary(gates: Iterable[GateOp], n_qubits: int) -> np.ndarray:
-    """Product of full gate matrices, later gates multiplied on the left."""
-    if n_qubits > ORACLE_MAX_QUBITS:
-        raise ConfigurationError(
-            f"dense oracle refuses more than {ORACLE_MAX_QUBITS} qubits (got {n_qubits})"
-        )
-    full = np.eye(1 << n_qubits, dtype=complex)
-    for gate in gates:
-        full = gate_unitary(gate, n_qubits) @ full
-    return full
-
-
-def dense_unitary_oracle(circuit, x, w) -> np.ndarray:
-    """Full circuit unitary for a bound architecture (naive test oracle)."""
-    from .circuits import bind  # local import: circuits depends on this module
-
-    return circuit_unitary(bind(circuit, x, w), circuit.n_qubits)

@@ -32,13 +32,15 @@ DEFAULT_MAP_RESOLUTION = 51
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit seed from a tuple of non-negative integers
+    """Deterministic 64-bit seed from a tuple of integers in [0, 2^32)
     (independent streams for teachers and students come from distinct role
-    tags).  Parts of any size are kept whole, so seeds that differ by a
-    multiple of 2^32 give different streams."""
+    tags).  A part outside that range is a ConfigurationError:
+    ``SeedSequence`` splits a larger part into 32-bit words and pads a
+    short entropy list with zeros, so (11 + 2^32, 0, 0) would hash as
+    (11, 1, 0)."""
     parts = [int(p) for p in parts]
-    if any(p < 0 for p in parts):
-        raise ConfigurationError(f"seed parts must be >= 0, got {parts}")
+    if not all(0 <= p < 2**32 for p in parts):
+        raise ConfigurationError(f"seed parts must be in [0, 2^32), got {parts}")
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 

@@ -1,7 +1,10 @@
-"""Shared test helpers: random circuit generation, small datasets, and the
-environment of a fresh interpreter."""
+"""Shared test helpers: random circuit generation, small datasets, the
+references production code is checked against (the Kronecker-product
+oracle, parameter shift, the dense relative entropy), and the environment
+of a fresh interpreter."""
 
 import os
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 
 import qteach
 from qteach.circuits import (ArchitectureId, CircuitSpec, Const, DataRef, Encoding, Family, ParamRef, SlotOp,
-                             forward_batch)
+                             bind, forward_batch)
+from qteach.metrics import EPSILON
 from qteach.qsim import ANGLE_COUNTS, GateKind, GateOp
 from qteach.teacher_student import LabeledGrid
 from qteach.training import binarize
@@ -87,6 +91,94 @@ def param_shift_reference(circuit: CircuitSpec, xs, w):
     plus = np.array([forward_batch(circuit, xs, w + s) for s in shifts])
     minus = np.array([forward_batch(circuit, xs, w - s) for s in shifts])
     return forward_batch(circuit, xs, w), 0.5 * (plus - minus)
+
+
+# ---------------------------------------------------------------------------
+# dense-matrix oracle (intentionally naive: explicit Kronecker products of
+# textbook 2x2 matrices, none taken from qsim, so it checks qsim's builders
+# as well as the kernels)
+# ---------------------------------------------------------------------------
+
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_H = (_X + _Z) / np.sqrt(2.0)
+_PROJECTORS = (np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex))
+_ROTATION_AXES = {GateKind.RX: _X, GateKind.RY: _Y, GateKind.RZ: _Z}
+_FIXED = {GateKind.H: _H, GateKind.X: _X, GateKind.CNOT: _X, GateKind.MCX: _X, GateKind.CZ: _Z}
+
+
+def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle P / 2) = cos(angle / 2) I - i sin(angle / 2) P."""
+    return np.cos(angle / 2) * _I2 - 1j * np.sin(angle / 2) * pauli
+
+
+def _base_matrix(gate: GateOp) -> np.ndarray:
+    """The 2x2 matrix a gate applies to its target (when every control is set)."""
+    if gate.kind is GateKind.ROT:
+        phi, theta, omega = gate.params
+        return _rotation(_Z, omega) @ _rotation(_Y, theta) @ _rotation(_Z, phi)
+    if gate.kind in _ROTATION_AXES:
+        return _rotation(_ROTATION_AXES[gate.kind], gate.params[0])
+    return _FIXED[gate.kind]
+
+
+def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one gate, built from Kronecker products
+    (qubit 0 is the leftmost factor).
+
+    Controlled gates expand as a sum over control bit patterns with
+    projectors on the control slots.
+    """
+    assert max(gate.targets + gate.controls) < n_qubits
+    base = _base_matrix(gate)
+    full = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    k = len(gate.controls)
+    for pattern in range(1 << k):
+        factors = [_I2] * n_qubits
+        bits = [(pattern >> (k - 1 - i)) & 1 for i in range(k)]
+        for c, b in zip(gate.controls, bits):
+            factors[c] = _PROJECTORS[b]
+        factors[gate.targets[0]] = base if all(bits) else _I2
+        full += reduce(np.kron, factors)
+    return full
+
+
+def circuit_unitary(gates, n_qubits: int) -> np.ndarray:
+    """Product of full gate matrices, later gates multiplied on the left."""
+    assert n_qubits <= 10
+    full = np.eye(1 << n_qubits, dtype=complex)
+    for gate in gates:
+        full = gate_unitary(gate, n_qubits) @ full
+    return full
+
+
+def dense_unitary_oracle(circuit: CircuitSpec, x, w) -> np.ndarray:
+    """Full circuit unitary for a bound architecture."""
+    return circuit_unitary(bind(circuit, x, w), circuit.n_qubits)
+
+
+# ---------------------------------------------------------------------------
+# dense relative-entropy reference
+# ---------------------------------------------------------------------------
+
+def normalize_to_distribution(pmap) -> np.ndarray:
+    """A map's values offset into a strictly positive distribution summing
+    to 1: the offset is the map's own minimum plus EPSILON, so constant
+    maps normalize to uniform.  This is the normalization
+    ``metrics.relative_entropy`` applies block by block."""
+    flat = pmap.values.ravel()
+    shifted = flat - flat.min() + EPSILON
+    return shifted / shifted.sum()
+
+
+def kl_divergence(p, q) -> float:
+    """sum p ln(p/q) for two strictly positive distributions."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    assert p.shape == q.shape and np.all(p > 0) and np.all(q > 0)
+    return float(np.sum(p * np.log(p / q)))
 
 
 def tiny_dataset(rng: np.random.Generator, n_points: int = 5) -> LabeledGrid:

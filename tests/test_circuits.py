@@ -1,6 +1,8 @@
 """Architecture builders, slot binding, and model evaluation."""
 
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from qteach.circuits import (
     append_x_on_measured,
     bind,
     build,
-    describe,
     dissipative_qp,
     forward,
     forward_batch,
@@ -30,9 +31,10 @@ from qteach.circuits import (
     reuploading,
 )
 from qteach.errors import ConfigurationError
-from qteach.qsim import GateKind, dense_unitary_oracle
+from qteach.qsim import GateKind
 
-from conftest import ALL_ARCHITECTURES, all_models, mixed_spec, param_shift_reference, random_circuit
+from conftest import (ALL_ARCHITECTURES, all_models, circuit_unitary, dense_unitary_oracle, mixed_spec,
+                      param_shift_reference, random_circuit)
 
 EXPECTED_SHAPES = {
     # family -> (n_qubits, n_params, encoding_count, measured_qubit)
@@ -361,6 +363,29 @@ class TestAdjoint:
         assert trainable == {k for k, n in qsim.ANGLE_COUNTS.items() if n}
         self._check(circuit, rng)
 
+    @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda e: e.value)
+    @pytest.mark.parametrize("arch", [dissipative_qp(), reuploading(2), ArchitectureId(Family.DEEP_TEACHER4)],
+                             ids=lambda a: a.name)
+    def test_omega_of_the_last_two_rots_is_dead(self, arch, encoding, rng):
+        """The last two ROTs end in Rz(omega) on the MCX's controls, which
+        commutes with the MCX and the readout, so the output does not
+        depend on those two angles, entries P - 4 and P - 1: their
+        gradients are rounding noise and moving them moves no prediction."""
+        circuit = build(ArchitectureId(arch.family, arch.layers, encoding))
+        dead = [circuit.n_params - 4, circuit.n_params - 1]
+        last_rots = [op for op in circuit.ops if op.kind is GateKind.ROT][-2:]
+        assert [op.angles[2] for op in last_rots] == [ParamRef(j) for j in dead]
+        assert circuit.ops[-3:] == (*last_rots, circuit.ops[-1]) and circuit.ops[-1].kind is GateKind.MCX
+        assert [op.targets[0] for op in last_rots] == list(circuit.ops[-1].controls)
+        xs = rng.uniform(-np.pi, np.pi, (25, 2))
+        for _ in range(3):
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            preds, dpreds = forward_with_adjoint(circuit, xs, w)
+            assert np.abs(dpreds[dead]).max() <= 1e-14
+            moved = w.copy()
+            moved[dead] = rng.uniform(0, 2 * np.pi, 2)
+            np.testing.assert_allclose(forward_many(circuit, xs, moved), preds, rtol=0, atol=1e-14)
+
 
 COMPILED_MODELS = {
     "dissipative_qp": build(dissipative_qp()),
@@ -507,6 +532,40 @@ def folded_spec():
     return circuits.CircuitSpec(n_qubits=4, ops=ops, measured_qubit=3, n_params=7, encoding_count=1)
 
 
+FOLDING_KINDS = (GateKind.X, GateKind.CNOT, GateKind.MCX, GateKind.CZ)
+SPEC_VARIANTS = ("plain", "idle_measured", "no_parameters", "all_folded")
+
+
+def random_spec(rng, n_qubits, variant):
+    """A valid random CircuitSpec: up to 20 ``random_slot_ops`` and then up
+    to 3 parameter-free X / CNOT / MCX / CZ gates, with each ParamRef
+    renumbered in order so that the parameters are 0..P-1, and a constant
+    in place of data on the measured qubit.  "idle_measured" drops every
+    gate that touches the measured qubit, "no_parameters" turns every
+    parameter into a constant, and "all_folded" keeps only the flips and
+    CZs, which the readout program folds away entirely."""
+    measured = int(rng.integers(n_qubits))
+    ops = random_slot_ops(rng, n_qubits, int(rng.integers(21)), 1)
+    ops += [SlotOp(g.kind, g.targets, g.controls) for g in random_circuit(rng, n_qubits, 6)
+            if g.kind in FOLDING_KINDS][:3]
+    if variant == "idle_measured":
+        ops = [op for op in ops if measured not in op.targets + op.controls]
+    elif variant == "all_folded":
+        ops = [op for op in ops if op.kind in FOLDING_KINDS]
+    index = itertools.count()
+
+    def slot(angle, op):
+        if isinstance(angle, ParamRef):
+            return Const(float(rng.uniform(-np.pi, np.pi))) if variant == "no_parameters" else ParamRef(next(index))
+        if isinstance(angle, DataRef) and measured in op.targets:
+            return Const(0.5)
+        return angle
+
+    ops = tuple(replace(op, angles=tuple(slot(a, op) for a in op.angles)) for op in ops)
+    n_params = sum(isinstance(a, ParamRef) for op in ops for a in op.angles)
+    return circuits.CircuitSpec(n_qubits, ops, measured, n_params, 0)
+
+
 def readout_variants():
     """Every model, with and without a trailing X on its measured qubit."""
     return [pytest.param(arch, flip, id=f"{arch.name}{'+x' if flip else ''}")
@@ -528,7 +587,7 @@ class TestReadoutProgram:
         ops, n, signs = circuits._program(circuit)
         gates = [qsim.GateOp(op.kind, op.targets, op.controls, tuple(circuits._lowered_angles(op, x, w)))
                  for op in ops]
-        program = np.abs(qsim.circuit_unitary(gates, n)[:, 0]) ** 2 @ signs
+        program = np.abs(circuit_unitary(gates, n)[:, 0]) ** 2 @ signs
         full = np.abs(dense_unitary_oracle(circuit, x, w)[:, 0]) ** 2 @ kernels.z_signs(
             circuit.n_qubits, circuit.measured_qubit)
         return program, full
@@ -609,6 +668,36 @@ class TestReadoutProgram:
         np.testing.assert_array_equal(preds, [-1.0] * 3)
         assert dpreds.shape == (0, 3)
 
+    def test_random_specs_match_the_dense_oracle(self):
+        """200 random specs of 1-7 qubits (``random_spec``): ``forward_many``,
+        ``CompiledCircuit`` on 2 stacked runs and ``ancilla_probabilities``
+        against the Kronecker-product oracle of the whole circuit, and the
+        gradients against parameter shift."""
+        rng = np.random.default_rng(1607)
+        xs = rng.uniform(-np.pi, np.pi, (2, 2))
+        for k in range(200):
+            variant = SPEC_VARIANTS[k % len(SPEC_VARIANTS)]
+            circuit = random_spec(rng, 1 + k % 7, variant)
+            ops, n, _ = circuits._program(circuit)
+            if variant == "idle_measured":
+                assert n < circuit.n_qubits
+            if variant == "all_folded":
+                assert ops == ()
+            w = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
+            signs = kernels.z_signs(circuit.n_qubits, circuit.measured_qubit)
+            probs = np.array([[np.abs(dense_unitary_oracle(circuit, x, w_r)[:, 0]) ** 2 for x in xs] for w_r in w])
+            oracle = probs @ signs
+            preds, dpreds = CompiledCircuit(circuit, xs, runs=2).forward_with_adjoint(w)
+            np.testing.assert_allclose(preds, oracle, rtol=0, atol=1e-12)
+            assert dpreds.shape == (2, circuit.n_params, len(xs))
+            for r in range(2):
+                np.testing.assert_allclose(forward_many(circuit, xs, w[r]), oracle[r], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ancilla_probabilities(circuit, xs, w[r]),
+                                           probs[r] @ np.array([signs > 0, signs < 0]).T, rtol=0, atol=1e-12)
+                if circuit.n_params:
+                    np.testing.assert_allclose(dpreds[r], param_shift_reference(circuit, xs, w[r])[1],
+                                               rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("arch, flip", readout_variants())
     def test_ancilla_probabilities_match_the_full_marginal(self, arch, flip, rng):
         """The program's +1 / -1 weights against the measured qubit's
@@ -668,6 +757,30 @@ class TestAppendX:
         np.testing.assert_allclose(
             forward_batch(flipped, xs, w), -forward_batch(circuit, xs, w), atol=1e-12
         )
+
+
+def _angle_text(angle) -> str:
+    if isinstance(angle, Const):
+        return repr(angle.value)
+    if isinstance(angle, DataRef):
+        return f"x[{angle.component}]"
+    return f"w[{angle.index}]"
+
+
+def describe(circuit) -> str:
+    """A circuit as one gate per line, under a header with its shape."""
+    lines = [
+        f"qubits: {circuit.n_qubits}  measured: {circuit.measured_qubit}  "
+        f"params: {circuit.n_params}  encodings: {circuit.encoding_count}"
+    ]
+    for op in circuit.ops:
+        args = ", ".join(_angle_text(a) for a in op.angles)
+        head = f"{op.kind.value}({args})" if args else op.kind.value
+        wires = ", ".join(f"q{q}" for q in op.controls + op.targets)
+        if op.controls:
+            wires = ", ".join(f"q{q}" for q in op.controls) + f" -> q{op.targets[0]}"
+        lines.append(f"{head} {wires}")
+    return "\n".join(lines)
 
 
 class TestDescribe:

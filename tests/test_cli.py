@@ -172,6 +172,17 @@ class TestRerunIntoSameDirectory:
         assert text.startswith("writing artifacts: ") and "map_teacher_0.csv" in text
         assert not (tmp_path / "summary.json").exists()
 
+    def test_seed_of_2_32_fails_before_training(self, tmp_path):
+        """A config seed of 2^32 or more would alias a smaller one, so the
+        experiment refuses it and writes no results."""
+        config_path = tmp_path / "big_seed.cfg"
+        config_path.write_text(SMALL_RUN.replace("seed = 9", "seed = 4294967296"))
+        out = tmp_path / "out"
+        assert main(["--config", str(config_path), "--out", str(out)]) == 1
+        text = (out / "FAILED.txt").read_text()
+        assert text.startswith("running the teacher_student experiment: ") and "2^32" in text
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED.txt", "config.txt"]
+
     def test_successful_rerun_removes_failure_marker(self, tmp_path):
         assert self._run(FAILING_RUN, tmp_path) == 1
         assert (tmp_path / "FAILED.txt").is_file()

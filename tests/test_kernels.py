@@ -12,6 +12,9 @@ from qteach.circuits import ArchitectureId, CompiledCircuit, Family, build, forw
 from qteach.kernels import PlannedOp
 from qteach.qsim import GateKind, GateOp
 
+from conftest import gate_unitary
+
+
 def per_row(values, runs, points):
     """Values shaped like a payload's batch ((), (R N,), (R, 1) or (R, N))
     as one value per row of R stacked runs of N points."""
@@ -161,7 +164,7 @@ class TestDenseOracle:
             op, gates = random_gate_rows(rng, n_qubits, runs, points)
             kernels.apply_planned(op, amps)
             for b, gate in enumerate(gates):
-                want[b] = qsim.gate_unitary(gate, n_qubits) @ want[b]
+                want[b] = gate_unitary(gate, n_qubits) @ want[b]
         np.testing.assert_allclose(amps, want, rtol=0, atol=1e-12)
 
 

@@ -25,8 +25,6 @@ from qteach.metrics import (
     accuracy,
     fourier_coefficients,
     fourier_degrees,
-    kl_divergence,
-    normalize_to_distribution,
     prediction_map,
     read_prediction_map,
     relative_entropy,
@@ -35,7 +33,7 @@ from qteach.metrics import (
 from qteach.qsim import GateKind
 from qteach.teacher_student import generate_dataset, make_grid
 
-from conftest import all_models, mixed_spec
+from conftest import all_models, kl_divergence, mixed_spec, normalize_to_distribution
 
 
 def random_map(rng, resolution=8):

@@ -10,15 +10,13 @@ from qteach.qsim import (
     GateKind,
     GateOp,
     apply_gate,
-    circuit_unitary,
     expectation_z,
-    gate_unitary,
     new_state,
     probability_vector,
     run_gates,
 )
 
-from conftest import random_circuit, random_gate
+from conftest import circuit_unitary, gate_unitary, random_circuit, random_gate
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -175,10 +173,6 @@ class TestDenseOracle:
 
     def test_empty_circuit_is_identity(self):
         np.testing.assert_array_equal(circuit_unitary([], 2), np.eye(4))
-
-    def test_refuses_large_registers(self):
-        with pytest.raises(ConfigurationError):
-            circuit_unitary([GateOp(GateKind.X, (0,))], 11)
 
     def test_oracle_equivalence_on_random_circuits(self, rng):
         """Fast engine vs naive Kronecker-product oracle, 120 circuits."""
