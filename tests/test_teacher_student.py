@@ -100,17 +100,12 @@ class TestDeriveSeed:
     def test_parts_below_2_32_keep_their_seeds(self):
         masked = np.random.SeedSequence([11 & 0xFFFFFFFF, 0, 0]).generate_state(1, np.uint64)[0]
         assert derive_seed(11, 0, 0) == int(masked)
+        assert derive_seed(2**32 - 1, 0, 0) != derive_seed(2**32 - 1, 1, 0)  # the largest part is accepted
 
-    @pytest.mark.parametrize("parts", [(2**32,), (11 + 2**32, 0, 0), (11, 0, 2**32)], ids=str)
-    def test_part_of_2_32_or_more_is_a_configuration_error(self, parts):
-        """SeedSequence would hash 11 + 2^32 as the words (11, 1), so (11 +
-        2^32, 0, 0) would alias (11, 1, 0)."""
-        with pytest.raises(ConfigurationError):
-            derive_seed(*parts)
-        assert derive_seed(2**32 - 1, 0, 0) != derive_seed(2**32 - 1, 1, 0)
-
-    @pytest.mark.parametrize("parts", [(-1,), (11, -1, 0)], ids=str)
-    def test_negative_part_is_a_configuration_error(self, parts):
+    @pytest.mark.parametrize("parts", [(-1,), (11, -1, 0), (2**32,), (11 + 2**32, 0, 0), (11, 0, 2**32)], ids=str)
+    def test_part_outside_0_to_2_32_is_a_configuration_error(self, parts):
+        """Above the range, SeedSequence would hash 11 + 2^32 as the words
+        (11, 1), so (11 + 2^32, 0, 0) would alias (11, 1, 0)."""
         with pytest.raises(ConfigurationError):
             derive_seed(*parts)
 
