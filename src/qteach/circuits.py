@@ -494,12 +494,11 @@ def _dagger(mats: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(mats, 0, 1))
 
 
-def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int, conj: np.ndarray) -> np.ndarray:
+def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
     """(2, 2, rows) S_ij per row: the sum of conj(lam) on target bit i
     times psi on target bit j, over the other qubits, as one contraction
-    of the stored (left, 2, right, rows) views; ``conj`` is a buffer shaped
-    like ``lam`` that receives its conjugate."""
-    lam4 = np.conjugate(lam.T, out=conj.T).reshape(left, 2, right, -1)
+    of the stored (left, 2, right, rows) views."""
+    lam4 = np.conjugate(lam.T).reshape(left, 2, right, -1)
     psi4 = psi.T.reshape(left, 2, right, -1)
     return np.einsum("lirb,ljrb->ijb", lam4, psi4)
 
@@ -589,9 +588,9 @@ class CompiledCircuit:
     then both sweeps from the prefix state, with lam = signs * psi at the
     end; at a trainable gate d<Z>/dw = Re sum_ij U(a + pi)_ij S_ij with S
     the ``_overlaps`` of that gate.  Trainable gates stay separate ops.
-    The psi, lam and conj buffers (2^n' wide) are reused, so one instance
-    must not be evaluated from two threads at once; the arrays it returns
-    are new on every call.
+    The groups' plans hold the matrices of the last evaluation (``bind``
+    sets their payloads), so one instance must not be evaluated from two
+    threads at once; the arrays it returns are new on every call.
     """
 
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
@@ -601,8 +600,6 @@ class CompiledCircuit:
         trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
         first = trainable[0] if trainable else len(ops)
         _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
-        self._psi, self._lam, self._conj = (np.empty((1 << n, runs * len(xs)), dtype=complex).T
-                                            for _ in range(3))
 
         members: dict[tuple[GateKind, bool], list[int]] = {}
         for i in trainable:
@@ -637,21 +634,21 @@ class CompiledCircuit:
         if w.shape != (runs, n_params):
             raise ConfigurationError(f"expected a ({runs}, {n_params}) parameter array, got shape {w.shape}")
         derivs = [group.bind(w) for group in self._groups]
-        psi = self._psi
         n_points = len(self._prefix)
+        psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in self._plans:
             kernels.apply_planned(planned, psi)
         preds = qsim.expectation_z_kernel(psi, signs).reshape(runs, n_points)
 
         dpreds = np.zeros((runs, n_params, n_points))
-        lam = np.multiply(psi, signs, out=self._lam)
+        lam = psi * signs
         for i in range(len(self._plans) - 1, -1, -1):
             inverse = self._inverses[i]
             kernels.apply_planned(inverse, psi)
             if self._slots[i] is not None:
                 g, part, rows = self._slots[i]
-                overlaps = _overlaps(lam, psi, inverse.left, inverse.right, self._conj)
+                overlaps = _overlaps(lam, psi, inverse.left, inverse.right)
                 grads = (derivs[g][:, :, part] * overlaps.reshape(2, 2, 1, runs, n_points)).sum(axis=(0, 1)).real
                 dpreds[:, rows] = np.swapaxes(grads, 0, 1)
             if i:

@@ -142,6 +142,8 @@ def _validate(config: ExperimentConfig) -> None:
         config.train_config()
     except QTeachError as exc:
         raise ConfigParseError(str(exc)) from None
+    if config.seed >= 2**32:
+        raise ConfigParseError(f"seed must be below 2^32, got {config.seed}")
     if config.n_seeds < 1 or config.resolution < 2 or config.map_resolution < 2:
         raise ConfigParseError("n_seeds must be >= 1 and resolutions >= 2")
     if config.n_points < 1 or not (np.isfinite(config.radius) and config.radius > 0):

@@ -16,17 +16,10 @@ qubit 0 as MSB, a basis index splits as l * (2 * right) + bit * right + r
 where left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP payload is
 the pair of index arrays (target bit 0, target bit 1) whose rows of the
 stored array swap; a PHASE payload lists the rows to negate.
-
-Every intermediate array of a gate is a view of one of two flat scratch
-buffers per thread, which grow to the largest half-state served, so a
-gate allocates no array of its own once they are large enough (numpy may
-still buffer an operand inside one call).
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -53,41 +46,15 @@ class PlannedOp:
         self.payload = payload
 
 
-class _Scratch(threading.local):
-    """The calling thread's two flat complex buffers.  Kernels only write
-    them before reading them, so nothing carries over from one gate to
-    the next; one set per thread keeps concurrent callers apart."""
-
-    def __init__(self):
-        self.flat = (np.empty(0, dtype=complex), np.empty(0, dtype=complex))
-
-
-_scratch = _Scratch()
-
-
-def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Two scratch arrays of ``shape``, views of the thread's flat buffers,
-    which are replaced by larger ones when too small."""
-    size = math.prod(shape)
-    if _scratch.flat[0].size < size:
-        _scratch.flat = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
-    return _scratch.flat[0][:size].reshape(shape), _scratch.flat[1][:size].reshape(shape)
-
-
 def _apply_matrix(stored, left, right, mats):
     # (left, 2, right) + batch: the batch is (rows,), or (R, N) for a
     # payload indexed by run
     a = stored.reshape((left, 2, right) + mats.shape[2:-1] + (-1,))
     a0 = a[:, 0]
     a1 = a[:, 1]
-    new0, tmp = _buffers(a0.shape)
-    np.multiply(mats[0, 0], a0, out=new0)
-    np.multiply(mats[0, 1], a1, out=tmp)
-    np.add(new0, tmp, out=new0)
-    np.multiply(mats[1, 0], a0, out=tmp)
-    np.copyto(a0, new0)
-    np.multiply(mats[1, 1], a1, out=new0)
-    np.add(tmp, new0, out=a1)
+    new0 = mats[0, 0] * a0 + mats[0, 1] * a1
+    a1[...] = mats[1, 0] * a0 + mats[1, 1] * a1
+    a0[...] = new0
 
 
 def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
@@ -95,17 +62,9 @@ def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
     stored = amps.T
     if op.mode == MODE_FLIP:
         idx0, idx1 = op.payload
-        at0, at1 = _buffers((len(idx0), stored.shape[1]))
-        # mode="clip" lets take write straight into out; the indices are in range
-        np.take(stored, idx0, axis=0, out=at0, mode="clip")
-        np.take(stored, idx1, axis=0, out=at1, mode="clip")
-        stored[idx0] = at1
-        stored[idx1] = at0
+        stored[idx0], stored[idx1] = stored[idx1], stored[idx0]
     elif op.mode == MODE_PHASE:
-        hit, _ = _buffers((len(op.payload), stored.shape[1]))
-        np.take(stored, op.payload, axis=0, out=hit, mode="clip")
-        np.multiply(hit, -1.0, out=hit)
-        stored[op.payload] = hit
+        stored[op.payload] *= -1.0
     else:
         _apply_matrix(stored, op.left, op.right, op.payload)
 

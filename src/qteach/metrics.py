@@ -23,7 +23,6 @@ import numpy as np
 
 from . import circuits
 from .circuits import CircuitSpec, forward_batch, periodic_samples
-from .circuits import fourier_degrees  # noqa: F401  (metrics.fourier_degrees is public)
 from .errors import ConfigurationError, StructuralError
 from .training import binarize
 

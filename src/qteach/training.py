@@ -236,7 +236,7 @@ def _train_block(circuit, points, runs, targets, start, architecture) -> list[Tr
             v_hat = v / (1.0 - beta2 ** (t + 1))
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    del sampling  # frees the block's state buffers before the final evaluations
+    del sampling  # frees the compiled circuit and the interpolation weights before the final evaluations
     trained = []
     for r, ((_, run_cfg, label_kind), y_run) in enumerate(zip(runs, targets)):
         if not np.all(np.isfinite(w[r])):

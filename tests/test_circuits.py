@@ -481,6 +481,26 @@ class TestCompiledCircuit:
         np.testing.assert_array_equal(preds, kept[0])
         np.testing.assert_array_equal(dpreds, kept[1])
 
+    def test_warm_evaluation_peaks_below_six_states(self, rng):
+        """A warm evaluation of qnn_two_qp on R = 40 runs of its 25
+        periodic samples (a 1 MiB state on the program's 6 qubits) holds
+        psi, lam and the temporaries of one gate or contraction at a time:
+        its traced peak stays below 6 states."""
+        circuit = build(ArchitectureId(Family.QNN_TWO_QP))
+        xs, runs = periodic_samples(circuit)[1], 40
+        state = runs * len(xs) * 16 << circuits._program(circuit)[1]
+        compiled = CompiledCircuit(circuit, xs, runs)
+        w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
+        compiled.forward_with_adjoint(w)
+        tracemalloc.start()
+        try:
+            compiled.forward_with_adjoint(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state == 1_024_000
+        assert peak < 6 * state
+
     def test_evaluation_skips_the_data_only_prefix(self, rng, monkeypatch):
         """dissipative_qp's program opens with two data-only RX gates.  An
         evaluation applies the F later program ops forward and backward to

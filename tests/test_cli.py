@@ -75,6 +75,13 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="duplicate"):
             parse_config("experiment = labelling\nseed = 1\nseed = 2\n")
 
+    @pytest.mark.parametrize("experiment", ["teacher_student", "encoding_pca", "labelling", "normalization"])
+    def test_seed_must_be_below_2_32(self, experiment):
+        text = MINIMAL.replace("teacher_student", experiment)
+        assert parse_config(text + "seed = 4294967295\n").seed == 2**32 - 1
+        with pytest.raises(ConfigParseError, match="seed must be below 2\\^32, got 4294967296"):
+            parse_config(text + "seed = 4294967296\n")
+
     def test_round_trip(self):
         config = parse_config(SMALL_RUN)
         assert parse_config(format_config(config)) == config
@@ -172,16 +179,17 @@ class TestRerunIntoSameDirectory:
         assert text.startswith("writing artifacts: ") and "map_teacher_0.csv" in text
         assert not (tmp_path / "summary.json").exists()
 
-    def test_seed_of_2_32_fails_before_training(self, tmp_path):
-        """A config seed of 2^32 or more would alias a smaller one, so the
-        experiment refuses it and writes no results."""
+    def test_seed_of_2_32_leaves_the_previous_run(self, tmp_path, capsys):
+        """A config seed of 2^32 or more would alias a smaller one, so it is
+        a config error, found before the previous run's results are touched."""
+        out = tmp_path / "out"
+        assert self._run(SMALL_RUN, out) == 0
         config_path = tmp_path / "big_seed.cfg"
         config_path.write_text(SMALL_RUN.replace("seed = 9", "seed = 4294967296"))
-        out = tmp_path / "out"
-        assert main(["--config", str(config_path), "--out", str(out)]) == 1
-        text = (out / "FAILED.txt").read_text()
-        assert text.startswith("running the teacher_student experiment: ") and "2^32" in text
-        assert sorted(p.name for p in out.iterdir()) == ["FAILED.txt", "config.txt"]
+        assert main(["--config", str(config_path), "--out", str(out)]) == 2
+        assert "error: seed must be below 2^32, got 4294967296" in capsys.readouterr().err
+        assert (out / "summary.json").is_file()
+        assert not (out / "FAILED.txt").exists()
 
     def test_successful_rerun_removes_failure_marker(self, tmp_path):
         assert self._run(FAILING_RUN, tmp_path) == 1

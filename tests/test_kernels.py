@@ -1,4 +1,5 @@
-"""The planned kernels on stacked runs, and their reused scratch buffers."""
+"""The planned kernels on stacked runs, on interleaved states and from
+concurrent threads."""
 
 import itertools
 import sys
@@ -25,9 +26,8 @@ def per_row(values, runs, points):
 
 
 def plain_apply(op, amps, runs, points):
-    """The gate arithmetic of ``apply_planned`` written row by row with
-    fresh temporaries and no scratch: the reference it must equal bit for
-    bit."""
+    """The gate arithmetic of ``apply_planned`` written row by row: the
+    reference it must equal bit for bit."""
     if op.mode == kernels.MODE_FLIP:
         idx0, idx1 = op.payload
         tmp = amps[:, idx0]
@@ -168,14 +168,11 @@ class TestDenseOracle:
         np.testing.assert_allclose(amps, want, rtol=0, atol=1e-12)
 
 
-class TestScratch:
-    def test_alternating_shapes_leak_no_state(self, rng, monkeypatch):
-        """Gates on two states of different shapes, interleaved, give what
-        the plain fresh-temporary arithmetic gives on each alone: nothing a
-        gate leaves in the scratch buffers reaches the next gate.  The two
-        buffers grow to the larger half-state and no further."""
-        empty = np.empty(0, dtype=complex)
-        monkeypatch.setattr(kernels._scratch, "flat", (empty, empty))
+class TestNoSharedState:
+    def test_alternating_shapes_leak_no_state(self, rng):
+        """Gates on two states of different shapes and memory orders,
+        interleaved, give what the plain fresh-temporary arithmetic gives
+        on each alone: nothing one gate leaves behind reaches the next."""
         shapes = [(2, 3, 5), (4, 2, 3)]  # (runs, points, qubits)
         states = [random_state(rng, r * p, n, order) for (r, p, n), order in zip(shapes, "FC")]
         refs = [s.copy() for s in states]
@@ -186,13 +183,12 @@ class TestScratch:
             kernels.apply_planned(op, states[k])
             plain_apply(op, refs[k], runs, points)
             np.testing.assert_array_equal(states[k], refs[k], err_msg=f"step {step}")
-        assert [buf.size for buf in kernels._scratch.flat] == [max(s.size for s in states) // 2] * 2
 
-    def test_threads_keep_their_own_buffers(self, rng):
+    def test_concurrent_threads_get_the_serial_results(self, rng):
         """Two threads that evaluate their own ``CompiledCircuit`` and
         ``forward_batch`` at once, with the interpreter switching threads as
-        often as it can, get the serial results bit for bit: each thread's
-        gates use that thread's scratch buffers."""
+        often as it can, get the serial results bit for bit: the kernels
+        keep no state between calls that one thread could see of another."""
         jobs = []
         for circuit, runs in ((build(ArchitectureId(Family.QNN_TWO_QP)), 2), (build(reuploading(2)), 3)):
             xs = rng.uniform(-np.pi, np.pi, (12, 2))

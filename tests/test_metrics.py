@@ -18,13 +18,13 @@ from qteach.circuits import (
     build,
     dissipative_qp,
     forward_batch,
+    fourier_degrees,
 )
 from qteach.errors import ConfigurationError, StructuralError
 from qteach.metrics import (
     PredictionMap,
     accuracy,
     fourier_coefficients,
-    fourier_degrees,
     prediction_map,
     read_prediction_map,
     relative_entropy,
