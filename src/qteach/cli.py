@@ -6,7 +6,7 @@ Config files are plain ``key = value`` lines ('#' starts a comment).
 
     experiment     = teacher_student | encoding_pca | labelling | normalization
     teacher        = architecture name (teacher_student only), e.g. reuploading:2
-    students       = comma-separated architecture names (teacher_student only)
+    students       = comma-separated architecture names, none twice (teacher_student only)
     encoding       = rx | rot_h                  (default rx)
     n_seeds        = teacher initializations      (default 10)
     resolution     = training grid per axis       (default 21)
@@ -130,10 +130,15 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigParseError("teacher_student needs 'teacher' and 'students'")
         try:
             parse_architecture(config.teacher, encoding)
-            for name in config.students:
-                parse_architecture(name, encoding)
+            students = [parse_architecture(name, encoding) for name in config.students]
         except QTeachError as exc:
             raise ConfigParseError(str(exc)) from None
+        # a student's artifacts are named after it, so a repeat would overwrite them
+        for k, student in enumerate(students):
+            if student in students[:k]:
+                raise ConfigParseError(f"student {student.name!r} is listed twice "
+                                       f"(as {config.students[students.index(student)]!r} "
+                                       f"and {config.students[k]!r})")
     try:
         Optimizer(config.optimizer)
     except ValueError:

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, StructuralError, TrainingDivergedError
 from .metrics import PredictionMap, accuracy, prediction_map, relative_entropy
 # train is not called here, but stays importable as teacher_student.train,
 # the name perfbench/spans.py wraps
-from .training import TrainConfig, TrainRun, binarize, train, train_lockstep  # noqa: F401
+from .training import INIT_HIGH, TrainConfig, TrainRun, binarize, train, train_lockstep  # noqa: F401
 
 #: role tags for deriving independent seed streams
 _ROLE_TEACHER = 0
@@ -87,16 +87,11 @@ def make_grid(resolution: int, lo: float = -np.pi, hi: float = np.pi) -> np.ndar
     return np.column_stack([x1.ravel(), x2.ravel()])
 
 
-def generate_dataset(teacher: ArchitectureId, grid: np.ndarray, seed: int,
-                     params: Optional[np.ndarray] = None) -> LabeledGrid:
-    """Label a grid with a teacher drawn from the seeded uniform [0, 2*pi)
-    initialization (or from explicit ``params``)."""
+def generate_dataset(teacher: ArchitectureId, grid: np.ndarray, seed: int) -> LabeledGrid:
+    """Label a grid with a teacher drawn from the seeded uniform
+    [0, ``INIT_HIGH``) initialization that students start from too."""
     circuit = build(teacher)
-    if params is None:
-        rng = np.random.default_rng(seed)
-        params = rng.uniform(0.0, 2.0 * np.pi, circuit.n_params)
-    else:
-        params = np.asarray(params, dtype=float)
+    params = np.random.default_rng(seed).uniform(0.0, INIT_HIGH, circuit.n_params)
     grid = np.asarray(grid, dtype=float)
     y = forward_batch(circuit, grid, params)
     return LabeledGrid(
@@ -119,10 +114,6 @@ class StudentOutcome:
     maps: list[PredictionMap]
     rel_entropies: np.ndarray
     accuracies: np.ndarray
-
-    @property
-    def mean_loss_curve(self) -> np.ndarray:
-        return np.mean([run.loss_curve for run in self.runs], axis=0)
 
     @property
     def mean_final_loss(self) -> float:
@@ -210,7 +201,7 @@ def run_experiment(
         runs = [(datasets[s], replace(cfg, seed=derive_seed(cfg.seed, s, roles[kind], k)), kind)
                 for s, kind in tags]
         try:
-            trained = train_lockstep(student_circuit, runs, architecture=student)
+            trained = train_lockstep(student_circuit, runs)
         except TrainingDivergedError as exc:
             s, kind = tags[exc.run]
             raise TrainingDivergedError(f"student {student.name}, seed {s}, {kind} labels: {exc}",

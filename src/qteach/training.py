@@ -23,28 +23,31 @@ current parameters; preds = K f(t) and the loss gradient is
 adjoint on the B points themselves up to rounding.
 
 ``train_lockstep`` trains R runs of one circuit that share the points,
-``epochs``, ``learning_rate``, ``optimizer`` and ``init_scale`` (seeds and
-labels may differ) in one epoch loop: the runs' states are stacked as
-rows, so each epoch makes one forward and one backward sweep for all of
-them, and the optimizer steps an (R, P) parameter array.  Every
+``epochs``, ``learning_rate`` and ``optimizer`` (seeds and labels may
+differ) in one epoch loop: the runs' states are stacked as rows, so each
+epoch makes one forward and one backward sweep for all of them, and the
+optimizer steps an (R, P) parameter array.  Every
 operation acts on each run's numbers as a single run's would, so each
 result equals ``train``'s bit for bit; ``train`` is the loop with R = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import circuits
-from .circuits import (ArchitectureId, CircuitSpec, CompiledCircuit, forward_many, interpolation_weights,
-                       periodic_samples)
+from .circuits import CircuitSpec, CompiledCircuit, forward_many, interpolation_weights, periodic_samples
 from .errors import ConfigurationError, TrainingDivergedError
 
 LABEL_KINDS = ("continuous", "binary")
+
+#: every initial parameter, a teacher's or a student's, is drawn uniformly
+#: from [0, INIT_HIGH)
+INIT_HIGH = 2.0 * np.pi
 
 
 class Optimizer(Enum):
@@ -58,13 +61,10 @@ class TrainConfig:
     epochs: int = 150
     optimizer: Optimizer = Optimizer.ADAPTIVE_MOMENT
     seed: int = 0
-    init_scale: float = 2.0 * np.pi  # parameters drawn uniformly from [0, init_scale)
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
-            raise ConfigurationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
@@ -86,21 +86,6 @@ class TrainRun:
     final_preds: np.ndarray
     final_loss: float
     config: TrainConfig
-    architecture: Optional[ArchitectureId] = None
-
-    def metadata(self) -> dict:
-        """JSON-ready summary (curves are serialized separately as CSV)."""
-        return {
-            "architecture": self.architecture.name if self.architecture else None,
-            "epochs": int(len(self.loss_curve)),
-            "final_loss": float(self.final_loss),
-            "final_accuracy": float(self.accuracy_curve[-1]) if self.accuracy_curve is not None else None,
-            "seed": int(self.config.seed),
-            "learning_rate": float(self.config.learning_rate),
-            "optimizer": self.config.optimizer.value,
-            "init_scale": float(self.config.init_scale),
-            "n_params": int(len(self.final_params)),
-        }
 
 
 def binarize(y):
@@ -159,15 +144,13 @@ def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "conti
     return grad[0]
 
 
-def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "continuous",
-          architecture: Optional[ArchitectureId] = None) -> TrainRun:
-    """Full-batch gradient descent from a seeded uniform initialization:
-    ``train_lockstep`` with one run."""
-    return train_lockstep(circuit, [(data, cfg, label_kind)], architecture)[0]
+def train(circuit: CircuitSpec, data, cfg: TrainConfig, label_kind: str = "continuous") -> TrainRun:
+    """Full-batch gradient descent from a seeded uniform initialization on
+    [0, ``INIT_HIGH``): ``train_lockstep`` with one run."""
+    return train_lockstep(circuit, [(data, cfg, label_kind)])[0]
 
 
-def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Optional[ArchitectureId] = None
-                   ) -> list[TrainRun]:
+def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple]) -> list[TrainRun]:
     """Train one circuit in several runs at once; one ``TrainRun`` per run.
 
     Each run is a ``(data, cfg, label_kind)`` triple, trained as ``train``
@@ -186,7 +169,7 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Op
         raise ConfigurationError("no runs to train")
     targets = [_targets(data, label_kind) for data, _, label_kind in runs]
     points = np.asarray(runs[0][0].points, dtype=float)
-    shared = ("epochs", "learning_rate", "optimizer", "init_scale")
+    shared = ("epochs", "learning_rate", "optimizer")
     first = runs[0][1]
     for data, cfg, _ in runs[1:]:
         if any(getattr(cfg, name) != getattr(first, name) for name in shared):
@@ -198,20 +181,20 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple], architecture: Op
     trained: list[TrainRun] = []
     for start in range(0, len(runs), per_block):
         block = slice(start, start + per_block)
-        trained += _train_block(circuit, points, runs[block], targets[block], start, architecture)
+        trained += _train_block(circuit, points, runs[block], targets[block], start)
     return trained
 
 
 # A diverging run overflows inside numpy; the finite checks below name it,
 # so numpy's overflow and invalid-value warnings would only repeat them.
 @np.errstate(over="ignore", invalid="ignore")
-def _train_block(circuit, points, runs, targets, start, architecture) -> list[TrainRun]:
+def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
     """The runs of one lockstep block, the first of them run ``start``."""
     cfg = runs[0][1]
     sampling = _sampling(circuit, points, len(runs))
     y = np.array(targets)
     y_binary = np.array([np.asarray(data.y_binary, dtype=float) for data, _, _ in runs])
-    w = np.array([np.random.default_rng(run_cfg.seed).uniform(0.0, cfg.init_scale, circuit.n_params)
+    w = np.array([np.random.default_rng(run_cfg.seed).uniform(0.0, INIT_HIGH, circuit.n_params)
                   for _, run_cfg, _ in runs])
 
     loss_curves = np.empty((len(runs), cfg.epochs))
@@ -252,6 +235,5 @@ def _train_block(circuit, points, runs, targets, start, architecture) -> list[Tr
             final_preds=final_preds,
             final_loss=final_loss,
             config=run_cfg,
-            architecture=architecture,
         ))
     return trained

@@ -75,6 +75,22 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="duplicate"):
             parse_config("experiment = labelling\nseed = 1\nseed = 2\n")
 
+    @pytest.mark.parametrize("students, encoding", [
+        ("dissipative_qp, dissipative_qp", "rx"),
+        ("dissipative_qp, dissipative_qp@rx", "rx"),
+        ("reuploading:2, qnn_two_qp, reuploading: 2", "rx"),
+        ("dissipative_qp@rot_h, dissipative_qp", "rot_h"),
+    ])
+    def test_repeated_student_rejected(self, students, encoding):
+        text = f"experiment = teacher_student\nteacher = reuploading:2\nstudents = {students}\nencoding = {encoding}\n"
+        with pytest.raises(ConfigParseError, match="is listed twice"):
+            parse_config(text)
+
+    def test_one_family_under_two_encodings_accepted(self):
+        config = parse_config("experiment = teacher_student\nteacher = reuploading:2\n"
+                              "students = dissipative_qp, dissipative_qp@rot_h\n")
+        assert config.students == ("dissipative_qp", "dissipative_qp@rot_h")
+
     @pytest.mark.parametrize("experiment", ["teacher_student", "encoding_pca", "labelling", "normalization"])
     def test_seed_must_be_below_2_32(self, experiment):
         text = MINIMAL.replace("teacher_student", experiment)
@@ -190,6 +206,22 @@ class TestRerunIntoSameDirectory:
         assert "error: seed must be below 2^32, got 4294967296" in capsys.readouterr().err
         assert (out / "summary.json").is_file()
         assert not (out / "FAILED.txt").exists()
+
+    def test_repeated_student_leaves_the_previous_run(self, tmp_path, capsys):
+        """Two students that parse to one architecture would write the same
+        files, the second run's over the first's, so the config is rejected
+        before the previous run's results are touched."""
+        out = tmp_path / "out"
+        assert self._run(SMALL_RUN, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        config_path = tmp_path / "repeated.cfg"
+        config_path.write_text(SMALL_RUN.replace("students = dissipative_qp",
+                                                 "students = dissipative_qp, dissipative_qp@rx"))
+        assert main(["--config", str(config_path), "--out", str(out)]) == 2
+        assert ("error: student 'dissipative_qp' is listed twice (as 'dissipative_qp' and 'dissipative_qp@rx')"
+                in capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert "summary.json" in before
 
     def test_successful_rerun_removes_failure_marker(self, tmp_path):
         assert self._run(FAILING_RUN, tmp_path) == 1

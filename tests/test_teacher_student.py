@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qteach import metrics, teacher_student
-from qteach.circuits import build, dissipative_qp, reuploading
+from qteach.circuits import build, dissipative_qp, forward_batch, reuploading
 from qteach.errors import ConfigurationError, StructuralError, TrainingDivergedError
 from qteach.teacher_student import (
     LabeledGrid,
@@ -13,7 +13,7 @@ from qteach.teacher_student import (
     make_grid,
     run_experiment,
 )
-from qteach.training import TrainConfig, binarize
+from qteach.training import INIT_HIGH, TrainConfig, binarize
 
 
 class TestMakeGrid:
@@ -38,11 +38,18 @@ class TestMakeGrid:
 
 
 class TestGenerateDataset:
-    def test_explicit_zero_parameters(self):
+    def test_zero_parameters_label_the_centre_one(self):
         grid = make_grid(3)
-        dataset = generate_dataset(dissipative_qp(), grid, seed=0, params=np.zeros(12))
+        y = forward_batch(build(dissipative_qp()), grid, np.zeros(12))
         center = np.flatnonzero((grid == 0).all(axis=1))[0]
-        assert dataset.y_continuous[center] == pytest.approx(1.0, abs=1e-12)
+        assert y[center] == pytest.approx(1.0, abs=1e-12)
+
+    def test_teacher_draws_as_students_do(self):
+        """The teacher's parameters are the seed's uniform draw on
+        [0, INIT_HIGH), the draw ``train`` starts a student of that seed at."""
+        dataset = generate_dataset(reuploading(2), make_grid(3), seed=7)
+        expected = np.random.default_rng(7).uniform(0.0, INIT_HIGH, build(reuploading(2)).n_params)
+        np.testing.assert_array_equal(dataset.teacher_params, expected)
 
     def test_same_seed_identical(self):
         grid = make_grid(4)
@@ -130,11 +137,6 @@ class TestRunExperiment:
             assert len(student.binary_runs) == 2
             assert student.rel_entropies.shape == (2,)
             assert student.accuracies.shape == (2,)
-
-    def test_average_curve_is_pointwise_mean(self, small_result):
-        student = small_result.students[0]
-        stacked = np.stack([run.loss_curve for run in student.runs])
-        np.testing.assert_allclose(student.mean_loss_curve, stacked.mean(axis=0), atol=1e-15)
 
     def test_deterministic_given_config(self, small_result):
         cfg = TrainConfig(epochs=12, seed=3)
