@@ -378,16 +378,25 @@ def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
 
 def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
             w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
-    """(plans, amps): ``ops`` lowered for the points ``xs`` under one
-    parameter vector ``w``, and the states they take |0...0> to, as the
-    (B, 2^n) transpose of a batch-minor (2^n, B) array (``kernels``)."""
-    plans = [qsim.lower_gate(op.kind, n_qubits, op.targets[0], op.controls, _lowered_angles(op, xs, w))
-             for op in ops]
-    amps = np.zeros((1 << n_qubits, len(xs)), dtype=complex).T
+    """(plans, amps): the steps of ``ops`` fused (``_fuse``) and lowered
+    for the points ``xs`` under one parameter vector ``w``, and the states
+    they take |0...0> to, as the (B, 2^n) transpose of a batch-minor
+    (2^n, B) array (``kernels``)."""
+    fused = _fuse(tuple(ops), n_qubits)
+    plans = fused.plans(xs, w)
+    amps = _evolve(plans, fused.n_qubits, len(xs))
+    if fused.n_qubits > n_qubits:
+        amps = amps[:, ::2]  # a one-qubit program's idle partner bit is 0
+    return plans, amps
+
+
+def _evolve(plans: Sequence[kernels.PlannedOp], n_qubits: int, rows: int) -> np.ndarray:
+    """(rows, 2^n) view of the batch-minor states ``plans`` take |0...0> to."""
+    amps = np.zeros((1 << n_qubits, rows), dtype=complex).T
     amps[:, 0] = 1.0
     for planned in plans:
         kernels.apply_planned(planned, amps)
-    return plans, amps
+    return amps
 
 
 # gates that map basis states to basis states, up to sign: pulled back
@@ -445,8 +454,9 @@ def _measured(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray, w: np.ndarra
     """(B,) + width array of ``measure(amps)`` for the states ``ops`` take
     |0...0> to at the (B, 2) points ``xs`` under one parameter vector
     ``w``; the points evolve in blocks of about ``_BLOCK_BYTES`` of
-    amplitudes."""
-    step = max(1, _BLOCK_BYTES // (16 << n_qubits))
+    amplitudes, counting at least 16 per point: a fused data block holds
+    a 4 x 4 matrix per point (``_fuse``)."""
+    step = max(1, _BLOCK_BYTES // (16 << max(n_qubits, 4)))
     out = np.empty((len(xs),) + width)
     for start in range(0, len(xs), step):
         # no name holds a block's state, so it is freed before the next block evolves
@@ -481,90 +491,328 @@ def _param_rows(op: SlotOp) -> list[int]:
 
 
 def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
-    """The adjoint of a lowered gate: FLIP and PHASE are their own
+    """The adjoint of a lowered gate or block: FLIP and PHASE are their own
     inverses, a matrix payload is conjugate-transposed."""
     if planned.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE):
         return planned
-    return kernels.PlannedOp(planned.mode, planned.left, planned.right, _dagger(planned.payload))
+    return kernels.PlannedOp(planned.mode, planned.left, planned.right, _dagger(planned.payload), planned.middle)
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a (2, 2, ...) payload; each
+    """Conjugate transpose of every matrix in a (d, d, ...) payload; each
     entry [i, j] of the result is again one contiguous block."""
     return np.conj(np.swapaxes(mats, 0, 1))
 
 
-def _overlaps(lam: np.ndarray, psi: np.ndarray, left: int, right: int) -> np.ndarray:
-    """(2, 2, rows) S_ij per row: the sum of conj(lam) on target bit i
-    times psi on target bit j, over the other qubits, as one contraction
-    of the stored (left, 2, right, rows) views."""
-    lam4 = np.conjugate(lam.T).reshape(left, 2, right, -1)
-    psi4 = psi.T.reshape(left, 2, right, -1)
-    return np.einsum("lirb,ljrb->ijb", lam4, psi4)
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b for (4, 4, *batch) stacks broadcast over the batch, into
+    ``out`` if given; a 1-D operand is the diagonal of a fixed matrix.
+    einsum keeps the sums in numpy's own loops (no BLAS), and with one
+    summed index each entry's sum runs in the same order for every batch
+    shape."""
+    if a.ndim == 1:
+        return np.multiply(a.reshape((4,) + (1,) * (b.ndim - 1)), b, out=out)
+    if b.ndim == 1:
+        return np.multiply(a, b.reshape((1, 4) + (1,) * (a.ndim - 2)), out=out)
+    return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
-class _RotationGroup:
-    """The trainable ops of one rotation kind whose matrices have one
-    shape: one matrix per run, or one per run and point when an angle is
-    data.  ``bind`` sets their plans' matrices for R parameter vectors.
+# the angles (phi, theta, omega) of Rot = Rz(omega) Ry(theta) Rz(phi) that
+# give each trainable rotation, so that one ROT builder call serves them all
+_AS_ROT = {
+    GateKind.ROT: lambda a: a,
+    GateKind.RZ: lambda a: (a[0], Const(0.0), Const(0.0)),
+    GateKind.RY: lambda a: (Const(0.0), a[0], Const(0.0)),
+    GateKind.RX: lambda a: (Const(np.pi / 2), a[0], Const(-np.pi / 2)),
+}
 
-    ``table`` (angles, M) indexes the rows of ``angles`` (rows, R, 1 or
-    N): the P parameters, the P parameters shifted by pi, then the
-    constants and data columns of the ops, filled once.  Its first K
-    columns are the K ops' own angles; then, op after op, one copy of the
-    op's column per trainable angle, with that angle's row moved to its
-    shifted parameter.  So one gather and one ``qsim.matrix_builder`` call
-    give every matrix and every derivative matrix of the group, for all R
-    runs."""
+_NO_PARAMS = np.empty(0)
+_NO_POINTS = np.empty((0, 2))
 
-    def __init__(self, kind: GateKind, ops: list[SlotOp], n_qubits: int, n_params: int,
-                 xs: np.ndarray, per_point: bool, runs: int):
-        self.kind, self.n_params = kind, n_params
-        fixed: list = []  # constants and data columns, the rows after the 2 P parameter rows
 
-        def row(angle: AngleExpr) -> int:
-            if isinstance(angle, ParamRef):
-                return angle.index
-            fixed.append(angle.value if isinstance(angle, Const) else xs[:, angle.component])
-            return 2 * n_params + len(fixed) - 1
+class _Step:
+    """One kernel call of a fused program.  ``pair`` is None for a lone
+    gate without parameters (``ops`` holds it as is, lowered by
+    ``qsim.lower_gate``); otherwise ``ops`` holds the block's gates on the
+    qubit pair a < b renumbered onto a -> 0 and b -> 1.  A fixed block
+    keeps its (4, 4) ``matrix``; a block that takes data keeps its
+    ``data`` chain (``_data_chain``).  A trainable block's ``chain`` lists,
+    first applied first, its fixed segments ((4, 4), or the diagonal of a
+    diagonal one) and the indices of its layers, ``layers`` those indices
+    and ``span`` the slice of its trainable angles among all of them;
+    ``parts`` maps each layer to its slice of the kron stack and its
+    offset among the ``size`` matrices ``_Fused.block`` returns."""
 
-        columns = [[row(a) for a in op.angles] for op in ops]
-        #: per op, the slice of its derivative matrices in ``bind``'s result
-        self.slices = []
-        for op, rows in zip(ops, columns[:len(ops)]):
-            slots = [pos for pos, a in enumerate(op.angles) if isinstance(a, ParamRef)]
-            start = len(columns) - len(ops)
-            columns += [[r + n_params * (pos == shift) for pos, r in enumerate(rows)] for shift in slots]
-            self.slices.append(slice(start, start + len(slots)))
-        self.table = np.array(columns).T
-        self.angles = np.empty((2 * n_params + len(fixed), runs, len(xs) if per_point else 1))
-        for k, value in enumerate(fixed):
-            self.angles[2 * n_params + k] = value
-        mode = kernels.MODE_PER_ROW if per_point else kernels.MODE_PER_S
-        splits = [kernels.bit_split(n_qubits, op.targets[0]) for op in ops]
-        self.plans = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
-        self.inverses = [kernels.PlannedOp(mode, left, right, None) for left, right in splits]
+    __slots__ = ("ops", "pair", "split", "matrix", "data", "chain", "layers", "span", "parts", "size")
 
-    def bind(self, w: np.ndarray) -> np.ndarray:
-        """Set the ops' (2, 2, R, 1 or N) matrix payloads and inverses at
-        the (R, P) parameters ``w`` in ``plans`` and ``inverses``; return the
-        (2, 2, D, R, 1 or N) derivative matrices U(a + pi) of all D
-        trainable angles, op after op.  All three are views of one
-        ``matrix_builder`` output and of its one dagger.
+    def __init__(self, ops, pair=None, n_qubits=0, matrix=None, data=None, chain=None):
+        self.ops, self.pair, self.matrix, self.data, self.chain = ops, pair, matrix, data, chain
+        self.split = kernels.pair_split(n_qubits, *pair) if pair else None
+        self.layers = [item for item in chain if isinstance(item, int)] if chain else []
 
-        Every angle sits on a Pauli rotation R(a) = exp(-i a P / 2), whose
-        derivative is (-i P / 2) R(a) = R(a + pi) / 2; shifting one angle
-        of Rot(phi, theta, omega) = Rz(omega) Ry(theta) Rz(phi) by pi gives
-        twice M (-iZ/2), Rz(omega) (-iY/2) Ry(theta) Rz(phi) and (-iZ/2) M.
-        So a derivative matrix is U(a + pi) = 2 dU/da."""
-        p, k = self.n_params, len(self.plans)
-        self.angles[:p] = w.T[:, :, None]
-        np.add(self.angles[:p], np.pi, out=self.angles[p:2 * p])
-        mats = qsim.matrix_builder(self.kind)(self.angles[self.table])  # (2, 2, K + D, R, 1 or N)
-        daggers = _dagger(mats[:, :, :k])
-        for j, (planned, inverse) in enumerate(zip(self.plans, self.inverses)):
-            planned.payload, inverse.payload = mats[:, :, j], daggers[:, :, j]
-        return mats[:, :, k:]
+
+def _pair_matrix(ops: Sequence[SlotOp]) -> np.ndarray:
+    """The (4, 4) matrix of gates without parameters or data on qubits 0
+    and 1: the states the gates take the 4 basis states to, through the
+    kernels."""
+    amps = np.eye(4, dtype=complex)  # row j is |j>, stored batch-minor as its transpose
+    for op in ops:
+        kernels.apply_planned(qsim.lower_gate(op.kind, 2, op.targets[0], op.controls,
+                                              _lowered_angles(op, _NO_POINTS, _NO_PARAMS)), amps)
+    return amps.T.copy()
+
+
+def _data_chain(ops: Sequence[SlotOp]) -> list:
+    """A block of gates that take data, first applied first: fixed
+    segments (``_segment``) and layers [gate on qubit 0, gate on qubit 1]
+    of rotations that take data (None for the identity)."""
+    chain: list = []
+    pending: list[SlotOp] = []
+    for op in ops:
+        if not op.is_encoding():
+            pending.append(op)
+            continue
+        side = op.targets[0]
+        if not chain or pending or chain[-1][side] is not None:
+            if pending:
+                chain.append(_segment(pending))
+                pending = []
+            chain.append([None, None])
+        chain[-1][side] = op
+    return chain + [_segment(pending)] if pending else chain
+
+
+_IDENTITY = np.eye(2, dtype=complex)[:, :, None]
+
+
+def _data_matrix(chain: list, xs: np.ndarray) -> np.ndarray:
+    """The (4, 4, B) matrix per point of a ``_data_chain`` at the points
+    ``xs``: its layers' krons and fixed segments multiplied in order."""
+    acc = None
+    for item in chain:
+        if isinstance(item, list):
+            a, b = (_IDENTITY if op is None else
+                    qsim.matrix_builder(op.kind)(_lowered_angles(op, xs, _NO_PARAMS)) for op in item)
+            item = (a[:, None, :, None] * b[None, :, None, :]).reshape((4, 4, -1))
+        acc = item if acc is None else _dot(item, acc)
+    return acc
+
+
+def _segment(ops: Sequence[SlotOp]) -> np.ndarray:
+    """A trainable block's fixed segment: its matrix, or its diagonal."""
+    mats = _pair_matrix(ops)
+    diagonal = np.diagonal(mats).copy()
+    return diagonal if np.array_equal(mats, np.diag(diagonal)) else mats
+
+
+class _Fused:
+    """A gate program on ``n_qubits`` fused into steps of at most two
+    qubits (Suzuki et al., arXiv:2011.13524).
+
+    Gates are taken in order into blocks: a gate joins the current block
+    while the block stays on two qubits and does not mix gates that take
+    data with trainable ones; a gate on three or more qubits (MCX) is a
+    step of its own.  A block of one gate without parameters stays that
+    gate (FLIP, PHASE or 2 x 2); every other block is one 4 x 4 matrix on
+    a qubit pair, a lone qubit taking the nearest other qubit as its idle
+    partner (a one-qubit program runs on two qubits for this).  A block
+    without parameters is fixed, one matrix per point when it takes
+    data.  A trainable block is the product of its
+    ``chain``: fixed segments and layers, each layer kron(A, B) of at
+    most one trainable rotation per qubit (the identity where there is
+    none).
+
+    Every trainable rotation is a Rot (``_AS_ROT``), so one
+    ``qsim.matrix_builder(GateKind.ROT)`` call on one gather of the angle
+    rows (``angles``: the P parameters, the P parameters shifted by pi,
+    then constants and data) gives every layer factor and, for every
+    trainable angle, U(a + pi) = 2 dU/da.  ``krons`` pairs the builder's
+    columns into a stack: per layer in order, the layer, then for each of
+    its trainable angles K, the layer with U(a + pi) in place of U
+    (``at`` locates the layers in it).  ``order`` sorts the trainable
+    angles, taken in stack order, by parameter index."""
+
+    def __init__(self, ops: tuple[SlotOp, ...], n_qubits: int):
+        self.n_qubits = n = 2 if n_qubits == 1 else n_qubits
+        self.n_params = p = 1 + max((i for op in ops for i in _param_rows(op)), default=-1)
+        groups: list[list] = []  # [wires, ops, kind]: kind "p" trainable, "d" data only, "c" neither
+        for op in ops:
+            wires = set(op.targets + op.controls)
+            kind = "p" if _param_rows(op) else "d" if op.is_encoding() else "c"
+            if groups and len(groups[-1][0] | wires) <= 2 and {groups[-1][2], kind} != {"d", "p"}:
+                groups[-1][0] |= wires
+                groups[-1][1].append(op)
+                groups[-1][2] = kind if groups[-1][2] == "c" else groups[-1][2]
+            else:
+                groups.append([wires, [op], kind])
+
+        self.fixed: list[AngleExpr] = []  # the angle rows after the 2 P parameter rows
+        base: list[list[int]] = [[self._row(Const(0.0), p)] * 3]  # column 0: the identity
+        shifted: list[list[int]] = []
+        layers: list[list[int]] = []  # the (A, B) base columns of each layer
+        derivs: list[list] = []  # per layer, [kron pair, parameter] of each trainable angle
+        self.steps: list[_Step] = []
+        for wires, members, kind in groups:
+            if len(members) == 1 and kind != "p":
+                self.steps.append(_Step(tuple(members)))
+                continue
+            (q,) = wires if len(wires) == 1 else (None,)
+            pair = tuple(sorted(wires)) if q is None else tuple(sorted((q, q + 1 if q + 1 < n else q - 1)))
+            place = {pair[0]: 0, pair[1]: 1}
+            members = [replace(op, targets=tuple(place[t] for t in op.targets),
+                               controls=tuple(place[c] for c in op.controls)) for op in members]
+            if kind == "c":
+                self.steps.append(_Step(tuple(members), pair, n, _pair_matrix(members)))
+                continue
+            if kind == "d":
+                self.steps.append(_Step(tuple(members), pair, n, data=_data_chain(members)))
+                continue
+            chain: list = []
+            pending: list[SlotOp] = []
+            for op in members:
+                if not _param_rows(op):
+                    pending.append(op)
+                    continue
+                side = op.targets[0]
+                if not chain or pending or layers[chain[-1]][side]:
+                    if pending:
+                        chain.append(_segment(pending))
+                        pending = []
+                    chain.append(len(layers))
+                    layers.append([0, 0])
+                    derivs.append([])
+                angles = _AS_ROT[op.kind](op.angles)
+                rows = [self._row(a, p) for a in angles]
+                layers[-1][side] = len(base)
+                base.append(rows)
+                for slot, angle in enumerate(angles):
+                    if isinstance(angle, ParamRef):
+                        column = [r + p * (k == slot) for k, r in enumerate(rows)]
+                        derivs[-1].append((side, len(shifted), angle.index))
+                        shifted.append(column)
+            if pending:
+                chain.append(_segment(pending))
+            self.steps.append(_Step(tuple(members), pair, n, chain=chain))
+
+        columns = base + shifted
+        self.n_layers = len(layers)
+        pairs, self.at, params = [], [], []
+        for layer, angles in zip(layers, derivs):
+            self.at.append(len(pairs))
+            pairs.append(layer)
+            for side, column, param in angles:
+                pair = list(layer)
+                pair[side] = len(base) + column
+                pairs.append(pair)
+                params.append(param)
+        self.ends = [at + 1 + len(angles) for at, angles in zip(self.at, derivs)]
+        # the builder's columns for each kron: all first factors, then all second factors
+        self.tables = [np.array([columns[i] for i in [a for a, _ in chosen] + [b for _, b in chosen]],
+                                dtype=int).reshape(-1, 3).T for chosen in (layers, pairs)]
+        self.order = np.argsort(params, kind="stable")
+        start = 0
+        for step in self.steps:
+            count = sum(len(derivs[j]) for j in step.layers)
+            step.span, start = slice(start, start + count), start + count
+            step.parts, step.size = {}, 0
+            for j in step.layers:
+                begin = self.at[j] + (j != step.layers[0])  # a later layer's own kron is not needed
+                step.parts[j] = (begin, self.ends[j], step.size)
+                step.size += self.ends[j] - begin
+        self.per_point = any(isinstance(a, DataRef) for a in self.fixed)
+
+    def _row(self, angle: AngleExpr, n_params: int) -> int:
+        if isinstance(angle, ParamRef):
+            return angle.index
+        if angle not in self.fixed:
+            self.fixed.append(angle)
+        return 2 * n_params + self.fixed.index(angle)
+
+    def angles(self, xs: np.ndarray, runs: int) -> np.ndarray:
+        """(rows, runs, B or 1) angle rows with the constants and data set:
+        one column per point when a trainable rotation takes data."""
+        p = self.n_params
+        out = np.empty((2 * p + len(self.fixed), runs, len(xs) if self.per_point else 1))
+        for k, angle in enumerate(self.fixed):
+            out[2 * p + k] = angle.value if isinstance(angle, Const) else xs[:, angle.component]
+        return out
+
+    def krons(self, angles: np.ndarray, w: np.ndarray, derivatives: bool) -> np.ndarray:
+        """The (4, 4, K, R, 1 or B) kron stack at the (R, P) parameters
+        ``w``, from one builder call on ``angles`` (``angles``): with
+        ``derivatives`` the whole stack, else the layers alone."""
+        p = self.n_params
+        angles[:p] = w.T[:p, :, None]
+        np.add(angles[:p], np.pi, out=angles[p:2 * p])
+        mats = qsim.matrix_builder(GateKind.ROT)(angles[self.tables[derivatives]])
+        half = mats.shape[2] // 2
+        krons = mats[:, :, :half][:, None, :, None] * mats[:, :, half:][None, :, None, :]
+        return krons.reshape((4, 4) + krons.shape[4:])
+
+    def block(self, step: _Step, krons: np.ndarray, derivatives: bool) -> np.ndarray:
+        """(4, 4, 1 + D, R, 1 or B): a trainable block's matrix S L P,
+        with L its first layer and P and S the products of its chain
+        before and after L, then (with ``derivatives``) for each of its D
+        trainable angles 2 d(matrix)/da = S' K P', with K from ``krons``
+        and S', P' the chain after and before the angle's layer."""
+        first, last = step.layers[0], step.layers[-1]
+        at = self.at if derivatives else range(self.n_layers)
+        befores, acc = {}, None
+        for item in step.chain:
+            if isinstance(item, int):
+                befores[item] = acc
+                if item == (last if derivatives else first):
+                    break
+                item = krons[:, :, at[item]]
+            acc = item if acc is None else _dot(item, acc)
+        # per layer: its slice of the kron stack and where it goes in ``out``
+        parts = step.parts if derivatives else {first: (first, first + 1, 0)}
+        out = np.empty((4, 4, step.size if derivatives else 1) + krons.shape[3:], dtype=complex)
+        acc = None
+        for item in reversed(step.chain):
+            if isinstance(item, int):
+                if item in parts:
+                    start, stop, offset = parts[item]
+                    stack, part = krons[:, :, start:stop], out[:, :, offset:offset + stop - start]
+                    if befores[item] is None:
+                        _dot(acc, stack, part) if acc is not None else np.copyto(part, stack)
+                    else:
+                        _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
+                if item == first:
+                    break
+                item = krons[:, :, at[item]]
+            acc = item if acc is None else _dot(acc, item)
+        return out
+
+    def fixed_plan(self, step: _Step, xs: np.ndarray) -> kernels.PlannedOp:
+        """A step without parameters lowered for the points ``xs``."""
+        if step.pair is None:
+            op = step.ops[0]
+            return qsim.lower_gate(op.kind, self.n_qubits, op.targets[0], op.controls,
+                                   _lowered_angles(op, xs, _NO_PARAMS))
+        return _pair_plan(step, step.matrix if step.data is None else _data_matrix(step.data, xs))
+
+    def plans(self, xs: np.ndarray, w: np.ndarray) -> list[kernels.PlannedOp]:
+        """Every step lowered for the points ``xs`` under one parameter
+        vector ``w``."""
+        if self.n_layers:
+            krons = self.krons(self.angles(xs, 1), w[None], False)
+        return [self.fixed_plan(step, xs) if step.chain is None else
+                _pair_plan(step, self.block(step, krons, False)[:, :, 0]) for step in self.steps]
+
+
+def _pair_plan(step: _Step, mats: np.ndarray) -> kernels.PlannedOp:
+    """A pair block's kernel call with its (4, 4, *batch) payload."""
+    mode = (kernels.MODE_CONST, kernels.MODE_PER_B,
+            kernels.MODE_PER_S if mats.shape[-1] == 1 else kernels.MODE_PER_ROW)[mats.ndim - 2]
+    left, middle, right = step.split
+    return kernels.PlannedOp(mode, left, right, mats, middle)
+
+
+@lru_cache(maxsize=64)
+def _fuse(ops: tuple[SlotOp, ...], n_qubits: int) -> _Fused:
+    """``ops`` on ``n_qubits`` fused into steps; shared, never mutated."""
+    return _Fused(ops, n_qubits)
 
 
 class CompiledCircuit:
@@ -573,106 +821,133 @@ class CompiledCircuit:
     at any number of (runs, P) parameter arrays.
 
     It evolves the circuit's readout program (``_program``: n' qubits and
-    a +-1 diagonal observable), as ``forward_many`` does.  The runs are
-    stacked as rows: the state holds runs * N amplitude rows, run r in
-    rows r N .. (r + 1) N - 1, stored batch-minor as a (2^n', runs * N)
-    array (``kernels``), and every gate is one kernel call for all of
-    them; at each trainable gate one contraction gives the overlaps of
-    every row.  Built once: the plans of the fixed gates after the
-    program's first trainable op and their inverses (data angles at the
-    points tiled once per run), the state that the data-only prefix
-    before that op takes |0...0> to, and one ``_RotationGroup`` per
-    rotation kind and matrix shape of the trainable ops.  Per evaluation:
-    every group's matrices, inverses and derivative matrices U(a + pi),
-    all (2, 2, ...) views of one builder call per group and of its dagger,
-    then both sweeps from the prefix state, with lam = signs * psi at the
-    end; at a trainable gate d<Z>/dw = Re sum_ij U(a + pi)_ij S_ij with S
-    the ``_overlaps`` of that gate.  Trainable gates stay separate ops.
-    The groups' plans hold the matrices of the last evaluation (``bind``
-    sets their payloads), so one instance must not be evaluated from two
-    threads at once; the arrays it returns are new on every call.
+    a +-1 diagonal observable O) fused into blocks (``_fuse``), as
+    ``forward_many`` does.  The runs are stacked as rows: the state holds
+    runs * N amplitude rows, run r in rows r N .. (r + 1) N - 1, stored
+    batch-minor as a (2^n', runs * N) array (``kernels``), and every step
+    is one kernel call for all of them.  Built once: the state that the
+    steps before the first trainable block take |0...0> to, and the
+    plans and inverses of the later fixed steps (data at the points tiled
+    once per run).  ``forward`` builds, from one ROT builder call, every
+    trainable block's (4, 4, runs, 1) matrix T and its derivative
+    matrices G = 2 dT/da for every trainable angle a, and evolves the
+    state.  ``backward`` then sweeps back through the step inverses
+    (Jones & Gacon, arXiv:2009.02823), carrying psi and lam = c O psi for
+    a cotangent c.  At a trainable block with input psi and output
+    cotangent lam, the derivative of sum c <O> is 2 Re Tr(dT/da M) = Re
+    Tr(G M) with M = psi lam^dagger summed over the other qubits and over
+    the points (per point for the Jacobian): one contraction per block
+    gives all of its derivatives.  ``forward`` keeps its state for the
+    ``backward`` that follows, so one instance must not be evaluated from
+    two threads at once; the arrays returned are new on every call.
     """
 
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
         xs = _points(xs)
-        self.circuit, self.runs = circuit, runs
-        ops, n, self._signs = _program(circuit)
-        trainable = [i for i, op in enumerate(ops) if _param_rows(op)]
-        first = trainable[0] if trainable else len(ops)
-        _, self._prefix = _states(ops[:first], n, xs, np.empty(0))
-
-        members: dict[tuple[GateKind, bool], list[int]] = {}
-        for i in trainable:
-            members.setdefault((ops[i].kind, ops[i].is_encoding()), []).append(i)
-        self._groups = [_RotationGroup(kind, [ops[i] for i in idx], n, circuit.n_params, xs, per_point, runs)
-                        for (kind, per_point), idx in members.items()]
-        place = {i: (g, k) for g, idx in enumerate(members.values()) for k, i in enumerate(idx)}
+        self.circuit, self.runs, self.n_points = circuit, runs, len(xs)
+        ops, n, signs = _program(circuit)
+        self._fused = fused = _fuse(ops, n)
+        self._signs = np.repeat(signs, 2) if fused.n_qubits > n else signs  # idle partner bit
+        steps = fused.steps
+        first = next((i for i, step in enumerate(steps) if step.chain is not None), len(steps))
+        self._prefix = _evolve([fused.fixed_plan(step, xs) for step in steps[:first]], fused.n_qubits, len(xs))
+        self._steps = steps[first:]
+        self._trainable = [k for k, step in enumerate(self._steps) if step.chain is not None]
         tiled = np.tile(xs, (runs, 1))
-        # ops[first:]: each plan and its inverse; for a trainable op also
-        # (group, slice of the group's derivatives, parameter rows)
-        self._plans, self._inverses, self._slots = [], [], []
-        for i, op in enumerate(ops[first:], first):
-            if i in place:
-                g, k = place[i]
-                group = self._groups[g]
-                planned, inverse = group.plans[k], group.inverses[k]
-                self._slots.append((g, group.slices[k], _param_rows(op)))
-            else:
-                planned = qsim.lower_gate(op.kind, n, op.targets[0], op.controls,
-                                          _lowered_angles(op, tiled, np.empty(0)))
-                inverse = _inverse(planned)
-                self._slots.append(None)
-            self._plans.append(planned)
-            self._inverses.append(inverse)
+        self._plans = [None if step.chain is not None else fused.fixed_plan(step, tiled) for step in self._steps]
+        self._inverses = [None if planned is None else _inverse(planned) for planned in self._plans]
+        self._angles = fused.angles(xs, runs)
+        self._sweep = None
+
+    def forward(self, w) -> np.ndarray:
+        """(runs, N) predictions at the (runs, P) parameters ``w``; keeps
+        the sweep for ``backward``."""
+        runs, n_points, fused = self.runs, self.n_points, self._fused
+        w = np.asarray(w, dtype=float)
+        if w.shape != (runs, self.circuit.n_params):
+            raise ConfigurationError(
+                f"expected a ({runs}, {self.circuit.n_params}) parameter array, got shape {w.shape}")
+        plans, blocks = list(self._plans), {}
+        if self._trainable:
+            krons = fused.krons(self._angles, w, True)
+        for k in self._trainable:
+            blocks[k] = fused.block(self._steps[k], krons, True)
+            plans[k] = _pair_plan(self._steps[k], blocks[k][:, :, 0])
+        psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
+        np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
+        for planned in plans:
+            kernels.apply_planned(planned, psi)
+        self._sweep = (psi, plans, blocks)
+        return qsim.expectation_z_kernel(psi, self._signs).reshape(runs, n_points)
+
+    def backward(self, cotangent=None) -> np.ndarray:
+        """Derivatives of the last ``forward``'s predictions: with a (runs,
+        N) ``cotangent`` c, the (runs, P) sums over points of c times
+        d preds / d w; without one, the (runs, P, N) Jacobian."""
+        psi, plans, blocks = self._sweep
+        self._sweep = None  # the sweep walks psi back in place
+        runs, n_points, fused = self.runs, self.n_points, self._fused
+        if not self._trainable:
+            return np.zeros((runs, 0, n_points)[:2 + (cotangent is None)])
+        lam = psi * self._signs
+        if cotangent is not None:
+            lam *= np.asarray(cotangent, dtype=float).reshape(-1, 1)
+        summed = cotangent is not None and not fused.per_point
+        grads = np.empty((len(fused.order), runs, 1 if summed else n_points), dtype=complex)
+        # psi goes back to the second trainable block's input: the first one's is the prefix
+        stop = self._trainable[1] if len(self._trainable) > 1 else len(plans)
+        for k in range(len(plans) - 1, -1, -1):
+            if k:
+                inverse = self._inverses[k] or _inverse(plans[k])
+                if k >= stop:
+                    kernels.apply_planned(inverse, psi)
+            if k in blocks:
+                step, derivs = self._steps[k], blocks[k][:, :, 1:]
+                mt = self._overlaps(step, psi if k else self._prefix, lam, summed)
+                np.einsum("xd...,x...->d...", derivs.reshape((16,) + derivs.shape[2:]),
+                          mt.reshape((16,) + mt.shape[2:]), out=grads[step.span])
+            if k:
+                kernels.apply_planned(inverse, lam)
+        grads = np.add.reduce(grads.real[fused.order], axis=-1) if cotangent is not None else grads.real[fused.order]
+        return grads.swapaxes(0, 1)
+
+    def _overlaps(self, step: _Step, psi: np.ndarray, lam: np.ndarray, summed: bool) -> np.ndarray:
+        """(4, 4, runs, N) M^T of one block per run and point, the sum over
+        the other qubits of conj(lam) on pair index y times psi on x at
+        [y, x]; (4, 4, runs, 1) summed over the points when ``summed``."""
+        left, middle, right = step.split
+        view = (left, 2, middle, 2, right, -1, self.n_points)
+        mt = np.einsum("lambt...,lcmdt...->abcd...", np.conj(lam.T).reshape(view), psi.T.reshape(view))
+        mt = mt.reshape((4, 4) + mt.shape[4:])
+        return mt.sum(axis=-1, keepdims=True) if summed else mt
 
     def forward_with_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """``(preds, dpreds)`` at the (runs, P) parameters ``w``: preds
         (runs, N) and dpreds (runs, P, N), row r as the function
         ``forward_with_adjoint`` defines them at ``w[r]``."""
-        runs, n_params, signs = self.runs, self.circuit.n_params, self._signs
-        w = np.asarray(w, dtype=float)
-        if w.shape != (runs, n_params):
-            raise ConfigurationError(f"expected a ({runs}, {n_params}) parameter array, got shape {w.shape}")
-        derivs = [group.bind(w) for group in self._groups]
-        n_points = len(self._prefix)
-        psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
-        np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
-        for planned in self._plans:
-            kernels.apply_planned(planned, psi)
-        preds = qsim.expectation_z_kernel(psi, signs).reshape(runs, n_points)
-
-        dpreds = np.zeros((runs, n_params, n_points))
-        lam = psi * signs
-        for i in range(len(self._plans) - 1, -1, -1):
-            inverse = self._inverses[i]
-            kernels.apply_planned(inverse, psi)
-            if self._slots[i] is not None:
-                g, part, rows = self._slots[i]
-                overlaps = _overlaps(lam, psi, inverse.left, inverse.right)
-                grads = (derivs[g][:, :, part] * overlaps.reshape(2, 2, 1, runs, n_points)).sum(axis=(0, 1)).real
-                dpreds[:, rows] = np.swapaxes(grads, 0, 1)
-            if i:
-                kernels.apply_planned(inverse, lam)
-        return preds, dpreds
+        preds = self.forward(w)
+        return preds, self.backward()
 
 
 def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     """Predictions and their exact derivatives by the adjoint method.
 
-    Returns ``(preds, dpreds)``: preds (B,) equal
-    ``forward_many`` at ``w`` bit for bit, and dpreds (P, B) holds
-    d preds / d w_j.  Both sweeps run on the circuit's readout program
-    (``_program``), whose +-1 diagonal O is the measured Z pulled back
-    through the trailing flips and CZs.  After one forward sweep, a
-    backward sweep (Jones & Gacon, arXiv:2009.02823) carries the state psi
-    and lam = O psi back through the gate inverses.  At trainable gate k,
-    with psi the state entering it and lam the observable pulled back to
-    its output,
-    d<Z>/dw = 2 Re <lam| dU_k |psi> = 2 Re sum_ij dU_ij S_ij, where S_ij
-    sums conj(lam) on target bit i times psi on target bit j; as
-    dU/da = U(a + pi) / 2 for every angle a, this is Re sum_ij
-    U(a + pi)_ij S_ij.  The backward sweep stops at the first trainable
-    gate.
+    Returns ``(preds, dpreds)``: preds (B,) equal ``forward_many`` at
+    ``w`` bit for bit, and dpreds (P, B) holds d preds / d w_j.  Both
+    sweeps run on the circuit's readout program (``_program``) fused into
+    blocks of at most two qubits (``_fuse``), whose +-1 diagonal O is the
+    measured Z pulled back through the trailing flips and CZs.  After one
+    forward sweep, a backward sweep (Jones & Gacon, arXiv:2009.02823)
+    carries the state psi and lam = O psi back through the block inverses.
+    At a trainable block T with psi its input and lam the observable
+    pulled back to its output, d<Z>/dw = 2 Re <lam| dT/dw |psi> = 2 Re
+    Tr(dT/dw M) with M = psi lam^dagger; a layer L of T, between the
+    products P before and S after it, gives Tr(dL P M S), and as dU/da =
+    U(a + pi) / 2 for every angle a, d<Z>/dw is Re Tr(K P M S) with K the
+    layer with U(a + pi) in place of U.  The backward sweep stops at the
+    first trainable block, whose input is the evolved fixed prefix.
+    ``CompiledCircuit.backward`` with a cotangent sums M over the points
+    first, which is how training gets its gradient.
 
     This compiles the circuit at ``xs`` for one run and evaluates it
     once; a caller that evaluates the same points at many parameter

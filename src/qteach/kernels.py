@@ -7,15 +7,22 @@ row per state, so the long rows axis is innermost.  The rows may hold R
 runs of N points each, every run under its own parameter vector.  Every
 kernel mutates the amplitudes in place, in any memory order.
 
-A 2x2 matrix payload is (2, 2, *batch), the layout ``qsim``'s rotation
-builders return, and is applied as is: each entry [i, j] is a contiguous
+A matrix payload acts on one qubit (2, 2, *batch) or on a qubit pair
+(4, 4, *batch), and is applied as is: each entry [i, j] is a contiguous
 block broadcast against the stored array viewed as (left, 2, right) +
-batch.  (2, 2) is shared by all rows, (2, 2, B) holds one matrix per row,
-(2, 2, R, 1) one per run and (2, 2, R, N) one per run and point.  With
-qubit 0 as MSB, a basis index splits as l * (2 * right) + bit * right + r
-where left = 2^qubit and right = 2^(n - 1 - qubit).  A FLIP payload is
-the pair of index arrays (target bit 0, target bit 1) whose rows of the
-stored array swap; a PHASE payload lists the rows to negate.
+batch, or (left, 2, middle, 2, right) + batch for a pair.  (d, d) is
+shared by all rows, (d, d, B) holds one matrix per row, (d, d, R, 1) one
+per run and (d, d, R, N) one per run and point.  With qubit 0 as MSB, a
+basis index splits as l * (2 * right) + bit * right + r where left =
+2^qubit and right = 2^(n - 1 - qubit); a pair a < b splits as
+((l * 2 + bit_a) * middle + m) * 2 * right + bit_b * right + r with
+left = 2^a, middle = 2^(b - a - 1) and right = 2^(n - 1 - b), and its
+matrix index is 2 * bit_a + bit_b.  New amplitudes are sums of the
+matrix entries times the old amplitudes in input-index order, one
+numpy call per term, so every row's arithmetic is the same whatever the
+payload's batch shape.  A FLIP payload is the pair of index arrays
+(target bit 0, target bit 1) whose rows of the stored array swap; a
+PHASE payload lists the rows to negate.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 # dispatch modes for planned operations; the matrix modes share one
 # kernel and differ only in the payload shape above
-MODE_CONST = 0    # one 2x2 matrix shared by all rows
+MODE_CONST = 0    # one matrix shared by all rows
 MODE_PER_B = 1    # matrix indexed by row (data point)
 MODE_PER_S = 2    # matrix indexed by run (parameter vector)
 MODE_PER_ROW = 3  # matrix indexed by run and data point
@@ -35,26 +42,44 @@ MODE_PHASE = 5    # sign flip on listed indices (CZ)
 
 
 class PlannedOp:
-    """One gate lowered to a kernel call: mode + payload + bit split."""
+    """One gate or fused block lowered to a kernel call: mode + payload +
+    bit split; ``middle`` is 0 for one qubit and 2^(b - a - 1) for a pair
+    a < b."""
 
-    __slots__ = ("mode", "left", "right", "payload")
+    __slots__ = ("mode", "left", "right", "payload", "middle")
 
-    def __init__(self, mode: int, left: int, right: int, payload):
+    def __init__(self, mode: int, left: int, right: int, payload, middle: int = 0):
         self.mode = mode
         self.left = left
         self.right = right
         self.payload = payload
+        self.middle = middle
 
 
-def _apply_matrix(stored, left, right, mats):
-    # (left, 2, right) + batch: the batch is (rows,), or (R, N) for a
-    # payload indexed by run
-    a = stored.reshape((left, 2, right) + mats.shape[2:-1] + (-1,))
-    a0 = a[:, 0]
-    a1 = a[:, 1]
-    new0 = mats[0, 0] * a0 + mats[0, 1] * a1
-    a1[...] = mats[1, 0] * a0 + mats[1, 1] * a1
-    a0[...] = new0
+def _apply_matrix(stored, op):
+    # the batch is (rows,), or (R, N) for a payload indexed by run; the
+    # target bits lead the view q, the spectator axes follow
+    mats = op.payload
+    batch = mats.shape[2:-1] + (-1,)
+    # a shared (d, d) payload broadcasts against the rows axis too
+    shape = (1,) * (mats.ndim == 2) + mats.shape[2:]
+    if op.middle:
+        a = stored.reshape((op.left, 2, op.middle, 2, op.right) + batch)
+        q = a.transpose((1, 3, 0, 2) + tuple(range(4, a.ndim)))
+        terms = mats.reshape((2, 2, 2, 2, 1, 1, 1) + shape)
+        inputs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    else:
+        a = stored.reshape((op.left, 2, op.right) + batch)
+        q = a.transpose((1, 0) + tuple(range(2, a.ndim)))
+        terms = mats.reshape((2, 2, 1, 1) + shape)
+        inputs = ((0,), (1,))
+    index = (slice(None),) * len(inputs[0])
+    total = terms[index + inputs[0]] * q[inputs[0]]
+    term = np.empty_like(total)
+    for j in inputs[1:]:
+        np.multiply(terms[index + j], q[j], out=term)
+        total += term
+    q[...] = total
 
 
 def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
@@ -66,12 +91,17 @@ def apply_planned(op: PlannedOp, amps: np.ndarray) -> None:
     elif op.mode == MODE_PHASE:
         stored[op.payload] *= -1.0
     else:
-        _apply_matrix(stored, op.left, op.right, op.payload)
+        _apply_matrix(stored, op)
 
 
 def bit_split(n_qubits: int, qubit: int) -> tuple[int, int]:
     """(left, right) of one qubit: 2^qubit and 2^(n - 1 - qubit)."""
     return 1 << qubit, 1 << (n_qubits - 1 - qubit)
+
+
+def pair_split(n_qubits: int, a: int, b: int) -> tuple[int, int, int]:
+    """(left, middle, right) of the qubit pair a < b."""
+    return 1 << a, 1 << (b - a - 1), 1 << (n_qubits - 1 - b)
 
 
 @lru_cache(maxsize=None)

@@ -169,20 +169,28 @@ def rz_matrix(theta) -> np.ndarray:
     return m
 
 
+# the phases of Rot's top row, e = exp(-i (phi + omega) / 2) and f = exp(i (phi - omega) / 2)
+_ROT_PHI = np.array([-1.0, 1.0])
+_ROT_OMEGA = np.array([-1.0, -1.0])
+
+
 def rot_matrix(phi, theta, omega) -> np.ndarray:
-    """Rz(omega) @ Ry(theta) @ Rz(phi) in closed form."""
-    phi, theta, omega = np.broadcast_arrays(
-        np.asarray(phi, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(omega, dtype=float),
-    )
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    m = np.empty((2, 2) + np.shape(c), dtype=complex)
-    m[0, 0] = np.exp(-0.5j * (phi + omega)) * c
-    m[0, 1] = -np.exp(0.5j * (phi - omega)) * s
-    m[1, 0] = np.exp(-0.5j * (phi - omega)) * s
-    m[1, 1] = np.exp(0.5j * (phi + omega)) * c
+    """Rz(omega) @ Ry(theta) @ Rz(phi) in closed form: [[e c, -f s],
+    [conj(f) s, conj(e) c]] with e = exp(-i (phi + omega) / 2), f =
+    exp(i (phi - omega) / 2), c = cos(theta / 2) and s = sin(theta / 2)."""
+    phi, theta, omega = (np.asarray(a, dtype=float) for a in (phi, theta, omega))
+    axes = (1,) * max(phi.ndim, theta.ndim, omega.ndim)
+    half = 0.5 * theta.reshape(axes[theta.ndim:] + theta.shape)
+    cos_sin = np.empty((2,) + half.shape)
+    np.cos(half, out=cos_sin[0, ...])
+    np.sin(half, out=cos_sin[1, ...])
+    phases = np.exp(0.5j * (_ROT_PHI.reshape((2,) + axes) * phi + _ROT_OMEGA.reshape((2,) + axes) * omega))
+    m = np.empty((2,) + np.broadcast(phases, cos_sin).shape, dtype=complex)
+    m[0] = phases
+    np.conj(phases[::-1], out=m[1])
+    m[0] *= cos_sin
+    m[1] *= cos_sin[::-1]
+    m[0, 1] *= -1.0
     return m
 
 
@@ -252,8 +260,10 @@ def expectation_z_kernel(amps: np.ndarray, signs: np.ndarray) -> np.ndarray:
     The reduction runs per row with a fixed order, so a state's value
     does not depend on how many others share the batch, nor on the
     memory order of ``amps``."""
-    vals = (_probabilities(amps) * signs).sum(axis=-1)
-    return np.clip(vals, -1.0, 1.0)
+    probs = _probabilities(amps)
+    probs *= signs
+    vals = np.add.reduce(probs, axis=-1)
+    return np.minimum(np.maximum(vals, -1.0), 1.0)
 
 
 def probability_vector_kernel(amps: np.ndarray, n_qubits: int, qubits: Sequence[int]) -> np.ndarray:

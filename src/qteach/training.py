@@ -112,9 +112,10 @@ def loss(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuou
 
 def _sampling(circuit: CircuitSpec, points: np.ndarray, runs: int = 1) -> tuple[CompiledCircuit, np.ndarray]:
     """``(compiled, weights)``: the circuit compiled for ``runs`` parameter
-    vectors at the N periodic samples each epoch runs it on, and the (B, N)
-    interpolation matrix from them to ``points``."""
-    weights = interpolation_weights(circuit, points)
+    vectors at the N periodic samples each epoch runs it on, and the
+    transpose, C-contiguous (N, B), of the interpolation matrix K from them
+    to ``points`` (so each einsum over it runs along the B points)."""
+    weights = np.ascontiguousarray(interpolation_weights(circuit, points).T)
     return CompiledCircuit(circuit, periodic_samples(circuit)[1], runs), weights
 
 
@@ -122,15 +123,16 @@ def _loss_grad_preds(w, sampling, y):
     """Losses (R,), gradients (R, P) and predictions at the training points
     (R, B) of R runs, run r at the parameters ``w[r]`` against the labels
     ``y[r]``, from one adjoint evaluation of all of them on the
-    ``_sampling`` samples."""
+    ``_sampling`` samples: the backward sweep takes the cotangent
+    (2 / B) K^T r of the residuals r."""
     compiled, weights = sampling
-    values, dvalues = compiled.forward_with_adjoint(w)
+    values = compiled.forward(w)
     # einsum keeps the sums in numpy's own loops (no threaded BLAS); each
     # run's sums are the ones a single run makes, bit for bit
-    preds = np.einsum("bn,rn->rb", weights, values)
+    preds = np.einsum("nb,rn->rb", weights, values)
     residual = preds - y
-    grad = (2.0 / y.shape[1]) * np.einsum("rpn,rn->rp", dvalues, np.einsum("bn,rb->rn", weights, residual))
-    return np.mean(residual**2, axis=1), grad, preds
+    grad = compiled.backward((2.0 / y.shape[1]) * np.einsum("nb,rb->rn", weights, residual))
+    return np.add.reduce(residual**2, axis=1) / y.shape[1], grad, preds
 
 
 def gradient(circuit: CircuitSpec, w: np.ndarray, data, label_kind: str = "continuous") -> np.ndarray:

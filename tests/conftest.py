@@ -3,6 +3,7 @@ references production code is checked against (the Kronecker-product
 oracle, parameter shift, the dense relative entropy), and the environment
 of a fresh interpreter."""
 
+import itertools
 import os
 from functools import reduce
 from pathlib import Path
@@ -142,6 +143,19 @@ def gate_unitary(gate: GateOp, n_qubits: int) -> np.ndarray:
             factors[c] = _PROJECTORS[b]
         factors[gate.targets[0]] = base if all(bits) else _I2
         full += reduce(np.kron, factors)
+    return full
+
+
+def pair_unitary(matrix: np.ndarray, qa: int, qb: int, n_qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of a 4 x 4 ``matrix`` on the qubits (qa, qb),
+    its index 2 * bit(qa) + bit(qb), as a sum over its entries of
+    Kronecker products of |i><j| on qa, |k><l| on qb and the identity."""
+    full = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    for (i, k), (j, l) in itertools.product(itertools.product((0, 1), repeat=2), repeat=2):
+        factors = [_I2] * n_qubits
+        factors[qa] = np.outer(_I2[i], _I2[j])
+        factors[qb] = np.outer(_I2[k], _I2[l])
+        full += matrix[2 * i + k, 2 * j + l] * reduce(np.kron, factors)
     return full
 
 

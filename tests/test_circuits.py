@@ -312,11 +312,17 @@ def random_slot_ops(rng, n_qubits, n_gates, n_params):
 
 
 class TestEvolveInvariants:
-    """Oracle-free checks of the planned kernels on B > 1 points under one
+    """Oracle-free checks of the fused programs on B > 1 points under one
     parameter vector, with rotations that mix data and parameters, so
     payloads are shared by all points or indexed by point."""
 
     def test_norm_kept_and_inverse_returns_zero_state(self, rng):
+        """Each step of a fused program keeps the norm, and the steps'
+        inverses (``circuits._inverse``) in reverse order take the state
+        back to |0...0>.  The random programs reach every kernel mode: a
+        block shared by all points, one matrix per point (data), per run
+        (parameters) and per run and point (a rotation that takes both),
+        FLIP and PHASE."""
         n_points, n_params = 4, 5
         modes, mixing = set(), 0
         for _ in range(60):
@@ -324,7 +330,9 @@ class TestEvolveInvariants:
             ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), n_params)
             xs = rng.uniform(-np.pi, np.pi, (n_points, 2))
             w = rng.uniform(0, 2 * np.pi, n_params)
-            plans, amps = circuits._states(ops, n, xs, w)
+            fused = circuits._fuse(tuple(ops), n)
+            plans = fused.plans(xs, w)
+            amps = circuits._evolve(plans, fused.n_qubits, n_points)
             modes.update(p.mode for p in plans)
             mixing += sum({DataRef, ParamRef} <= {type(a) for a in op.angles} for op in ops)
             np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -333,8 +341,8 @@ class TestEvolveInvariants:
             zero = np.zeros_like(amps)
             zero[:, 0] = 1.0
             np.testing.assert_allclose(amps, zero, rtol=0, atol=1e-12)
-        assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_FLIP,
-                         kernels.MODE_PHASE}
+        assert modes == {kernels.MODE_CONST, kernels.MODE_PER_B, kernels.MODE_PER_S, kernels.MODE_PER_ROW,
+                         kernels.MODE_FLIP, kernels.MODE_PHASE}
         assert mixing > 0
 
 
@@ -447,13 +455,14 @@ class TestCompiledCircuit:
             np.testing.assert_allclose(dpreds[r], param_shift_reference(circuit, xs, w[r])[1], rtol=0, atol=1e-12)
 
     def test_kernels_receive_rows_by_amplitudes(self, rng, monkeypatch):
-        """Every gate of the readout program that ``CompiledCircuit`` and
-        ``forward_many`` apply gets a (rows, 2^n') view of a batch-minor
-        (2^n', rows) array, n' the program's qubits: the shape the
-        benchmark tracer reads rows and amplitudes from."""
+        """Every step of the fused readout program that ``CompiledCircuit``
+        and ``forward_many`` apply gets a (rows, 2^n') view of a
+        batch-minor (2^n', rows) array, n' the program's qubits: the shape
+        the benchmark tracer reads rows and amplitudes from.  A
+        ``forward_many`` makes one kernel call per block or flip."""
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
-        ops, n, _ = circuits._program(circuit)
-        dim, runs, xs = 1 << n, 3, rng.uniform(-np.pi, np.pi, (9, 2))
+        fused = circuits._fuse(*circuits._program(circuit)[:2])  # fused once, before the count
+        dim, runs, xs = 1 << fused.n_qubits, 3, rng.uniform(-np.pi, np.pi, (9, 2))
         shapes = []
         apply_planned = kernels.apply_planned
 
@@ -470,7 +479,7 @@ class TestCompiledCircuit:
         assert set(shapes[prefix:]) == {(runs * len(xs), dim)}
         shapes.clear()
         forward_many(circuit, xs, rng.uniform(0, 2 * np.pi, circuit.n_params))
-        assert set(shapes) == {(len(xs), dim)} and len(shapes) == len(ops)
+        assert set(shapes) == {(len(xs), dim)} and len(shapes) == len(fused.steps)
 
     def test_returned_arrays_survive_the_next_call(self, rng):
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
@@ -502,26 +511,30 @@ class TestCompiledCircuit:
         assert peak < 6 * state
 
     def test_evaluation_skips_the_data_only_prefix(self, rng, monkeypatch):
-        """dissipative_qp's program opens with two data-only RX gates.  An
-        evaluation applies the F later program ops forward and backward to
-        psi, and all but the first trainable one backward to lam: 3 F - 1
-        gates, none of the prefix."""
-        circuit = COMPILED_MODELS["dissipative_qp"]
-        ops = circuits._program(circuit)[0]
-        first = next(i for i, op in enumerate(ops) if any(isinstance(a, ParamRef) for a in op.angles))
-        assert first == 2
-        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
-        applied = []
-        apply_planned = kernels.apply_planned
+        """dissipative_qp's program opens with two data-only RX gates, which
+        fuse into one data block, and then is one trainable block.  An
+        evaluation applies that block once: its input is the evolved
+        prefix, so neither psi nor lam is swept back.  reuploading:2 has
+        the steps T1, D2, T2 after its prefix: 3 calls forward, lam back
+        through T2 and D2, psi back through T2 alone (T1's input is the
+        prefix again): 6.  No call applies the prefix's data block."""
+        for circuit, calls in ((COMPILED_MODELS["dissipative_qp"], 1), (build(reuploading(2)), 6)):
+            fused = circuits._fuse(*circuits._program(circuit)[:2])
+            assert fused.steps[0].data is not None and fused.steps[1].chain is not None
+            compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
+            applied = []
+            apply_planned = kernels.apply_planned
 
-        def counting(planned, amps):
-            applied.append(planned)
-            apply_planned(planned, amps)
+            def counting(planned, amps):
+                applied.append(planned)
+                apply_planned(planned, amps)
 
-        monkeypatch.setattr(kernels, "apply_planned", counting)
-        compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
-        assert len(applied) == 3 * (len(ops) - first) - 1
-        assert all(planned.mode != kernels.MODE_PER_B for planned in applied)  # no data gate
+            monkeypatch.setattr(kernels, "apply_planned", counting)
+            compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
+            monkeypatch.undo()
+            assert len(applied) == calls
+            # reuploading:2's D2 forward and on lam; the prefix's data block never
+            assert sum(planned.mode == kernels.MODE_PER_B for planned in applied) == (2 if calls > 1 else 0)
 
     @pytest.mark.parametrize("w", [np.zeros((1, 13)), np.zeros((1, 11)), np.zeros((2, 12)), np.zeros(()),
                                    np.zeros(12)],

@@ -13,7 +13,7 @@ from qteach.circuits import ArchitectureId, CompiledCircuit, Family, build, forw
 from qteach.kernels import PlannedOp
 from qteach.qsim import GateKind, GateOp
 
-from conftest import gate_unitary
+from conftest import gate_unitary, pair_unitary
 
 
 def per_row(values, runs, points):
@@ -49,9 +49,16 @@ def random_state(rng, rows, n_qubits, order="C"):
     return np.asarray(amps, order=order)
 
 
-def random_matrices(rng, shape):
-    """Random (2, 2, *shape) matrix payloads."""
-    return rng.standard_normal((2, 2) + shape) + 1j * rng.standard_normal((2, 2) + shape)
+def random_matrices(rng, shape, d=2):
+    """Random (d, d, *shape) matrix payloads."""
+    return rng.standard_normal((d, d) + shape) + 1j * rng.standard_normal((d, d) + shape)
+
+
+def random_unitaries(rng, shape):
+    """Random unitary (4, 4, *shape) payloads: the Q factors of random
+    complex matrices."""
+    q, _ = np.linalg.qr(np.moveaxis(random_matrices(rng, shape, 4), (0, 1), (-2, -1)))
+    return np.moveaxis(q, (-2, -1), (0, 1))
 
 
 def random_op(rng, n_qubits, runs, points):
@@ -126,46 +133,74 @@ class TestStackedRuns:
 
 
 def random_gate_rows(rng, n_qubits, runs, points):
-    """A random gate as a lowered op plus the ``GateOp`` each row gets:
-    a rotation whose angles have one of the four payload batch shapes, or
-    H, X, CNOT, MCX or CZ shared by every row."""
+    """A random gate as a lowered op plus each row's full unitary: a
+    rotation whose angles have one of the four payload batch shapes; H,
+    X, CNOT, MCX or CZ shared by every row; or (on two qubits or more) a
+    random 4 x 4 matrix on an ordered qubit pair (qa, qb), in any of the
+    four payload shapes.  The kernel takes a pair's matrix in ascending
+    qubit order, so a reversed pair (qa > qb) is lowered with its
+    matrix's two qubit axes swapped.  Also returns the pair, or None."""
     qubits = [int(q) for q in rng.permutation(n_qubits)]
     target = qubits[0]
+    rows = runs * points
+    shape = [(), (rows,), (runs, 1), (runs, points)]
+    if n_qubits > 1 and rng.integers(3) == 0:
+        mode = int(rng.integers(4))
+        mats = random_unitaries(rng, shape[mode])
+        qa, qb = qubits[:2]
+        lo, hi = sorted((qa, qb))
+        stored = mats if qa < qb else mats.reshape((2, 2, 2, 2) + shape[mode]).transpose(
+            (1, 0, 3, 2) + tuple(range(4, 4 + len(shape[mode])))).reshape((4, 4) + shape[mode])
+        left, middle, right = kernels.pair_split(n_qubits, lo, hi)
+        op = PlannedOp(mode, left, right, np.ascontiguousarray(stored), middle)
+        per = np.stack([per_row(mats[i, j], runs, points) for i in range(4) for j in range(4)], axis=1)
+        return op, [pair_unitary(m.reshape(4, 4), qa, qb, n_qubits) for m in per], (qa, qb)
     if n_qubits > 1 and rng.integers(3) == 0:
         kind = [GateKind.X, GateKind.CNOT, GateKind.MCX, GateKind.CZ][int(rng.integers(4))]
         controls = {GateKind.X: (), GateKind.CNOT: tuple(qubits[1:2]), GateKind.CZ: tuple(qubits[1:2]),
                     GateKind.MCX: tuple(qubits[1:1 + int(rng.integers(1, n_qubits))])}[kind]
         gate = GateOp(kind, (target,), controls)
-        return qsim.lower_gate(kind, n_qubits, target, controls), [gate] * (runs * points)
+        return qsim.lower_gate(kind, n_qubits, target, controls), [gate_unitary(gate, n_qubits)] * rows, None
     kind = [GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ROT, GateKind.H][int(rng.integers(5))]
     if kind is GateKind.H:
-        return qsim.lower_gate(kind, n_qubits, target), [GateOp(kind, (target,))] * (runs * points)
+        return qsim.lower_gate(kind, n_qubits, target), [gate_unitary(GateOp(kind, (target,)), n_qubits)] * rows, None
     mode = int(rng.integers(4))
-    shape = [(), (runs * points,), (runs, 1), (runs, points)][mode]
-    angles = [rng.uniform(-np.pi, np.pi, shape) for _ in range(qsim.ANGLE_COUNTS[kind])]
+    angles = [rng.uniform(-np.pi, np.pi, shape[mode]) for _ in range(qsim.ANGLE_COUNTS[kind])]
     left, right = kernels.bit_split(n_qubits, target)
     op = PlannedOp(mode, left, right, qsim.matrix_builder(kind)(angles))
-    rows = np.stack([per_row(a, runs, points) for a in angles], axis=1)
-    return op, [GateOp(kind, (target,), params=tuple(row)) for row in rows]
+    per = np.stack([per_row(a, runs, points) for a in angles], axis=1)
+    return op, [gate_unitary(GateOp(kind, (target,), params=tuple(row)), n_qubits) for row in per], None
 
 
 class TestDenseOracle:
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n_qubits", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6, 7])
     def test_gate_sequences_match_per_row_unitaries(self, n_qubits, order, rng):
         """Random gate sequences on R stacked runs of N rows, with every
-        payload shape, give in each row what that row's own gates do as
-        full Kronecker-product unitaries."""
+        payload shape of 2 x 2 and 4 x 4 matrices, give in each row what
+        that row's own gates do as full Kronecker-product unitaries.  On
+        three qubits or more the pairs include adjacent, non-adjacent and
+        reversed ones, and ones on the first qubit (left = 1) and on the
+        last (right = 1)."""
         runs, points = 3, 4
         amps = random_state(rng, runs * points, n_qubits, order)
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         want = amps.copy()
-        for _ in range(25):
-            op, gates = random_gate_rows(rng, n_qubits, runs, points)
+        pairs, shapes = set(), set()
+        for _ in range(60):
+            op, unitaries, pair = random_gate_rows(rng, n_qubits, runs, points)
             kernels.apply_planned(op, amps)
-            for b, gate in enumerate(gates):
-                want[b] = gate_unitary(gate, n_qubits) @ want[b]
+            for b, unitary in enumerate(unitaries):
+                want[b] = unitary @ want[b]
+            if pair is not None:
+                pairs.add(pair)
+                shapes.add(op.payload.shape[2:])
         np.testing.assert_allclose(amps, want, rtol=0, atol=1e-12)
+        if n_qubits >= 3:
+            assert {abs(a - b) > 1 for a, b in pairs} == {False, True}  # adjacent and non-adjacent
+            assert {a > b for a, b in pairs} == {False, True}  # in order and reversed
+            assert any(0 in pair for pair in pairs) and any(n_qubits - 1 in pair for pair in pairs)
+            assert shapes == {(), (runs * points,), (runs, 1), (runs, points)}
 
 
 class TestNoSharedState:

@@ -326,6 +326,24 @@ class TestSpectralTraining:
     def test_mixed_data_and_parameter_rotations(self, rng):
         self._check(mixed_spec(), rng)
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("model", all_models() + [pytest.param(None, id="mixed_spec")])
+    def test_point_summed_gradient_equals_the_jacobian_contraction(self, model, runs, rng):
+        """The gradient training steps with, from the backward sweep that
+        sums over the samples before it takes derivatives, equals the
+        per-point Jacobian of the same sweep contracted with the cotangent
+        (2 / B) K^T r."""
+        circuit = mixed_spec() if model is None else build(model)
+        points = SAMPLED_POINT_SETS["scattered"]
+        compiled, weights = training._sampling(circuit, points, runs)
+        w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
+        y = rng.uniform(-1.0, 1.0, (runs, len(points)))
+        _, grad, preds = training._loss_grad_preds(w, (compiled, weights), y)
+        values, jacobian = compiled.forward_with_adjoint(w)
+        cotangent = (2.0 / len(points)) * np.einsum("nb,rb->rn", weights, preds - y)
+        assert jacobian.shape == (runs, circuit.n_params, len(weights))
+        np.testing.assert_allclose(grad, np.einsum("rpn,rn->rp", jacobian, cotangent), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("circuit", [build(dissipative_qp()), build(reuploading(4)), mixed_spec(),
                                          one_input_spec()], ids=["d11", "d44", "d21", "d10"])
     def test_interpolation_rows_sum_to_one(self, circuit):
