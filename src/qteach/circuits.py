@@ -889,24 +889,27 @@ class CompiledCircuit:
         runs, n_points, fused = self.runs, self.n_points, self._fused
         if not self._trainable:
             return np.zeros((runs, 0, n_points)[:2 + (cotangent is None)])
-        lam = psi * self._signs
-        if cotangent is not None:
-            lam *= np.asarray(cotangent, dtype=float).reshape(-1, 1)
+        lam = psi * (self._signs if cotangent is None else
+                     np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self._signs))
         summed = cotangent is not None and not fused.per_point
         grads = np.empty((len(fused.order), runs, 1 if summed else n_points), dtype=complex)
-        # psi goes back to the second trainable block's input: the first one's is the prefix
+        # psi is swept back to the output of the second trainable block: a
+        # later block's M at its input is T^dagger times M at its output,
+        # and the first block's input is the prefix
         stop = self._trainable[1] if len(self._trainable) > 1 else len(plans)
         for k in range(len(plans) - 1, -1, -1):
-            if k:
-                inverse = self._inverses[k] or _inverse(plans[k])
-                if k >= stop:
-                    kernels.apply_planned(inverse, psi)
             if k in blocks:
-                step, derivs = self._steps[k], blocks[k][:, :, 1:]
+                step, block = self._steps[k], blocks[k]
                 mt = self._overlaps(step, psi if k else self._prefix, lam, summed)
+                if k:
+                    mt = _dot(mt, np.conj(block[:, :, 0]))
+                derivs = block[:, :, 1:]
                 np.einsum("xd...,x...->d...", derivs.reshape((16,) + derivs.shape[2:]),
                           mt.reshape((16,) + mt.shape[2:]), out=grads[step.span])
             if k:
+                inverse = self._inverses[k] or _inverse(plans[k])
+                if k > stop:
+                    kernels.apply_planned(inverse, psi)
                 kernels.apply_planned(inverse, lam)
         grads = np.add.reduce(grads.real[fused.order], axis=-1) if cotangent is not None else grads.real[fused.order]
         return grads.swapaxes(0, 1)

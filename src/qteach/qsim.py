@@ -186,11 +186,9 @@ def rot_matrix(phi, theta, omega) -> np.ndarray:
     np.sin(half, out=cos_sin[1, ...])
     phases = np.exp(0.5j * (_ROT_PHI.reshape((2,) + axes) * phi + _ROT_OMEGA.reshape((2,) + axes) * omega))
     m = np.empty((2,) + np.broadcast(phases, cos_sin).shape, dtype=complex)
-    m[0] = phases
-    np.conj(phases[::-1], out=m[1])
-    m[0] *= cos_sin
-    m[1] *= cos_sin[::-1]
-    m[0, 1] *= -1.0
+    np.multiply(phases, cos_sin, out=m[0])
+    np.multiply(np.conj(phases[::-1]), cos_sin[::-1], out=m[1])
+    np.negative(m[0, 1, ...], out=m[0, 1, ...])
     return m
 
 

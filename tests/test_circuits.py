@@ -515,10 +515,11 @@ class TestCompiledCircuit:
         fuse into one data block, and then is one trainable block.  An
         evaluation applies that block once: its input is the evolved
         prefix, so neither psi nor lam is swept back.  reuploading:2 has
-        the steps T1, D2, T2 after its prefix: 3 calls forward, lam back
-        through T2 and D2, psi back through T2 alone (T1's input is the
-        prefix again): 6.  No call applies the prefix's data block."""
-        for circuit, calls in ((COMPILED_MODELS["dissipative_qp"], 1), (build(reuploading(2)), 6)):
+        the steps T1, D2, T2 after its prefix: 3 calls forward, then lam
+        back through T2 and D2, and psi not at all (T2's M comes from its
+        output, T1's input is the prefix again): 5.  No call applies the
+        prefix's data block."""
+        for circuit, calls in ((COMPILED_MODELS["dissipative_qp"], 1), (build(reuploading(2)), 5)):
             fused = circuits._fuse(*circuits._program(circuit)[:2])
             assert fused.steps[0].data is not None and fused.steps[1].chain is not None
             compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
