@@ -12,8 +12,9 @@ plain (2, 2) matrix.
 ``lower_gate`` turns a gate into a ``kernels.PlannedOp`` whose payload is
 the builder's output as is, and ``kernels.apply_planned`` applies it;
 that is the one path by which any gate reaches amplitudes
-(``circuits.CompiledCircuit`` plans its trainable rotations itself, from
-``matrix_builder``).  Its angles are scalars or one value per data
+(``circuits`` fuses gates into 4 x 4 blocks built from
+``matrix_builder``, and applies those the same way).  Its angles are
+scalars or one value per data
 point, so a lowered gate acts on a batch of points under one parameter
 vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
 measurement kernels (``expectation_z_kernel``,

@@ -5,9 +5,10 @@ expectations (the mean is a constant rescaling of the summed cost; the
 argmin is unchanged and magnitudes stay comparable across grid sizes).
 
 Gradients are exact and come from the adjoint method
-(``circuits.forward_with_adjoint``): one forward sweep, then one backward
-sweep through the gate inverses that yields d<Z>/dw_j for every
-trainable angle, chained through the squared error.
+(``circuits.CompiledCircuit``): one forward sweep through the circuit's
+fused two-qubit blocks, then one backward sweep through their inverses
+that carries the squared error's cotangent and sums over the points
+before it takes the derivatives of every trainable angle.
 
 A model whose input x_c fills d_c angle slots is a trigonometric
 polynomial of degree at most d_c in x_c, and so is each d<Z>/dw_j
@@ -17,10 +18,11 @@ therefore fix it, and its gradient, exactly at every training point,
 through the (B, N) interpolation matrix K
 (``circuits.interpolation_weights``).  Training compiles the circuit once
 at the N samples (``circuits.CompiledCircuit``: the data-only prefix is
-evolved once), and every epoch evaluates the compiled adjoint at the
-current parameters; preds = K f(t) and the loss gradient is
-(2 / B) df(t) (K^T r) with r = preds - y.  For any B this equals the
-adjoint on the B points themselves up to rounding.
+evolved once), and every epoch evaluates it forward at the current
+parameters, preds = K f(t), and sweeps back with the cotangent
+(2 / B) K^T r, r = preds - y, which gives the loss gradient
+(2 / B) df(t) (K^T r) without the (P, N) Jacobian df(t).  For any B this
+equals the adjoint on the B points themselves up to rounding.
 
 ``train_lockstep`` trains R runs of one circuit that share the points,
 ``epochs``, ``learning_rate`` and ``optimizer`` (seeds and labels may
