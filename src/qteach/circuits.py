@@ -531,22 +531,23 @@ _NO_POINTS = np.empty((0, 2))
 
 
 class _Step:
-    """One kernel call of a fused program.  ``pair`` is None for a lone
-    gate without parameters (``ops`` holds it as is, lowered by
-    ``qsim.lower_gate``); otherwise ``ops`` holds the block's gates on the
-    qubit pair a < b renumbered onto a -> 0 and b -> 1.  A fixed block
+    """One kernel call of a fused program: a lone gate without parameters
+    ``op``, lowered by ``qsim.lower_gate``, or a block of gates on the
+    qubit ``pair`` a < b, renumbered onto a -> 0 and b -> 1.  A fixed block
     keeps its (4, 4) ``matrix``; a block that takes data keeps its
-    ``data`` chain (``_data_chain``).  A trainable block's ``chain`` lists,
+    ``data`` chain (``_chain``).  A trainable block's ``chain`` lists,
     first applied first, its fixed segments ((4, 4), or the diagonal of a
     diagonal one) and the indices of its layers, ``layers`` those indices
     and ``span`` the slice of its trainable angles among all of them;
+    its ``head``, if any, is the data chain of a block it is applied with;
     ``parts`` maps each layer to its slice of the kron stack and its
     offset among the ``size`` matrices ``_Fused.block`` returns."""
 
-    __slots__ = ("ops", "pair", "split", "matrix", "data", "chain", "layers", "span", "parts", "size")
+    __slots__ = ("op", "pair", "split", "matrix", "data", "chain", "head", "layers", "span", "parts", "size")
 
-    def __init__(self, ops, pair=None, n_qubits=0, matrix=None, data=None, chain=None):
-        self.ops, self.pair, self.matrix, self.data, self.chain = ops, pair, matrix, data, chain
+    def __init__(self, op, pair=None, n_qubits=0, matrix=None, data=None, chain=None):
+        self.op, self.pair, self.matrix, self.data, self.chain = op, pair, matrix, data, chain
+        self.head = None
         self.split = kernels.pair_split(n_qubits, *pair) if pair else None
         self.layers = [item for item in chain if isinstance(item, int)] if chain else []
 
@@ -562,14 +563,15 @@ def _pair_matrix(ops: Sequence[SlotOp]) -> np.ndarray:
     return amps.T.copy()
 
 
-def _data_chain(ops: Sequence[SlotOp]) -> list:
-    """A block of gates that take data, first applied first: fixed
-    segments (``_segment``) and layers [gate on qubit 0, gate on qubit 1]
-    of rotations that take data (None for the identity)."""
+def _chain(ops: Sequence[SlotOp], in_layer) -> list:
+    """A block's gates on qubits 0 and 1, first applied first, as fixed
+    segments (``_segment``) of the gates ``in_layer`` rejects, between
+    layers [gate on qubit 0, gate on qubit 1] of the one-qubit gates it
+    takes (None for the identity)."""
     chain: list = []
     pending: list[SlotOp] = []
     for op in ops:
-        if not op.is_encoding():
+        if not in_layer(op):
             pending.append(op)
             continue
         side = op.targets[0]
@@ -586,8 +588,9 @@ _IDENTITY = np.eye(2, dtype=complex)[:, :, None]
 
 
 def _data_matrix(chain: list, xs: np.ndarray) -> np.ndarray:
-    """The (4, 4, B) matrix per point of a ``_data_chain`` at the points
-    ``xs``: its layers' krons and fixed segments multiplied in order."""
+    """The (4, 4, B) matrix per point of a ``_chain`` of gates that take
+    data at the points ``xs``: its layers' krons and fixed segments
+    multiplied in order."""
     acc = None
     for item in chain:
         if isinstance(item, list):
@@ -605,14 +608,31 @@ def _segment(ops: Sequence[SlotOp]) -> np.ndarray:
     return diagonal if np.array_equal(mats, np.diag(diagonal)) else mats
 
 
+def _blocks(ops: Sequence[SlotOp]) -> list[list]:
+    """``ops`` taken in order into blocks ``[wires, ops, kind]``, kind "p"
+    trainable, "d" taking data and "c" neither: a gate joins the last
+    block while the block stays on two qubits and does not mix gates that
+    take data with trainable ones."""
+    blocks: list[list] = []
+    for op in ops:
+        wires = set(op.targets + op.controls)
+        kind = "p" if _param_rows(op) else "d" if op.is_encoding() else "c"
+        if blocks and len(blocks[-1][0] | wires) <= 2 and {blocks[-1][2], kind} != {"d", "p"}:
+            blocks[-1][0] |= wires
+            blocks[-1][1].append(op)
+            blocks[-1][2] = kind if blocks[-1][2] == "c" else blocks[-1][2]
+        else:
+            blocks.append([wires, [op], kind])
+    return blocks
+
+
 class _Fused:
     """A gate program on ``n_qubits`` fused into steps of at most two
     qubits (Suzuki et al., arXiv:2011.13524).
 
-    Gates are taken in order into blocks: a gate joins the current block
-    while the block stays on two qubits and does not mix gates that take
-    data with trainable ones; a gate on three or more qubits (MCX) is a
-    step of its own.  A block of one gate without parameters stays that
+    Gates are taken in order into blocks (``_blocks``); a gate on three
+    or more qubits (MCX) is a step of its own.  A block of one gate
+    without parameters stays that
     gate (FLIP, PHASE or 2 x 2); every other block is one 4 x 4 matrix on
     a qubit pair, a lone qubit taking the nearest other qubit as its idle
     partner (a one-qubit program runs on two qubits for this).  A block
@@ -630,31 +650,21 @@ class _Fused:
     columns into a stack: per layer in order, the layer, then for each of
     its trainable angles K, the layer with U(a + pi) in place of U
     (``at`` locates the layers in it).  ``order`` sorts the trainable
-    angles, taken in stack order, by parameter index."""
+    angles, taken in stack order, by parameter index (a plain slice when
+    they are in that order already)."""
 
     def __init__(self, ops: tuple[SlotOp, ...], n_qubits: int):
         self.n_qubits = n = 2 if n_qubits == 1 else n_qubits
         self.n_params = p = 1 + max((i for op in ops for i in _param_rows(op)), default=-1)
-        groups: list[list] = []  # [wires, ops, kind]: kind "p" trainable, "d" data only, "c" neither
-        for op in ops:
-            wires = set(op.targets + op.controls)
-            kind = "p" if _param_rows(op) else "d" if op.is_encoding() else "c"
-            if groups and len(groups[-1][0] | wires) <= 2 and {groups[-1][2], kind} != {"d", "p"}:
-                groups[-1][0] |= wires
-                groups[-1][1].append(op)
-                groups[-1][2] = kind if groups[-1][2] == "c" else groups[-1][2]
-            else:
-                groups.append([wires, [op], kind])
-
         self.fixed: list[AngleExpr] = []  # the angle rows after the 2 P parameter rows
         base: list[list[int]] = [[self._row(Const(0.0), p)] * 3]  # column 0: the identity
         shifted: list[list[int]] = []
         layers: list[list[int]] = []  # the (A, B) base columns of each layer
-        derivs: list[list] = []  # per layer, [kron pair, parameter] of each trainable angle
+        derivs: list[list] = []  # per layer, (qubit 0 / 1, shifted column, parameter) of each trainable angle
         self.steps: list[_Step] = []
-        for wires, members, kind in groups:
+        for wires, members, kind in _blocks(ops):
             if len(members) == 1 and kind != "p":
-                self.steps.append(_Step(tuple(members)))
+                self.steps.append(_Step(members[0]))
                 continue
             (q,) = wires if len(wires) == 1 else (None,)
             pair = tuple(sorted(wires)) if q is None else tuple(sorted((q, q + 1 if q + 1 < n else q - 1)))
@@ -662,55 +672,62 @@ class _Fused:
             members = [replace(op, targets=tuple(place[t] for t in op.targets),
                                controls=tuple(place[c] for c in op.controls)) for op in members]
             if kind == "c":
-                self.steps.append(_Step(tuple(members), pair, n, _pair_matrix(members)))
+                self.steps.append(_Step(None, pair, n, matrix=_pair_matrix(members)))
                 continue
             if kind == "d":
-                self.steps.append(_Step(tuple(members), pair, n, data=_data_chain(members)))
+                self.steps.append(_Step(None, pair, n, data=_chain(members, SlotOp.is_encoding)))
                 continue
-            chain: list = []
-            pending: list[SlotOp] = []
-            for op in members:
-                if not _param_rows(op):
-                    pending.append(op)
+            chain = _chain(members, _param_rows)
+            for k, item in enumerate(chain):
+                if not isinstance(item, list):
                     continue
-                side = op.targets[0]
-                if not chain or pending or layers[chain[-1]][side]:
-                    if pending:
-                        chain.append(_segment(pending))
-                        pending = []
-                    chain.append(len(layers))
-                    layers.append([0, 0])
-                    derivs.append([])
-                angles = _AS_ROT[op.kind](op.angles)
-                rows = [self._row(a, p) for a in angles]
-                layers[-1][side] = len(base)
-                base.append(rows)
-                for slot, angle in enumerate(angles):
-                    if isinstance(angle, ParamRef):
-                        column = [r + p * (k == slot) for k, r in enumerate(rows)]
-                        derivs[-1].append((side, len(shifted), angle.index))
-                        shifted.append(column)
-            if pending:
-                chain.append(_segment(pending))
-            self.steps.append(_Step(tuple(members), pair, n, chain=chain))
+                chain[k] = len(layers)
+                layers.append([0, 0])
+                derivs.append([])
+                for side, op in enumerate(item):
+                    if op is None:
+                        continue
+                    angles = _AS_ROT[op.kind](op.angles)
+                    rows = [self._row(a, p) for a in angles]
+                    layers[-1][side] = len(base)
+                    base.append(rows)
+                    for slot, angle in enumerate(angles):
+                        if isinstance(angle, ParamRef):
+                            derivs[-1].append((side, len(shifted), angle.index))
+                            shifted.append([r + p * (i == slot) for i, r in enumerate(rows)])
+            self.steps.append(_Step(None, pair, n, chain=chain))
 
-        columns = base + shifted
+        # a data block after a trainable block and before another one on the
+        # same pair is applied with that one, as one matrix per point and run
+        # (``_payload``): one kernel call forward and one on lam, not two
+        merged: list[_Step] = []
+        for step in self.steps:
+            if (step.chain is not None and merged and merged[-1].data is not None and merged[-1].pair == step.pair
+                    and any(earlier.chain is not None for earlier in merged)):
+                step.head = merged.pop().data
+            merged.append(step)
+        self.steps = merged
+
         self.n_layers = len(layers)
         pairs, self.at, params = [], [], []
         for layer, angles in zip(layers, derivs):
             self.at.append(len(pairs))
             pairs.append(layer)
             for side, column, param in angles:
-                pair = list(layer)
-                pair[side] = len(base) + column
-                pairs.append(pair)
+                pairs.append([len(base) + column if s == side else c for s, c in enumerate(layer)])
                 params.append(param)
         self.ends = [at + 1 + len(angles) for at, angles in zip(self.at, derivs)]
         # the builder's columns for each kron: all first factors, then all second factors
-        self.tables = [np.array([columns[i] for i in [a for a, _ in chosen] + [b for _, b in chosen]],
-                                dtype=int).reshape(-1, 3).T for chosen in (layers, pairs)]
-        self.order = np.argsort(params, kind="stable")
+        columns = base + shifted
+        self.table = np.array([columns[i] for i in [a for a, _ in pairs] + [b for _, b in pairs]],
+                              dtype=int).reshape(-1, 3).T
+        order = np.argsort(params, kind="stable")
+        self.order = slice(None) if np.array_equal(order, np.arange(len(order))) else order
+        self.per_point = any(isinstance(a, DataRef) for a in self.fixed)
+
         start = 0
+        self.groups: list[list[_Step]] = []
+        shapes: list = []
         for step in self.steps:
             count = sum(len(derivs[j]) for j in step.layers)
             step.span, start = slice(start, start + count), start + count
@@ -719,7 +736,17 @@ class _Fused:
                 begin = self.at[j] + (j != step.layers[0])  # a later layer's own kron is not needed
                 step.parts[j] = (begin, self.ends[j], step.size)
                 step.size += self.ends[j] - begin
-        self.per_point = any(isinstance(a, DataRef) for a in self.fixed)
+            if step.chain is None:
+                continue
+            # consecutive trainable blocks of one shape (fixed segments and
+            # layer sizes) form one group, built together (``blocks``)
+            shape = [self.ends[i] - self.at[i] if isinstance(i, int) else i.tobytes() + bytes(i.ndim)
+                     for i in step.chain]
+            if shapes and shapes[-1] == shape:
+                self.groups[-1].append(step)
+            else:
+                shapes.append(shape)
+                self.groups.append([step])
 
     def _row(self, angle: AngleExpr, n_params: int) -> int:
         if isinstance(angle, ParamRef):
@@ -737,57 +764,67 @@ class _Fused:
             out[2 * p + k] = angle.value if isinstance(angle, Const) else xs[:, angle.component]
         return out
 
-    def krons(self, angles: np.ndarray, w: np.ndarray, derivatives: bool) -> np.ndarray:
+    def krons(self, angles: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The (4, 4, K, R, 1 or B) kron stack at the (R, P) parameters
-        ``w``, from one builder call on ``angles`` (``angles``): with
-        ``derivatives`` the whole stack, else the layers alone."""
+        ``w``, from one builder call on ``angles`` (``angles``)."""
         p = self.n_params
         angles[:p] = w.T[:p, :, None]
         np.add(angles[:p], np.pi, out=angles[p:2 * p])
-        mats = qsim.matrix_builder(GateKind.ROT)(angles[self.tables[derivatives]])
+        mats = qsim.matrix_builder(GateKind.ROT)(angles[self.table])
         half = mats.shape[2] // 2
         krons = mats[:, :, :half][:, None, :, None] * mats[:, :, half:][None, :, None, :]
         return krons.reshape((4, 4) + krons.shape[4:])
 
-    def block(self, step: _Step, krons: np.ndarray, derivatives: bool) -> np.ndarray:
-        """(4, 4, 1 + D, R, 1 or B): a trainable block's matrix S L P,
-        with L its first layer and P and S the products of its chain
-        before and after L, then (with ``derivatives``) for each of its D
-        trainable angles 2 d(matrix)/da = S' K P', with K from ``krons``
-        and S', P' the chain after and before the angle's layer."""
+    def block(self, step: _Step, krons: np.ndarray, base: int) -> np.ndarray:
+        """(4, 4, 1 + D, ...): a trainable block's matrix S L P, with L its
+        first layer and P and S the products of its chain before and after
+        L, then for each of its D trainable angles 2 d(matrix)/da = S' K P',
+        with K from ``krons`` and S', P' the chain after and before the
+        angle's layer.  ``krons`` is the part of the stack from entry
+        ``base`` on, with the batch axes after the stack's (``blocks``)."""
         first, last = step.layers[0], step.layers[-1]
-        at = self.at if derivatives else range(self.n_layers)
         befores, acc = {}, None
         for item in step.chain:
             if isinstance(item, int):
                 befores[item] = acc
-                if item == (last if derivatives else first):
+                if item == last:
                     break
-                item = krons[:, :, at[item]]
+                item = krons[:, :, self.at[item] - base]
             acc = item if acc is None else _dot(item, acc)
-        # per layer: its slice of the kron stack and where it goes in ``out``
-        parts = step.parts if derivatives else {first: (first, first + 1, 0)}
-        out = np.empty((4, 4, step.size if derivatives else 1) + krons.shape[3:], dtype=complex)
+        out = np.empty((4, 4, step.size) + krons.shape[3:], dtype=complex)
         acc = None
         for item in reversed(step.chain):
             if isinstance(item, int):
-                if item in parts:
-                    start, stop, offset = parts[item]
-                    stack, part = krons[:, :, start:stop], out[:, :, offset:offset + stop - start]
-                    if befores[item] is None:
-                        _dot(acc, stack, part) if acc is not None else np.copyto(part, stack)
-                    else:
-                        _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
+                start, stop, offset = step.parts[item]
+                stack, part = krons[:, :, start - base:stop - base], out[:, :, offset:offset + stop - start]
+                if befores[item] is None:
+                    _dot(acc, stack, part) if acc is not None else np.copyto(part, stack)
+                else:
+                    _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
                 if item == first:
                     break
-                item = krons[:, :, at[item]]
+                item = krons[:, :, self.at[item] - base]
             acc = item if acc is None else _dot(acc, item)
         return out
 
+    def blocks(self, krons: np.ndarray) -> dict:
+        """{step: its ``block`` with derivatives} for every trainable step;
+        consecutive blocks of one structure are built in one go, as one
+        more batch axis of the kron stack."""
+        built = {}
+        for group in self.groups:
+            start = self.at[group[0].layers[0]]
+            size = self.ends[group[0].layers[-1]] - start
+            stacks = krons[:, :, start:start + len(group) * size]
+            stacks = stacks.reshape((4, 4, len(group), size) + krons.shape[3:]).swapaxes(2, 3)
+            out = self.block(group[0], stacks, start)
+            built.update((step, out[:, :, :, g]) for g, step in enumerate(group))
+        return built
+
     def fixed_plan(self, step: _Step, xs: np.ndarray) -> kernels.PlannedOp:
         """A step without parameters lowered for the points ``xs``."""
-        if step.pair is None:
-            op = step.ops[0]
+        if step.op is not None:
+            op = step.op
             return qsim.lower_gate(op.kind, self.n_qubits, op.targets[0], op.controls,
                                    _lowered_angles(op, xs, _NO_PARAMS))
         return _pair_plan(step, step.matrix if step.data is None else _data_matrix(step.data, xs))
@@ -795,10 +832,18 @@ class _Fused:
     def plans(self, xs: np.ndarray, w: np.ndarray) -> list[kernels.PlannedOp]:
         """Every step lowered for the points ``xs`` under one parameter
         vector ``w``."""
-        if self.n_layers:
-            krons = self.krons(self.angles(xs, 1), w[None], False)
+        built = self.blocks(self.krons(self.angles(xs, 1), w[None])) if self.n_layers else {}
         return [self.fixed_plan(step, xs) if step.chain is None else
-                _pair_plan(step, self.block(step, krons, False)[:, :, 0]) for step in self.steps]
+                _pair_plan(step, _payload(built[step][:, :, 0], step.head, xs)) for step in self.steps]
+
+
+def _payload(matrix: np.ndarray, head, xs: np.ndarray, heads=None) -> np.ndarray:
+    """A trainable block's (4, 4, R, 1 or B) matrix, times its ``head``'s
+    per-point matrices at ``xs`` (taken from ``heads`` when given) if it
+    has one."""
+    if head is None:
+        return matrix
+    return _dot(matrix, _data_matrix(head, xs)[:, :, None] if heads is None else heads)
 
 
 def _pair_plan(step: _Step, mats: np.ndarray) -> kernels.PlannedOp:
@@ -857,6 +902,8 @@ class CompiledCircuit:
         self._plans = [None if step.chain is not None else fused.fixed_plan(step, tiled) for step in self._steps]
         self._inverses = [None if planned is None else _inverse(planned) for planned in self._plans]
         self._angles = fused.angles(xs, runs)
+        self._heads = {k: _data_matrix(self._steps[k].head, xs)[:, :, None]
+                       for k in self._trainable if self._steps[k].head is not None}
         self._sweep = None
 
     def forward(self, w) -> np.ndarray:
@@ -868,11 +915,11 @@ class CompiledCircuit:
             raise ConfigurationError(
                 f"expected a ({runs}, {self.circuit.n_params}) parameter array, got shape {w.shape}")
         plans, blocks = list(self._plans), {}
-        if self._trainable:
-            krons = fused.krons(self._angles, w, True)
+        built = fused.blocks(fused.krons(self._angles, w)) if self._trainable else {}
         for k in self._trainable:
-            blocks[k] = fused.block(self._steps[k], krons, True)
-            plans[k] = _pair_plan(self._steps[k], blocks[k][:, :, 0])
+            step = self._steps[k]
+            blocks[k] = built[step]
+            plans[k] = _pair_plan(step, _payload(blocks[k][:, :, 0], step.head, None, self._heads.get(k)))
         psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in plans:
@@ -892,7 +939,7 @@ class CompiledCircuit:
         lam = psi * (self._signs if cotangent is None else
                      np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self._signs))
         summed = cotangent is not None and not fused.per_point
-        grads = np.empty((len(fused.order), runs, 1 if summed else n_points), dtype=complex)
+        grads = np.empty((self.circuit.n_params, runs, 1 if summed else n_points), dtype=complex)
         # psi is swept back to the output of the second trainable block: a
         # later block's M at its input is T^dagger times M at its output,
         # and the first block's input is the prefix
@@ -911,8 +958,8 @@ class CompiledCircuit:
                 if k > stop:
                     kernels.apply_planned(inverse, psi)
                 kernels.apply_planned(inverse, lam)
-        grads = np.add.reduce(grads.real[fused.order], axis=-1) if cotangent is not None else grads.real[fused.order]
-        return grads.swapaxes(0, 1)
+        grads = grads.real[fused.order]
+        return (grads if cotangent is None else np.add.reduce(grads, axis=-1)).swapaxes(0, 1)
 
     def _overlaps(self, step: _Step, psi: np.ndarray, lam: np.ndarray, summed: bool) -> np.ndarray:
         """(4, 4, runs, N) M^T of one block per run and point, the sum over
@@ -922,7 +969,7 @@ class CompiledCircuit:
         view = (left, 2, middle, 2, right, -1, self.n_points)
         mt = np.einsum("lambt...,lcmdt...->abcd...", np.conj(lam.T).reshape(view), psi.T.reshape(view))
         mt = mt.reshape((4, 4) + mt.shape[4:])
-        return mt.sum(axis=-1, keepdims=True) if summed else mt
+        return np.add.reduce(mt, axis=-1, keepdims=True) if summed else mt
 
     def forward_with_adjoint(self, w) -> tuple[np.ndarray, np.ndarray]:
         """``(preds, dpreds)`` at the (runs, P) parameters ``w``: preds

@@ -197,7 +197,7 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
     cfg = runs[0][1]
     sampling = _sampling(circuit, points, len(runs))
     y = np.array(targets)
-    y_binary = np.array([np.asarray(data.y_binary, dtype=float) for data, _, _ in runs])
+    positive = np.array([np.asarray(data.y_binary, dtype=float) for data, _, _ in runs]) > 0.0
     w = np.array([np.random.default_rng(run_cfg.seed).uniform(0.0, INIT_HIGH, circuit.n_params)
                   for _, run_cfg, _ in runs])
 
@@ -209,11 +209,12 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
 
     for t in range(cfg.epochs):
         values, grad, preds = _loss_grad_preds(w, sampling, y)
-        diverged = np.flatnonzero(~np.isfinite(values))
-        if len(diverged):
+        if not np.isfinite(values).all():
+            diverged = np.flatnonzero(~np.isfinite(values))
             raise TrainingDivergedError(f"loss is not finite at epoch {t}", run=start + int(diverged[0]))
         loss_curves[:, t] = values
-        acc_curves[:, t] = np.mean(binarize(preds) == y_binary, axis=1)
+        # the share of points where binarize(preds) equals the binary label
+        acc_curves[:, t] = np.add.reduce((preds >= 0.0) == positive, axis=1) / preds.shape[1]
         if cfg.optimizer is Optimizer.VANILLA_GD:
             w = w - cfg.learning_rate * grad
         else:

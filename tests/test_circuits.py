@@ -515,13 +515,14 @@ class TestCompiledCircuit:
         fuse into one data block, and then is one trainable block.  An
         evaluation applies that block once: its input is the evolved
         prefix, so neither psi nor lam is swept back.  reuploading:2 has
-        the steps T1, D2, T2 after its prefix: 3 calls forward, then lam
-        back through T2 and D2, and psi not at all (T2's M comes from its
-        output, T1's input is the prefix again): 5.  No call applies the
-        prefix's data block."""
-        for circuit, calls in ((COMPILED_MODELS["dissipative_qp"], 1), (build(reuploading(2)), 5)):
+        T1, D2, T2 after its prefix, and D2 is applied with T2 as one
+        matrix per point and run: 2 calls forward, then lam back through
+        that one (T2's M comes from its output, T1's input is the prefix
+        again): 3.  No call applies a data block alone."""
+        for circuit, blocks, calls in ((COMPILED_MODELS["dissipative_qp"], 1, 1), (build(reuploading(2)), 2, 3)):
             fused = circuits._fuse(*circuits._program(circuit)[:2])
-            assert fused.steps[0].data is not None and fused.steps[1].chain is not None
+            assert fused.steps[0].data is not None
+            assert [step.chain is not None for step in fused.steps[1:]] == [True] * blocks
             compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
             applied = []
             apply_planned = kernels.apply_planned
@@ -534,8 +535,7 @@ class TestCompiledCircuit:
             compiled.forward_with_adjoint(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
             monkeypatch.undo()
             assert len(applied) == calls
-            # reuploading:2's D2 forward and on lam; the prefix's data block never
-            assert sum(planned.mode == kernels.MODE_PER_B for planned in applied) == (2 if calls > 1 else 0)
+            assert all(planned.mode != kernels.MODE_PER_B for planned in applied)
 
     @pytest.mark.parametrize("w", [np.zeros((1, 13)), np.zeros((1, 11)), np.zeros((2, 12)), np.zeros(()),
                                    np.zeros(12)],
