@@ -608,7 +608,7 @@ def _segment(ops: Sequence[SlotOp]) -> np.ndarray:
     return diagonal if np.array_equal(mats, np.diag(diagonal)) else mats
 
 
-def _blocks(ops: Sequence[SlotOp]) -> list[list]:
+def _gate_blocks(ops: Sequence[SlotOp]) -> list[list]:
     """``ops`` taken in order into blocks ``[wires, ops, kind]``, kind "p"
     trainable, "d" taking data and "c" neither: a gate joins the last
     block while the block stays on two qubits and does not mix gates that
@@ -630,17 +630,16 @@ class _Fused:
     """A gate program on ``n_qubits`` fused into steps of at most two
     qubits (Suzuki et al., arXiv:2011.13524).
 
-    Gates are taken in order into blocks (``_blocks``); a gate on three
+    Gates are taken in order into blocks (``_gate_blocks``); a gate on three
     or more qubits (MCX) is a step of its own.  A block of one gate
-    without parameters stays that
-    gate (FLIP, PHASE or 2 x 2); every other block is one 4 x 4 matrix on
-    a qubit pair, a lone qubit taking the nearest other qubit as its idle
-    partner (a one-qubit program runs on two qubits for this).  A block
-    without parameters is fixed, one matrix per point when it takes
-    data.  A trainable block is the product of its
-    ``chain``: fixed segments and layers, each layer kron(A, B) of at
-    most one trainable rotation per qubit (the identity where there is
-    none).
+    without parameters stays that gate (FLIP, PHASE or 2 x 2); every
+    other block is one 4 x 4 matrix on a qubit pair, a lone qubit taking
+    the nearest other qubit as its idle partner (a one-qubit program runs
+    on two qubits for this).  A block without parameters is fixed, one
+    matrix per point when it takes data.  A trainable block is the
+    product of its ``chain``: fixed segments and layers, each layer
+    kron(A, B) of at most one trainable rotation per qubit (the identity
+    where there is none).
 
     Every trainable rotation is a Rot (``_AS_ROT``), so one
     ``qsim.matrix_builder(GateKind.ROT)`` call on one gather of the angle
@@ -649,9 +648,9 @@ class _Fused:
     trainable angle, U(a + pi) = 2 dU/da.  ``krons`` pairs the builder's
     columns into a stack: per layer in order, the layer, then for each of
     its trainable angles K, the layer with U(a + pi) in place of U
-    (``at`` locates the layers in it).  ``order`` sorts the trainable
-    angles, taken in stack order, by parameter index (a plain slice when
-    they are in that order already)."""
+    (``at`` and ``ends`` delimit each layer's entries).  ``order`` sorts
+    the trainable angles, taken in stack order, by parameter index (a
+    plain slice when they are in that order already)."""
 
     def __init__(self, ops: tuple[SlotOp, ...], n_qubits: int):
         self.n_qubits = n = 2 if n_qubits == 1 else n_qubits
@@ -662,7 +661,7 @@ class _Fused:
         layers: list[list[int]] = []  # the (A, B) base columns of each layer
         derivs: list[list] = []  # per layer, (qubit 0 / 1, shifted column, parameter) of each trainable angle
         self.steps: list[_Step] = []
-        for wires, members, kind in _blocks(ops):
+        for wires, members, kind in _gate_blocks(ops):
             if len(members) == 1 and kind != "p":
                 self.steps.append(_Step(members[0]))
                 continue
@@ -740,7 +739,7 @@ class _Fused:
                 continue
             # consecutive trainable blocks of one shape (fixed segments and
             # layer sizes) form one group, built together (``blocks``)
-            shape = [self.ends[i] - self.at[i] if isinstance(i, int) else i.tobytes() + bytes(i.ndim)
+            shape = [self.ends[i] - self.at[i] if isinstance(i, int) else i.tobytes()
                      for i in step.chain]
             if shapes and shapes[-1] == shape:
                 self.groups[-1].append(step)
@@ -808,7 +807,7 @@ class _Fused:
         return out
 
     def blocks(self, krons: np.ndarray) -> dict:
-        """{step: its ``block`` with derivatives} for every trainable step;
+        """{step: its ``block``} for every trainable step;
         consecutive blocks of one structure are built in one go, as one
         more batch axis of the kron stack."""
         built = {}
@@ -834,16 +833,19 @@ class _Fused:
         vector ``w``."""
         built = self.blocks(self.krons(self.angles(xs, 1), w[None])) if self.n_layers else {}
         return [self.fixed_plan(step, xs) if step.chain is None else
-                _pair_plan(step, _payload(built[step][:, :, 0], step.head, xs)) for step in self.steps]
+                _pair_plan(step, _payload(built[step][:, :, 0], self.head(step, xs))) for step in self.steps]
+
+    @staticmethod
+    def head(step: _Step, xs: np.ndarray):
+        """(4, 4, 1, B) per-point matrix of a trainable step's ``head`` at
+        the points ``xs``, or None."""
+        return None if step.head is None else _data_matrix(step.head, xs)[:, :, None]
 
 
-def _payload(matrix: np.ndarray, head, xs: np.ndarray, heads=None) -> np.ndarray:
-    """A trainable block's (4, 4, R, 1 or B) matrix, times its ``head``'s
-    per-point matrices at ``xs`` (taken from ``heads`` when given) if it
-    has one."""
-    if head is None:
-        return matrix
-    return _dot(matrix, _data_matrix(head, xs)[:, :, None] if heads is None else heads)
+def _payload(matrix: np.ndarray, head) -> np.ndarray:
+    """A trainable block's (4, 4, R, 1 or B) matrix, after its ``head``
+    (``_Fused.head``) if it has one."""
+    return matrix if head is None else _dot(matrix, head)
 
 
 def _pair_plan(step: _Step, mats: np.ndarray) -> kernels.PlannedOp:
@@ -902,8 +904,7 @@ class CompiledCircuit:
         self._plans = [None if step.chain is not None else fused.fixed_plan(step, tiled) for step in self._steps]
         self._inverses = [None if planned is None else _inverse(planned) for planned in self._plans]
         self._angles = fused.angles(xs, runs)
-        self._heads = {k: _data_matrix(self._steps[k].head, xs)[:, :, None]
-                       for k in self._trainable if self._steps[k].head is not None}
+        self._heads = {k: fused.head(self._steps[k], xs) for k in self._trainable}
         self._sweep = None
 
     def forward(self, w) -> np.ndarray:
@@ -919,7 +920,7 @@ class CompiledCircuit:
         for k in self._trainable:
             step = self._steps[k]
             blocks[k] = built[step]
-            plans[k] = _pair_plan(step, _payload(blocks[k][:, :, 0], step.head, None, self._heads.get(k)))
+            plans[k] = _pair_plan(step, _payload(blocks[k][:, :, 0], self._heads[k]))
         psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in plans:
