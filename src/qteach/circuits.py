@@ -937,8 +937,10 @@ class CompiledCircuit:
         runs, n_points, fused = self.runs, self.n_points, self._fused
         if not self._trainable:
             return np.zeros((runs, 0, n_points)[:2 + (cotangent is None)])
-        lam = psi * (self._signs if cotangent is None else
-                     np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self._signs))
+        # lam = c O psi, stored batch-minor like psi (``empty_like`` keeps its order)
+        lam = np.multiply(psi, self._signs if cotangent is None else
+                          np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self._signs),
+                          out=np.empty_like(psi))
         summed = cotangent is not None and not fused.per_point
         grads = np.empty((self.circuit.n_params, runs, 1 if summed else n_points), dtype=complex)
         # psi is swept back to the output of the second trainable block: a
