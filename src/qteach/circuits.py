@@ -997,10 +997,12 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
     Tr(dT/dw M) with M = psi lam^dagger; a layer L of T, between the
     products P before and S after it, gives Tr(dL P M S), and as dU/da =
     U(a + pi) / 2 for every angle a, d<Z>/dw is Re Tr(K P M S) with K the
-    layer with U(a + pi) in place of U.  The backward sweep stops at the
-    first trainable block, whose input is the evolved fixed prefix.
-    ``CompiledCircuit.backward`` with a cotangent sums M over the points
-    first, which is how training gets its gradient.
+    layer with U(a + pi) in place of U.  The first trainable block's
+    input is the evolved fixed prefix, and a later block's M is T^dagger
+    times the M of its output, so psi goes back no further than the second
+    trainable block's output.  ``CompiledCircuit.backward`` with a
+    cotangent sums M over the points first, which is how training gets
+    its gradient.
 
     This compiles the circuit at ``xs`` for one run and evaluates it
     once; a caller that evaluates the same points at many parameter

@@ -14,12 +14,11 @@ the builder's output as is, and ``kernels.apply_planned`` applies it;
 that is the one path by which any gate reaches amplitudes
 (``circuits`` fuses gates into 4 x 4 blocks built from
 ``matrix_builder``, and applies those the same way).  Its angles are
-scalars or one value per data
-point, so a lowered gate acts on a batch of points under one parameter
-vector.  ``apply_gate`` runs it on a (1, 2^n) copy of a state.  The
-measurement kernels (``expectation_z_kernel``,
-``probability_vector_kernel``) accept arbitrary leading batch axes, in
-any memory order.
+scalars or one value per data point, so a lowered gate acts on a batch
+of points under one parameter vector.  ``apply_gate`` runs it on a
+(1, 2^n) copy of a state.  The measurement kernels
+(``expectation_z_kernel``, ``probability_vector_kernel``) accept
+arbitrary leading batch axes, in any memory order.
 
 Rotation conventions: Rx(phi) = exp(-i*phi*sigma_x/2) (likewise Ry/Rz),
 and Rot(phi, theta, omega) = Rz(omega) @ Ry(theta) @ Rz(phi).  The tests
