@@ -36,12 +36,8 @@ from .circuits import (
 )
 from .errors import ConfigurationError, StructuralError, TrainingDivergedError
 from .metrics import accuracy
-from .teacher_student import ExperimentResult, LabeledGrid, derive_seed, make_grid, run_experiment
+from .teacher_student import DEFAULT_RADIUS, ExperimentResult, LabeledGrid, derive_seed, make_grid, run_experiment
 from .training import TrainConfig, TrainRun, train
-
-#: circle enclosing ~39% of [-pi, pi]^2: both classes well represented,
-#: boundary away from the grid edges
-DEFAULT_RADIUS = float(np.pi / np.sqrt(2.0))
 
 _ROLE_LABELLING = 3
 

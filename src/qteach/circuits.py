@@ -495,7 +495,7 @@ def _inverse(planned: kernels.PlannedOp) -> kernels.PlannedOp:
     inverses, a matrix payload is conjugate-transposed."""
     if planned.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE):
         return planned
-    return kernels.PlannedOp(planned.mode, planned.left, planned.right, _dagger(planned.payload), planned.middle)
+    return kernels.PlannedOp(_dagger(planned.payload), planned.left, planned.right, planned.middle)
 
 
 def _dagger(mats: np.ndarray) -> np.ndarray:
@@ -533,23 +533,27 @@ _NO_POINTS = np.empty((0, 2))
 class _Step:
     """One kernel call of a fused program: a lone gate without parameters
     ``op``, lowered by ``qsim.lower_gate``, or a block of gates on the
-    qubit ``pair`` a < b, renumbered onto a -> 0 and b -> 1.  A fixed block
-    keeps its (4, 4) ``matrix``; a block that takes data keeps its
-    ``data`` chain (``_chain``).  A trainable block's ``chain`` lists,
-    first applied first, its fixed segments ((4, 4), or the diagonal of a
-    diagonal one) and the indices of its layers, ``layers`` those indices
-    and ``span`` the slice of its trainable angles among all of them;
+    qubit ``pair`` a < b, renumbered onto a -> 0 and b -> 1.  A block
+    without parameters keeps its ``data`` chain (``_chain``; a fixed
+    block's is its one (4, 4) matrix).  A trainable block's ``chain``
+    lists, first applied first, its fixed segments ((4, 4), or the
+    diagonal of a diagonal one) and the kron stack entries of its layers,
+    and ``span`` is the slice of its trainable angles among all of them;
     its ``head``, if any, is the data chain of a block it is applied with;
     ``parts`` maps each layer to its slice of the kron stack and its
     offset among the ``size`` matrices ``_Fused.block`` returns."""
 
-    __slots__ = ("op", "pair", "split", "matrix", "data", "chain", "head", "layers", "span", "parts", "size")
+    __slots__ = ("op", "pair", "split", "data", "chain", "head", "span", "parts", "size")
 
-    def __init__(self, op, pair=None, n_qubits=0, matrix=None, data=None, chain=None):
-        self.op, self.pair, self.matrix, self.data, self.chain = op, pair, matrix, data, chain
-        self.head = None
+    def __init__(self, op, pair=None, n_qubits=0, data=None, chain=None):
+        self.op, self.pair, self.data, self.chain, self.head = op, pair, data, chain, None
         self.split = kernels.pair_split(n_qubits, *pair) if pair else None
-        self.layers = [item for item in chain if isinstance(item, int)] if chain else []
+
+    def plan(self, matrix: np.ndarray, head=None) -> kernels.PlannedOp:
+        """This pair block's kernel call with the (4, 4, *batch) payload
+        ``matrix``, applied after ``head`` (``_Fused.head``) if given."""
+        left, middle, right = self.split
+        return kernels.PlannedOp(matrix if head is None else _dot(matrix, head), left, right, middle)
 
 
 def _pair_matrix(ops: Sequence[SlotOp]) -> np.ndarray:
@@ -590,7 +594,7 @@ _IDENTITY = np.eye(2, dtype=complex)[:, :, None]
 def _data_matrix(chain: list, xs: np.ndarray) -> np.ndarray:
     """The (4, 4, B) matrix per point of a ``_chain`` of gates that take
     data at the points ``xs``: its layers' krons and fixed segments
-    multiplied in order."""
+    multiplied in order; a fixed block's chain gives its (4, 4) matrix."""
     acc = None
     for item in chain:
         if isinstance(item, list):
@@ -648,19 +652,21 @@ class _Fused:
     trainable angle, U(a + pi) = 2 dU/da.  ``krons`` pairs the builder's
     columns into a stack: per layer in order, the layer, then for each of
     its trainable angles K, the layer with U(a + pi) in place of U
-    (``at`` and ``ends`` delimit each layer's entries).  ``order`` sorts
-    the trainable angles, taken in stack order, by parameter index (a
-    plain slice when they are in that order already)."""
+    (``table`` holds the angle rows of every first factor, then of every
+    second one).  ``order`` sorts the trainable angles, taken in stack
+    order, by parameter index (a plain slice when they are in that order
+    already)."""
 
     def __init__(self, ops: tuple[SlotOp, ...], n_qubits: int):
         self.n_qubits = n = 2 if n_qubits == 1 else n_qubits
         self.n_params = p = 1 + max((i for op in ops for i in _param_rows(op)), default=-1)
         self.fixed: list[AngleExpr] = []  # the angle rows after the 2 P parameter rows
-        base: list[list[int]] = [[self._row(Const(0.0), p)] * 3]  # column 0: the identity
-        shifted: list[list[int]] = []
-        layers: list[list[int]] = []  # the (A, B) base columns of each layer
-        derivs: list[list] = []  # per layer, (qubit 0 / 1, shifted column, parameter) of each trainable angle
+        identity = [self._row(Const(0.0), p)] * 3
+        stack: list[list[list[int]]] = []  # each kron's factors (A, B) as angle rows
+        params: list[int] = []  # the parameter of each trainable angle, in stack order
         self.steps: list[_Step] = []
+        self.groups: list[list[_Step]] = []
+        shape = None  # the chain shape of the last trainable block
         for wires, members, kind in _gate_blocks(ops):
             if len(members) == 1 and kind != "p":
                 self.steps.append(_Step(members[0]))
@@ -670,82 +676,48 @@ class _Fused:
             place = {pair[0]: 0, pair[1]: 1}
             members = [replace(op, targets=tuple(place[t] for t in op.targets),
                                controls=tuple(place[c] for c in op.controls)) for op in members]
-            if kind == "c":
-                self.steps.append(_Step(None, pair, n, matrix=_pair_matrix(members)))
+            if kind != "p":
+                data = _chain(members, SlotOp.is_encoding) if kind == "d" else [_pair_matrix(members)]
+                self.steps.append(_Step(None, pair, n, data=data))
                 continue
-            if kind == "d":
-                self.steps.append(_Step(None, pair, n, data=_chain(members, SlotOp.is_encoding)))
-                continue
-            chain = _chain(members, _param_rows)
-            for k, item in enumerate(chain):
+            step = _Step(None, pair, n, chain=_chain(members, _param_rows))
+            step.parts, step.size, start = {}, 0, len(params)
+            for k, item in enumerate(step.chain):
                 if not isinstance(item, list):
                     continue
-                chain[k] = len(layers)
-                layers.append([0, 0])
-                derivs.append([])
-                for side, op in enumerate(item):
-                    if op is None:
-                        continue
-                    angles = _AS_ROT[op.kind](op.angles)
-                    rows = [self._row(a, p) for a in angles]
-                    layers[-1][side] = len(base)
-                    base.append(rows)
-                    for slot, angle in enumerate(angles):
+                angles = [() if op is None else _AS_ROT[op.kind](op.angles) for op in item]
+                rows = [[self._row(a, p) for a in side] if side else identity for side in angles]
+                step.chain[k] = at = len(stack)
+                stack.append(rows)
+                for side, slots in enumerate(angles):
+                    for slot, angle in enumerate(slots):
                         if isinstance(angle, ParamRef):
-                            derivs[-1].append((side, len(shifted), angle.index))
-                            shifted.append([r + p * (i == slot) for i, r in enumerate(rows)])
-            self.steps.append(_Step(None, pair, n, chain=chain))
-
-        # a data block after a trainable block and before another one on the
-        # same pair is applied with that one, as one matrix per point and run
-        # (``_payload``): one kernel call forward and one on lam, not two
-        merged: list[_Step] = []
-        for step in self.steps:
-            if (step.chain is not None and merged and merged[-1].data is not None and merged[-1].pair == step.pair
-                    and any(earlier.chain is not None for earlier in merged)):
-                step.head = merged.pop().data
-            merged.append(step)
-        self.steps = merged
-
-        self.n_layers = len(layers)
-        pairs, self.at, params = [], [], []
-        for layer, angles in zip(layers, derivs):
-            self.at.append(len(pairs))
-            pairs.append(layer)
-            for side, column, param in angles:
-                pairs.append([len(base) + column if s == side else c for s, c in enumerate(layer)])
-                params.append(param)
-        self.ends = [at + 1 + len(angles) for at, angles in zip(self.at, derivs)]
-        # the builder's columns for each kron: all first factors, then all second factors
-        columns = base + shifted
-        self.table = np.array([columns[i] for i in [a for a, _ in pairs] + [b for _, b in pairs]],
-                              dtype=int).reshape(-1, 3).T
+                            # the layer with U(a + pi): a's row moved to its shifted copy
+                            stack.append(list(rows))
+                            stack[-1][side] = [r + p * (i == slot) for i, r in enumerate(rows[side])]
+                            params.append(angle.index)
+                begin = at + bool(step.parts)  # a later layer's own kron is not needed
+                step.parts[at] = (begin, len(stack), step.size)
+                step.size += len(stack) - begin
+            step.span = slice(start, len(params))
+            # a data block right before this one on its pair, after an earlier
+            # trainable block, is applied with this one as one matrix per point
+            # and run: one kernel call forward and one on lam, not two.  Only a
+            # data block can be there: any other would have joined this one.
+            if self.groups and self.steps[-1].pair == pair:
+                step.head = self.steps.pop().data
+            self.steps.append(step)
+            # consecutive trainable blocks of one shape (fixed segments and
+            # layer sizes) form one group, built together (``blocks``)
+            last, shape = shape, [step.parts[i][1] - i if isinstance(i, int) else i.tobytes() for i in step.chain]
+            if shape == last:
+                self.groups[-1].append(step)
+            else:
+                self.groups.append([step])
+        self.table = np.array(stack, dtype=int).reshape(-1, 2, 3).swapaxes(0, 1).reshape(-1, 3).T
         order = np.argsort(params, kind="stable")
         self.order = slice(None) if np.array_equal(order, np.arange(len(order))) else order
         self.per_point = any(isinstance(a, DataRef) for a in self.fixed)
-
-        start = 0
-        self.groups: list[list[_Step]] = []
-        shapes: list = []
-        for step in self.steps:
-            count = sum(len(derivs[j]) for j in step.layers)
-            step.span, start = slice(start, start + count), start + count
-            step.parts, step.size = {}, 0
-            for j in step.layers:
-                begin = self.at[j] + (j != step.layers[0])  # a later layer's own kron is not needed
-                step.parts[j] = (begin, self.ends[j], step.size)
-                step.size += self.ends[j] - begin
-            if step.chain is None:
-                continue
-            # consecutive trainable blocks of one shape (fixed segments and
-            # layer sizes) form one group, built together (``blocks``)
-            shape = [self.ends[i] - self.at[i] if isinstance(i, int) else i.tobytes()
-                     for i in step.chain]
-            if shapes and shapes[-1] == shape:
-                self.groups[-1].append(step)
-            else:
-                shapes.append(shape)
-                self.groups.append([step])
 
     def _row(self, angle: AngleExpr, n_params: int) -> int:
         if isinstance(angle, ParamRef):
@@ -781,14 +753,14 @@ class _Fused:
         with K from ``krons`` and S', P' the chain after and before the
         angle's layer.  ``krons`` is the part of the stack from entry
         ``base`` on, with the batch axes after the stack's (``blocks``)."""
-        first, last = step.layers[0], step.layers[-1]
+        first, last = min(step.parts), max(step.parts)
         befores, acc = {}, None
         for item in step.chain:
             if isinstance(item, int):
                 befores[item] = acc
                 if item == last:
                     break
-                item = krons[:, :, self.at[item] - base]
+                item = krons[:, :, item - base]
             acc = item if acc is None else _dot(item, acc)
         out = np.empty((4, 4, step.size) + krons.shape[3:], dtype=complex)
         acc = None
@@ -802,7 +774,7 @@ class _Fused:
                     _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
                 if item == first:
                     break
-                item = krons[:, :, self.at[item] - base]
+                item = krons[:, :, item - base]
             acc = item if acc is None else _dot(acc, item)
         return out
 
@@ -812,8 +784,9 @@ class _Fused:
         more batch axis of the kron stack."""
         built = {}
         for group in self.groups:
-            start = self.at[group[0].layers[0]]
-            size = self.ends[group[0].layers[-1]] - start
+            start = min(group[0].parts)
+            # a block's stack entries: the ``size`` it returns and each later layer's own kron
+            size = group[0].size + len(group[0].parts) - 1
             stacks = krons[:, :, start:start + len(group) * size]
             stacks = stacks.reshape((4, 4, len(group), size) + krons.shape[3:]).swapaxes(2, 3)
             out = self.block(group[0], stacks, start)
@@ -826,34 +799,20 @@ class _Fused:
             op = step.op
             return qsim.lower_gate(op.kind, self.n_qubits, op.targets[0], op.controls,
                                    _lowered_angles(op, xs, _NO_PARAMS))
-        return _pair_plan(step, step.matrix if step.data is None else _data_matrix(step.data, xs))
+        return step.plan(_data_matrix(step.data, xs))
 
     def plans(self, xs: np.ndarray, w: np.ndarray) -> list[kernels.PlannedOp]:
         """Every step lowered for the points ``xs`` under one parameter
         vector ``w``."""
-        built = self.blocks(self.krons(self.angles(xs, 1), w[None])) if self.n_layers else {}
+        built = self.blocks(self.krons(self.angles(xs, 1), w[None])) if self.groups else {}
         return [self.fixed_plan(step, xs) if step.chain is None else
-                _pair_plan(step, _payload(built[step][:, :, 0], self.head(step, xs))) for step in self.steps]
+                step.plan(built[step][:, :, 0], self.head(step, xs)) for step in self.steps]
 
     @staticmethod
     def head(step: _Step, xs: np.ndarray):
         """(4, 4, 1, B) per-point matrix of a trainable step's ``head`` at
         the points ``xs``, or None."""
         return None if step.head is None else _data_matrix(step.head, xs)[:, :, None]
-
-
-def _payload(matrix: np.ndarray, head) -> np.ndarray:
-    """A trainable block's (4, 4, R, 1 or B) matrix, after its ``head``
-    (``_Fused.head``) if it has one."""
-    return matrix if head is None else _dot(matrix, head)
-
-
-def _pair_plan(step: _Step, mats: np.ndarray) -> kernels.PlannedOp:
-    """A pair block's kernel call with its (4, 4, *batch) payload."""
-    mode = (kernels.MODE_CONST, kernels.MODE_PER_B,
-            kernels.MODE_PER_S if mats.shape[-1] == 1 else kernels.MODE_PER_ROW)[mats.ndim - 2]
-    left, middle, right = step.split
-    return kernels.PlannedOp(mode, left, right, mats, middle)
 
 
 @lru_cache(maxsize=64)
@@ -920,7 +879,7 @@ class CompiledCircuit:
         for k in self._trainable:
             step = self._steps[k]
             blocks[k] = built[step]
-            plans[k] = _pair_plan(step, _payload(blocks[k][:, :, 0], self._heads[k]))
+            plans[k] = step.plan(blocks[k][:, :, 0], self._heads[k])
         psi = np.empty((self._prefix.shape[1], runs * n_points), dtype=complex).T
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in plans:

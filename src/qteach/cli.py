@@ -40,17 +40,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_RADIUS,
-    encoding_study,
-    labelling_experiment,
-    normalization_experiment,
-)
 from .circuits import Encoding, parse_architecture
 from .errors import ConfigParseError, QTeachError, TrainingDivergedError
 from .metrics import prediction_map, write_prediction_map
-from .teacher_student import ExperimentResult, make_grid, run_experiment
+from .teacher_student import DEFAULT_RADIUS, ExperimentResult, make_grid, run_experiment
 from .training import Optimizer, TrainConfig, TrainRun
+
+# the encoding_pca, labelling and normalization runners import ``analysis``
+# themselves, so a teacher_student run does not load it
 
 EXPERIMENT_KINDS = ("teacher_student", "encoding_pca", "labelling", "normalization")
 
@@ -241,6 +238,8 @@ def _run_teacher_student(config: ExperimentConfig) -> tuple[dict, Callable[[Path
 
 
 def _run_encoding_pca(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
+    from .analysis import encoding_study
+
     study = encoding_study(config.n_points, config.radius, config.seed)
     labels = study.dataset.labels
 
@@ -268,6 +267,8 @@ def _run_encoding_pca(config: ExperimentConfig) -> tuple[dict, Callable[[Path], 
 
 
 def _run_labelling(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
+    from .analysis import labelling_experiment
+
     report = labelling_experiment(
         config.train_config(), config.n_points, config.radius, config.seed
     )
@@ -284,6 +285,8 @@ def _run_labelling(config: ExperimentConfig) -> tuple[dict, Callable[[Path], Non
 
 
 def _run_normalization(config: ExperimentConfig) -> tuple[dict, Callable[[Path], None]]:
+    from .analysis import normalization_experiment
+
     report = normalization_experiment(
         config.train_config(), config.n_seeds, config.resolution, config.map_resolution
     )

@@ -11,10 +11,12 @@ A matrix payload acts on one qubit (2, 2, *batch) or on a qubit pair
 (4, 4, *batch), and is applied as is: each entry [i, j] is a contiguous
 block broadcast against the stored array viewed as (left, 2, right) +
 batch, or (left, 2, middle, 2, right) + batch for a pair.  (d, d) is
-shared by all rows, (d, d, B) holds one matrix per row, (d, d, R, 1) one
-per run and (d, d, R, N) one per run and point.  With qubit 0 as MSB, a
-basis index splits as l * (2 * right) + bit * right + r where left =
-2^qubit and right = 2^(n - 1 - qubit); a pair a < b splits as
+shared by all rows (MODE_CONST), (d, d, B) holds one matrix per row
+(MODE_PER_B), (d, d, R, 1) one per run (MODE_PER_S) and (d, d, R, N) one
+per run and point (MODE_PER_ROW).  ``PlannedOp`` reads this mode from
+the shape, as a label only: one kernel applies every shape.  With qubit 0
+as MSB, a basis index splits as l * (2 * right) + bit * right + r where
+left = 2^qubit and right = 2^(n - 1 - qubit); a pair a < b splits as
 ((l * 2 + bit_a) * middle + m) * 2 * right + bit_b * right + r with
 left = 2^a, middle = 2^(b - a - 1) and right = 2^(n - 1 - b), and its
 matrix index is 2 * bit_a + bit_b.  New amplitudes are sums of the
@@ -31,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# dispatch modes for planned operations; the matrix modes share one
-# kernel and differ only in the payload shape above
+# kernel modes of planned operations; the four matrix modes share one
+# kernel and name the payload shapes above
 MODE_CONST = 0    # one matrix shared by all rows
 MODE_PER_B = 1    # matrix indexed by row (data point)
 MODE_PER_S = 2    # matrix indexed by run (parameter vector)
@@ -42,13 +44,17 @@ MODE_PHASE = 5    # sign flip on listed indices (CZ)
 
 
 class PlannedOp:
-    """One gate or fused block lowered to a kernel call: mode + payload +
-    bit split; ``middle`` is 0 for one qubit and 2^(b - a - 1) for a pair
-    a < b."""
+    """One gate or fused block lowered to a kernel call: payload + bit
+    split; ``middle`` is 0 for one qubit and 2^(b - a - 1) for a pair
+    a < b.  A FLIP or PHASE payload comes with its ``mode``; a matrix
+    payload's mode is read from its shape."""
 
     __slots__ = ("mode", "left", "right", "payload", "middle")
 
-    def __init__(self, mode: int, left: int, right: int, payload, middle: int = 0):
+    def __init__(self, payload, left: int = 0, right: int = 0, middle: int = 0, mode: int | None = None):
+        if mode is None:
+            mode = (MODE_CONST, MODE_PER_B,
+                    MODE_PER_S if payload.shape[-1] == 1 else MODE_PER_ROW)[payload.ndim - 2]
         self.mode = mode
         self.left = left
         self.right = right

@@ -223,23 +223,17 @@ def lower_gate(kind: GateKind, n_qubits: int, target: int, controls: tuple[int, 
     """One gate as a kernel call, with qubit indices already checked.
 
     ``angles`` are scalars or (B,) arrays, one entry per data point.  A
-    rotation whose angles are all scalars lowers to one (2, 2) matrix
-    (MODE_CONST); any (B,) angle gives one matrix per point (MODE_PER_B),
-    whether the other angles are data, parameters or constants: the
-    builder's (2, 2, B) output is the payload.
+    rotation whose angles are all scalars lowers to one (2, 2) matrix;
+    any (B,) angle gives one matrix per point, whether the other angles
+    are data, parameters or constants: the builder's (2, 2, B) output is
+    the payload, and ``kernels.PlannedOp`` reads its mode from the shape.
     """
     if kind is GateKind.CZ:
-        return kernels.PlannedOp(kernels.MODE_PHASE, 0, 0,
-                                 kernels.cz_indices(n_qubits, controls[0], target))
+        return kernels.PlannedOp(kernels.cz_indices(n_qubits, controls[0], target), mode=kernels.MODE_PHASE)
     if kind in (GateKind.X, GateKind.CNOT, GateKind.MCX):
-        return kernels.PlannedOp(kernels.MODE_FLIP, 0, 0,
-                                 kernels.flip_pairs(n_qubits, tuple(controls), target))
-    left, right = kernels.bit_split(n_qubits, target)
-    if kind is GateKind.H:
-        return kernels.PlannedOp(kernels.MODE_CONST, left, right, HADAMARD)
-    mats = matrix_builder(kind)(angles)
-    mode = kernels.MODE_CONST if mats.shape == (2, 2) else kernels.MODE_PER_B
-    return kernels.PlannedOp(mode, left, right, mats)
+        return kernels.PlannedOp(kernels.flip_pairs(n_qubits, tuple(controls), target), mode=kernels.MODE_FLIP)
+    mats = HADAMARD if kind is GateKind.H else matrix_builder(kind)(angles)
+    return kernels.PlannedOp(mats, *kernels.bit_split(n_qubits, target))
 
 
 def _probabilities(amps: np.ndarray) -> np.ndarray:

@@ -30,6 +30,10 @@ _ROLE_STUDENT_BINARY = 2
 
 DEFAULT_MAP_RESOLUTION = 51
 
+#: circle enclosing ~39% of [-pi, pi]^2: both classes well represented,
+#: boundary away from the grid edges (the circular datasets of ``analysis``)
+DEFAULT_RADIUS = float(np.pi / np.sqrt(2.0))
+
 
 def derive_seed(*parts: int) -> int:
     """Deterministic 64-bit seed from a tuple of integers in [0, 2^32)

@@ -547,6 +547,36 @@ class TestCompiledCircuit:
             compiled.forward_with_adjoint(w)
 
 
+class TestBlockGroups:
+    """``_Fused.blocks`` builds consecutive trainable blocks of one shape
+    together, as one more batch axis of the kron stack."""
+
+    @pytest.mark.parametrize("name, sizes", [("reuploading:2", [2]), ("deep_teacher4", [4]), ("qnn_two_qp", [3])])
+    def test_models_group_their_trainable_blocks(self, name, sizes):
+        fused = circuits._fuse(*circuits._program(build(parse_architecture(name)))[:2])
+        assert [len(group) for group in fused.groups] == sizes
+
+    def test_grouped_build_equals_each_block_alone(self, rng):
+        """Every trainable step's matrix and derivative matrices, built in
+        its group, equal ``block`` on that step alone, bit for bit, at
+        R = 3 parameter rows, for the grouped models, ``mixed_spec`` and
+        random programs."""
+        programs = [circuits._program(circuit)[:2] for circuit in
+                    [build(parse_architecture(name)) for name in ("reuploading:2", "deep_teacher4", "qnn_two_qp")]
+                    + [mixed_spec()]]
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            programs.append((tuple(random_slot_ops(rng, n, int(rng.integers(1, 40)), 5)), n))
+        for ops, n in programs:
+            fused = circuits._fuse(tuple(ops), n)
+            xs = rng.uniform(-np.pi, np.pi, (5, 2))
+            krons = fused.krons(fused.angles(xs, 3), rng.uniform(0, 2 * np.pi, (3, fused.n_params)))
+            built = fused.blocks(krons)
+            assert len(built) == sum(step.chain is not None for step in fused.steps)
+            for step, block in built.items():
+                np.testing.assert_array_equal(block, fused.block(step, krons, 0))
+
+
 def folded_spec():
     """Trailing CNOT, CZ, MCX, CZ and CNOT gates; the CNOTs target q1 and
     q2, not the measured q3, and the first one changes which data-qubit

@@ -357,6 +357,16 @@ def test_blas_threads_change_no_pca():
     assert prints[0] == prints[1]
 
 
+def test_cli_import_leaves_analysis_unloaded():
+    """Only the encoding_pca, labelling and normalization runners use
+    ``qteach.analysis``, and they import it when they run: a fresh
+    ``import qteach.cli`` does not load it."""
+    probe = "import sys, qteach.cli; print('qteach.analysis' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert done.stdout.strip() == "False"
+
+
 def diverged_run(tmp_path, config_text):
     """Run ``config_text`` with a learning rate that makes training diverge
     through ``main``; return the one line of its FAILED.txt."""

@@ -65,16 +65,16 @@ def random_op(rng, n_qubits, runs, points):
     """A random gate on ``runs`` stacked runs of ``points`` rows: a matrix
     shared by all rows, per row, per run or per run and point, or a FLIP
     or PHASE (on two qubits or more)."""
-    kind = int(rng.integers(6 if n_qubits > 1 else 4))
-    if kind == 4:
+    pick = int(rng.integers(6 if n_qubits > 1 else 4))
+    if pick == 4:
         target, control = rng.permutation(n_qubits)[:2]
-        return PlannedOp(kernels.MODE_FLIP, 0, 0, kernels.flip_pairs(n_qubits, (int(control),), int(target)))
-    if kind == 5:
+        return PlannedOp(kernels.flip_pairs(n_qubits, (int(control),), int(target)), mode=kernels.MODE_FLIP)
+    if pick == 5:
         a, b = rng.permutation(n_qubits)[:2]
-        return PlannedOp(kernels.MODE_PHASE, 0, 0, kernels.cz_indices(n_qubits, int(a), int(b)))
+        return PlannedOp(kernels.cz_indices(n_qubits, int(a), int(b)), mode=kernels.MODE_PHASE)
     left, right = kernels.bit_split(n_qubits, int(rng.integers(n_qubits)))
-    shape = [(), (runs * points,), (runs, 1), (runs, points)][kind]
-    return PlannedOp(kind, left, right, random_matrices(rng, shape))
+    shape = [(), (runs * points,), (runs, 1), (runs, points)][pick]
+    return PlannedOp(random_matrices(rng, shape), left, right)
 
 
 class TestStackedRuns:
@@ -94,8 +94,10 @@ class TestStackedRuns:
                      (kernels.MODE_PER_ROW, per_point, per_point.reshape(2, 2, -1))]
             for mode, stacked, rows in cases:
                 got, want = amps.copy(order="K"), amps.copy(order="K")
-                kernels.apply_planned(PlannedOp(mode, left, right, stacked), got)
-                kernels.apply_planned(PlannedOp(kernels.MODE_PER_B, left, right, rows), want)
+                op, row_op = PlannedOp(stacked, left, right), PlannedOp(rows, left, right)
+                assert (op.mode, row_op.mode) == (mode, kernels.MODE_PER_B)
+                kernels.apply_planned(op, got)
+                kernels.apply_planned(row_op, want)
                 np.testing.assert_array_equal(got, want)
 
     def test_each_run_evolves_as_alone(self, rng):
@@ -115,7 +117,8 @@ class TestStackedRuns:
                         payload = payload[:, :, r:r + 1]
                     elif op.mode == kernels.MODE_PER_B:
                         payload = payload[:, :, r * points:(r + 1) * points]
-                    kernels.apply_planned(PlannedOp(op.mode, op.left, op.right, payload), rows)
+                    flips = op.mode in (kernels.MODE_FLIP, kernels.MODE_PHASE)
+                    kernels.apply_planned(op if flips else PlannedOp(payload, op.left, op.right), rows)
             np.testing.assert_array_equal(amps, np.concatenate(alone))
 
     @pytest.mark.parametrize("n_qubits", [1, 3, 5, 7])
@@ -132,6 +135,32 @@ class TestStackedRuns:
         np.testing.assert_array_equal(c_amps, f_amps)
 
 
+class TestPlannedMode:
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("batch, mode", [((), kernels.MODE_CONST), ((6,), kernels.MODE_PER_B),
+                                             ((3, 1), kernels.MODE_PER_S), ((3, 2), kernels.MODE_PER_ROW)],
+                             ids=["shared", "per_row", "per_run", "per_run_and_point"])
+    def test_matrix_mode_is_read_from_the_payload_shape(self, d, batch, mode, rng):
+        """(d, d) is shared by all rows, (d, d, B) one matrix per row,
+        (d, d, R, 1) one per run and (d, d, R, N) one per run and point,
+        for 2 x 2 and 4 x 4 payloads alike."""
+        assert PlannedOp(random_matrices(rng, batch, d), 2, 1, 2 if d == 4 else 0).mode == mode
+
+    @pytest.mark.parametrize("kind, controls, angles, mode", [
+        (GateKind.H, (), (), kernels.MODE_CONST),
+        (GateKind.ROT, (), (0.1, 0.2, 0.3), kernels.MODE_CONST),
+        (GateKind.RX, (), (np.linspace(0, 1, 5),), kernels.MODE_PER_B),
+        (GateKind.ROT, (), (np.linspace(0, 1, 5), 0.2, 0.3), kernels.MODE_PER_B),
+        (GateKind.X, (), (), kernels.MODE_FLIP),
+        (GateKind.MCX, (0, 2), (), kernels.MODE_FLIP),
+        (GateKind.CZ, (0,), (), kernels.MODE_PHASE),
+    ])
+    def test_lowered_gates_carry_their_modes(self, kind, controls, angles, mode):
+        """``qsim.lower_gate`` names FLIP and PHASE; a rotation's mode
+        comes from its builder's output shape."""
+        assert qsim.lower_gate(kind, 3, 1, controls, angles).mode == mode
+
+
 def random_gate_rows(rng, n_qubits, runs, points):
     """A random gate as a lowered op plus each row's full unitary: a
     rotation whose angles have one of the four payload batch shapes; H,
@@ -145,14 +174,14 @@ def random_gate_rows(rng, n_qubits, runs, points):
     rows = runs * points
     shape = [(), (rows,), (runs, 1), (runs, points)]
     if n_qubits > 1 and rng.integers(3) == 0:
-        mode = int(rng.integers(4))
-        mats = random_unitaries(rng, shape[mode])
+        batch = shape[int(rng.integers(4))]
+        mats = random_unitaries(rng, batch)
         qa, qb = qubits[:2]
         lo, hi = sorted((qa, qb))
-        stored = mats if qa < qb else mats.reshape((2, 2, 2, 2) + shape[mode]).transpose(
-            (1, 0, 3, 2) + tuple(range(4, 4 + len(shape[mode])))).reshape((4, 4) + shape[mode])
+        stored = mats if qa < qb else mats.reshape((2, 2, 2, 2) + batch).transpose(
+            (1, 0, 3, 2) + tuple(range(4, 4 + len(batch)))).reshape((4, 4) + batch)
         left, middle, right = kernels.pair_split(n_qubits, lo, hi)
-        op = PlannedOp(mode, left, right, np.ascontiguousarray(stored), middle)
+        op = PlannedOp(np.ascontiguousarray(stored), left, right, middle)
         per = np.stack([per_row(mats[i, j], runs, points) for i in range(4) for j in range(4)], axis=1)
         return op, [pair_unitary(m.reshape(4, 4), qa, qb, n_qubits) for m in per], (qa, qb)
     if n_qubits > 1 and rng.integers(3) == 0:
@@ -164,10 +193,10 @@ def random_gate_rows(rng, n_qubits, runs, points):
     kind = [GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ROT, GateKind.H][int(rng.integers(5))]
     if kind is GateKind.H:
         return qsim.lower_gate(kind, n_qubits, target), [gate_unitary(GateOp(kind, (target,)), n_qubits)] * rows, None
-    mode = int(rng.integers(4))
-    angles = [rng.uniform(-np.pi, np.pi, shape[mode]) for _ in range(qsim.ANGLE_COUNTS[kind])]
+    batch = shape[int(rng.integers(4))]
+    angles = [rng.uniform(-np.pi, np.pi, batch) for _ in range(qsim.ANGLE_COUNTS[kind])]
     left, right = kernels.bit_split(n_qubits, target)
-    op = PlannedOp(mode, left, right, qsim.matrix_builder(kind)(angles))
+    op = PlannedOp(qsim.matrix_builder(kind)(angles), left, right)
     per = np.stack([per_row(a, runs, points) for a in angles], axis=1)
     return op, [gate_unitary(GateOp(kind, (target,), params=tuple(row)), n_qubits) for row in per], None
 
