@@ -376,20 +376,6 @@ def bind(circuit: CircuitSpec, x, w) -> list[GateOp]:
             for op in circuit.ops]
 
 
-def _states(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray,
-            w: np.ndarray) -> tuple[list[kernels.PlannedOp], np.ndarray]:
-    """(plans, amps): the steps of ``ops`` fused (``_fuse``) and lowered
-    for the points ``xs`` under one parameter vector ``w``, and the states
-    they take |0...0> to, as the (B, 2^n) transpose of a batch-minor
-    (2^n, B) array (``kernels``)."""
-    fused = _fuse(tuple(ops), n_qubits)
-    plans = fused.plans(xs, w)
-    amps = _evolve(plans, fused.n_qubits, len(xs))
-    if fused.n_qubits > n_qubits:
-        amps = amps[:, ::2]  # a one-qubit program's idle partner bit is 0
-    return plans, amps
-
-
 def _evolve(plans: Sequence[kernels.PlannedOp], n_qubits: int, rows: int) -> np.ndarray:
     """(rows, 2^n) view of the batch-minor states ``plans`` take |0...0> to."""
     amps = np.zeros((1 << n_qubits, rows), dtype=complex).T
@@ -449,18 +435,21 @@ def _program(circuit: CircuitSpec) -> tuple[tuple[SlotOp, ...], int, np.ndarray]
 _BLOCK_BYTES = 1 << 20
 
 
-def _measured(ops: Sequence[SlotOp], n_qubits: int, xs: np.ndarray, w: np.ndarray, measure,
+def _measured(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray, measure,
               width: tuple[int, ...] = ()) -> np.ndarray:
-    """(B,) + width array of ``measure(amps)`` for the states ``ops`` take
-    |0...0> to at the (B, 2) points ``xs`` under one parameter vector
-    ``w``; the points evolve in blocks of about ``_BLOCK_BYTES`` of
-    amplitudes, counting at least 16 per point: a fused data block holds
-    a 4 x 4 matrix per point (``_fuse``)."""
-    step = max(1, _BLOCK_BYTES // (16 << max(n_qubits, 4)))
+    """(B,) + width array of ``measure(amps, signs)`` for the states the
+    readout program (``_program``) takes |0...0> to at the (B, 2) points
+    ``xs`` under one parameter vector ``w``, with ``signs`` its +-1
+    diagonal: each block of points is one ``CompiledCircuit`` evolved
+    once.  The blocks hold about ``_BLOCK_BYTES`` of amplitudes, counting
+    at least 16 per point: a fused data block holds a 4 x 4 matrix per
+    point (``_fuse``)."""
+    step = max(1, _BLOCK_BYTES // (16 << max(_program(circuit)[1], 4)))
     out = np.empty((len(xs),) + width)
     for start in range(0, len(xs), step):
-        # no name holds a block's state, so it is freed before the next block evolves
-        out[start:start + step] = measure(_states(ops, n_qubits, xs[start:start + step], w)[1])
+        # once measured, a block keeps only its compiled prefix state, freed when the next block compiles
+        compiled = CompiledCircuit(circuit, xs[start:start + step])
+        out[start:start + step] = measure(compiled.evolve(w[None])[0], compiled.signs)
     return out
 
 
@@ -468,8 +457,7 @@ def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndar
     """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
     under one parameter vector ``w``; shape (B,)."""
     xs, w = _points(xs), _params(circuit, w)
-    ops, n, signs = _program(circuit)
-    return _measured(ops, n, xs, w, lambda amps: qsim.expectation_z_kernel(amps, signs))
+    return _measured(circuit, xs, w, qsim.expectation_z_kernel)
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -551,7 +539,7 @@ class _Step:
 
     def plan(self, matrix: np.ndarray, head=None) -> kernels.PlannedOp:
         """This pair block's kernel call with the (4, 4, *batch) payload
-        ``matrix``, applied after ``head`` (``_Fused.head``) if given."""
+        ``matrix``, applied after the matrix ``head`` if given."""
         left, middle, right = self.split
         return kernels.PlannedOp(matrix if head is None else _dot(matrix, head), left, right, middle)
 
@@ -801,19 +789,6 @@ class _Fused:
                                    _lowered_angles(op, xs, _NO_PARAMS))
         return step.plan(_data_matrix(step.data, xs))
 
-    def plans(self, xs: np.ndarray, w: np.ndarray) -> list[kernels.PlannedOp]:
-        """Every step lowered for the points ``xs`` under one parameter
-        vector ``w``."""
-        built = self.blocks(self.krons(self.angles(xs, 1), w[None])) if self.groups else {}
-        return [self.fixed_plan(step, xs) if step.chain is None else
-                step.plan(built[step][:, :, 0], self.head(step, xs)) for step in self.steps]
-
-    @staticmethod
-    def head(step: _Step, xs: np.ndarray):
-        """(4, 4, 1, B) per-point matrix of a trainable step's ``head`` at
-        the points ``xs``, or None."""
-        return None if step.head is None else _data_matrix(step.head, xs)[:, :, None]
-
 
 @lru_cache(maxsize=64)
 def _fuse(ops: tuple[SlotOp, ...], n_qubits: int) -> _Fused:
@@ -822,30 +797,34 @@ def _fuse(ops: tuple[SlotOp, ...], n_qubits: int) -> _Fused:
 
 
 class CompiledCircuit:
-    """``forward_with_adjoint`` for one circuit at fixed points ``xs`` and
-    ``runs`` parameter vectors at a time, compiled once and then evaluated
-    at any number of (runs, P) parameter arrays.
+    """The one evaluator of a circuit: compiled once at fixed points
+    ``xs`` for ``runs`` parameter vectors at a time, then evaluated at any
+    number of (runs, P) parameter arrays.  ``forward_many``,
+    ``ancilla_probabilities`` and the encoding study evolve one instance
+    per block of points (``_measured``), ``forward_with_adjoint`` and
+    training keep one.
 
     It evolves the circuit's readout program (``_program``: n' qubits and
-    a +-1 diagonal observable O) fused into blocks (``_fuse``), as
-    ``forward_many`` does.  The runs are stacked as rows: the state holds
-    runs * N amplitude rows, run r in rows r N .. (r + 1) N - 1, stored
-    batch-minor as a (2^n', runs * N) array (``kernels``), and every step
-    is one kernel call for all of them.  Built once: the state that the
-    steps before the first trainable block take |0...0> to, and the
-    plans and inverses of the later fixed steps (data at the points tiled
-    once per run).  ``forward`` builds, from one ROT builder call, every
-    trainable block's (4, 4, runs, 1) matrix T and its derivative
-    matrices G = 2 dT/da for every trainable angle a, and evolves the
-    state.  ``backward`` then sweeps back through the step inverses
-    (Jones & Gacon, arXiv:2009.02823), carrying psi and lam = c O psi for
-    a cotangent c.  At a trainable block with input psi and output
-    cotangent lam, the derivative of sum c <O> is 2 Re Tr(dT/da M) = Re
-    Tr(G M) with M = psi lam^dagger summed over the other qubits and over
-    the points (per point for the Jacobian): one contraction per block
-    gives all of its derivatives.  ``forward`` keeps its state for the
-    ``backward`` that follows, so one instance must not be evaluated from
-    two threads at once; the arrays returned are new on every call.
+    a +-1 diagonal observable O, ``signs``) fused into blocks (``_fuse``).
+    The runs are stacked as rows: the state holds runs * N amplitude rows,
+    run r in rows r N .. (r + 1) N - 1, stored batch-minor as a (2^n',
+    runs * N) array (``kernels``), and every step is one kernel call for
+    all of them.  Built once: the state that the steps before the first
+    trainable block take |0...0> to, the plans of the later fixed steps
+    (data at the points tiled once per run) and the per-point matrix of
+    each trainable block's head.  ``evolve`` builds, from one ROT builder
+    call, every trainable block's (4, 4, runs, 1) matrix T and its
+    derivative matrices G = 2 dT/da for every trainable angle a, and
+    evolves the state; ``forward`` measures O on it.  ``backward`` then
+    sweeps back through the step inverses (Jones & Gacon,
+    arXiv:2009.02823), carrying psi and lam = c O psi for a cotangent c.
+    At a trainable block with input psi and output cotangent lam, the
+    derivative of sum c <O> is 2 Re Tr(dT/da M) = Re Tr(G M) with M = psi
+    lam^dagger summed over the other qubits and over the points (per point
+    for the Jacobian): one contraction per block gives all of its
+    derivatives.  ``forward`` keeps its state for the ``backward`` that
+    follows, so one instance must not be evaluated from two threads at
+    once; the arrays returned are new on every call.
     """
 
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
@@ -853,7 +832,7 @@ class CompiledCircuit:
         self.circuit, self.runs, self.n_points = circuit, runs, len(xs)
         ops, n, signs = _program(circuit)
         self._fused = fused = _fuse(ops, n)
-        self._signs = np.repeat(signs, 2) if fused.n_qubits > n else signs  # idle partner bit
+        self.signs = np.repeat(signs, 2) if fused.n_qubits > n else signs  # idle partner bit
         steps = fused.steps
         first = next((i for i, step in enumerate(steps) if step.chain is not None), len(steps))
         self._prefix = _evolve([fused.fixed_plan(step, xs) for step in steps[:first]], fused.n_qubits, len(xs))
@@ -861,14 +840,16 @@ class CompiledCircuit:
         self._trainable = [k for k, step in enumerate(self._steps) if step.chain is not None]
         tiled = np.tile(xs, (runs, 1))
         self._plans = [None if step.chain is not None else fused.fixed_plan(step, tiled) for step in self._steps]
-        self._inverses = [None if planned is None else _inverse(planned) for planned in self._plans]
         self._angles = fused.angles(xs, runs)
-        self._heads = {k: fused.head(self._steps[k], xs) for k in self._trainable}
+        self._heads = {k: None if self._steps[k].head is None else _data_matrix(self._steps[k].head, xs)[:, :, None]
+                       for k in self._trainable}
         self._sweep = None
 
-    def forward(self, w) -> np.ndarray:
-        """(runs, N) predictions at the (runs, P) parameters ``w``; keeps
-        the sweep for ``backward``."""
+    def evolve(self, w) -> tuple[np.ndarray, list, dict]:
+        """``(psi, plans, blocks)`` at the (runs, P) parameters ``w``: the
+        (runs * N, 2^n') states the program takes |0...0> to, every step
+        after the prefix lowered, and each trainable step's ``_Fused.block``
+        by its index among them."""
         runs, n_points, fused = self.runs, self.n_points, self._fused
         w = np.asarray(w, dtype=float)
         if w.shape != (runs, self.circuit.n_params):
@@ -884,8 +865,13 @@ class CompiledCircuit:
         np.copyto(psi.T.reshape(-1, runs, n_points), self._prefix.T[:, None])
         for planned in plans:
             kernels.apply_planned(planned, psi)
-        self._sweep = (psi, plans, blocks)
-        return qsim.expectation_z_kernel(psi, self._signs).reshape(runs, n_points)
+        return psi, plans, blocks
+
+    def forward(self, w) -> np.ndarray:
+        """(runs, N) predictions at the (runs, P) parameters ``w``; keeps
+        the sweep for ``backward``."""
+        self._sweep = self.evolve(w)
+        return qsim.expectation_z_kernel(self._sweep[0], self.signs).reshape(self.runs, self.n_points)
 
     def backward(self, cotangent=None) -> np.ndarray:
         """Derivatives of the last ``forward``'s predictions: with a (runs,
@@ -897,8 +883,8 @@ class CompiledCircuit:
         if not self._trainable:
             return np.zeros((runs, 0, n_points)[:2 + (cotangent is None)])
         # lam = c O psi, stored batch-minor like psi (``empty_like`` keeps its order)
-        lam = np.multiply(psi, self._signs if cotangent is None else
-                          np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self._signs),
+        lam = np.multiply(psi, self.signs if cotangent is None else
+                          np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self.signs),
                           out=np.empty_like(psi))
         summed = cotangent is not None and not fused.per_point
         grads = np.empty((self.circuit.n_params, runs, 1 if summed else n_points), dtype=complex)
@@ -916,7 +902,7 @@ class CompiledCircuit:
                 np.einsum("xd...,x...->d...", derivs.reshape((16,) + derivs.shape[2:]),
                           mt.reshape((16,) + mt.shape[2:]), out=grads[step.span])
             if k:
-                inverse = self._inverses[k] or _inverse(plans[k])
+                inverse = _inverse(plans[k])
                 if k > stop:
                     kernels.apply_planned(inverse, psi)
                 kernels.apply_planned(inverse, lam)
@@ -976,10 +962,11 @@ def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point:
     the weights of the readout program's +1 and -1 sign entries."""
     xs, w = _points(xs), _params(circuit, w)
-    ops, n, signs = _program(circuit)
-    masks = np.array([signs > 0, signs < 0], dtype=float)
-    return _measured(ops, n, xs, w, lambda amps: (qsim._probabilities(amps)[:, None] * masks).sum(axis=-1),
-                     (2,))
+
+    def measure(amps, signs):
+        return (qsim._probabilities(amps)[:, None] * np.array([signs > 0, signs < 0], dtype=float)).sum(axis=-1)
+
+    return _measured(circuit, xs, w, measure, (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -236,13 +236,13 @@ class TestForward:
         whole = forward_many(circuit, xs, w)
         monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._program(circuit)[1])
         sizes = []
-        states = circuits._states
+        compiled = circuits.CompiledCircuit
 
-        def spy(ops, n_qubits, block, w):
+        def spy(circuit, block, runs=1):
             sizes.append(len(block))
-            return states(ops, n_qubits, block, w)
+            return compiled(circuit, block, runs)
 
-        monkeypatch.setattr(circuits, "_states", spy)
+        monkeypatch.setattr(circuits, "CompiledCircuit", spy)
         np.testing.assert_array_equal(forward_many(circuit, xs, w), whole)
         assert sizes == [block_rows] * (len(xs) // block_rows) + [len(xs) % block_rows]
 
@@ -316,6 +316,19 @@ class TestEvolveInvariants:
     parameter vector, with rotations that mix data and parameters, so
     payloads are shared by all points or indexed by point."""
 
+    @staticmethod
+    def _spec(ops, n_qubits):
+        """``ops`` after a trainable Rot on every qubit, so that no step is
+        in the data-only prefix and ``evolve`` returns every step, as a
+        circuit measuring an idle extra qubit (``_program`` drops it), each
+        parameter slot its own index in order."""
+        index = itertools.count()
+        ops = [SlotOp(GateKind.ROT, (q,), angles=(ParamRef(0),) * 3) for q in range(n_qubits)] + list(ops)
+        ops = [replace(op, angles=tuple(ParamRef(next(index)) if isinstance(a, ParamRef) else a for a in op.angles))
+               for op in ops]
+        n_params = sum(isinstance(a, ParamRef) for op in ops for a in op.angles)
+        return circuits.CircuitSpec(n_qubits + 1, ops, n_qubits, n_params, 0)
+
     def test_norm_kept_and_inverse_returns_zero_state(self, rng):
         """Each step of a fused program keeps the norm, and the steps'
         inverses (``circuits._inverse``) in reverse order take the state
@@ -323,16 +336,17 @@ class TestEvolveInvariants:
         block shared by all points, one matrix per point (data), per run
         (parameters) and per run and point (a rotation that takes both),
         FLIP and PHASE."""
-        n_points, n_params = 4, 5
+        n_points = 4
         modes, mixing = set(), 0
         for _ in range(60):
             n = int(rng.integers(1, 6))
-            ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), n_params)
+            ops = random_slot_ops(rng, n, int(rng.integers(1, 40)), 5)
+            circuit = self._spec(ops, n)
             xs = rng.uniform(-np.pi, np.pi, (n_points, 2))
-            w = rng.uniform(0, 2 * np.pi, n_params)
-            fused = circuits._fuse(tuple(ops), n)
-            plans = fused.plans(xs, w)
-            amps = circuits._evolve(plans, fused.n_qubits, n_points)
+            w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+            compiled = CompiledCircuit(circuit, xs)
+            amps, plans, _ = compiled.evolve(w[None])
+            assert len(plans) == len(compiled._fused.steps)
             modes.update(p.mode for p in plans)
             mixing += sum({DataRef, ParamRef} <= {type(a) for a in op.angles} for op in ops)
             np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -769,9 +783,10 @@ class TestReadoutProgram:
         circuit = with_x(build(arch), flip)
         xs = rng.uniform(-np.pi, np.pi, (8, 2))
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
-        _, amps = circuits._states(circuit.ops, circuit.n_qubits, xs, w)
-        full = qsim.probability_vector_kernel(amps, circuit.n_qubits, (circuit.measured_qubit,))
-        np.testing.assert_allclose(ancilla_probabilities(circuit, xs, w), full, rtol=0, atol=1e-15)
+        probs = np.array([np.abs(dense_unitary_oracle(circuit, x, w)[:, 0]) ** 2 for x in xs])
+        signs = kernels.z_signs(circuit.n_qubits, circuit.measured_qubit)
+        full = probs @ np.array([signs > 0, signs < 0]).T
+        np.testing.assert_allclose(ancilla_probabilities(circuit, xs, w), full, rtol=0, atol=1e-12)
 
 
 QP = build(dissipative_qp())
