@@ -505,15 +505,6 @@ def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
-# the angles (phi, theta, omega) of Rot = Rz(omega) Ry(theta) Rz(phi) that
-# give each trainable rotation, so that one ROT builder call serves them all
-_AS_ROT = {
-    GateKind.ROT: lambda a: a,
-    GateKind.RZ: lambda a: (a[0], Const(0.0), Const(0.0)),
-    GateKind.RY: lambda a: (Const(0.0), a[0], Const(0.0)),
-    GateKind.RX: lambda a: (Const(np.pi / 2), a[0], Const(-np.pi / 2)),
-}
-
 _NO_PARAMS = np.empty(0)
 _NO_POINTS = np.empty((0, 2))
 
@@ -633,7 +624,7 @@ class _Fused:
     kron(A, B) of at most one trainable rotation per qubit (the identity
     where there is none).
 
-    Every trainable rotation is a Rot (``_AS_ROT``), so one
+    Every trainable rotation is a Rot (``qsim.ROT_ANGLES``), so one
     ``qsim.matrix_builder(GateKind.ROT)`` call on one gather of the angle
     rows (``angles``: the P parameters, the P parameters shifted by pi,
     then constants and data) gives every layer factor and, for every
@@ -673,7 +664,7 @@ class _Fused:
             for k, item in enumerate(step.chain):
                 if not isinstance(item, list):
                     continue
-                angles = [() if op is None else _AS_ROT[op.kind](op.angles) for op in item]
+                angles = [() if op is None else qsim.ROT_ANGLES[op.kind](op.angles, Const) for op in item]
                 rows = [[self._row(a, p) for a in side] if side else identity for side in angles]
                 step.chain[k] = at = len(stack)
                 stack.append(rows)

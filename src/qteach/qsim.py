@@ -4,10 +4,11 @@ Bit convention: qubit 0 is the most significant bit of a basis-state
 index, i.e. for n qubits the state |b0 b1 ... b(n-1)> sits at index
 sum_q b_q * 2**(n-1-q).  Every function in this module follows it.
 
-The rotation builders return their matrices in the one layout the
-kernels apply: angles of shape ``batch`` give a (2, 2) + batch array, so
-each entry [i, j] is one contiguous block, and scalar angles give a
-plain (2, 2) matrix.
+Every rotation matrix comes from one formula, ``rot_matrix``: RX, RY and
+RZ are Rots at the angles ``ROT_ANGLES`` gives (``matrix_builder``).  It
+returns its matrices in the one layout the kernels apply: angles of
+shape ``batch`` give a (2, 2) + batch array, so each entry [i, j] is one
+contiguous block, and scalar angles give a plain (2, 2) matrix.
 
 ``lower_gate`` turns a gate into a ``kernels.PlannedOp`` whose payload is
 the builder's output as is, and ``kernels.apply_planned`` applies it;
@@ -132,42 +133,9 @@ def new_state(n_qubits: int) -> QuantumState:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrix builders: angles of shape batch (scalars or broadcastable
+# the one rotation formula: angles of shape batch (scalars or broadcastable
 # arrays) give a (2, 2) + batch array
 # ---------------------------------------------------------------------------
-
-def rx_matrix(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    m = np.empty((2, 2) + theta.shape, dtype=complex)
-    m[0, 0] = c
-    m[0, 1] = -1j * s
-    m[1, 0] = -1j * s
-    m[1, 1] = c
-    return m
-
-
-def ry_matrix(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    m = np.empty((2, 2) + theta.shape, dtype=complex)
-    m[0, 0] = c
-    m[0, 1] = -s
-    m[1, 0] = s
-    m[1, 1] = c
-    return m
-
-
-def rz_matrix(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phase = np.exp(-0.5j * theta)
-    m = np.zeros((2, 2) + theta.shape, dtype=complex)
-    m[0, 0] = phase
-    m[1, 1] = np.conj(phase)
-    return m
-
 
 # the phases of Rot's top row, e = exp(-i (phi + omega) / 2) and f = exp(i (phi - omega) / 2)
 _ROT_PHI = np.array([-1.0, 1.0])
@@ -192,20 +160,25 @@ def rot_matrix(phi, theta, omega) -> np.ndarray:
     return m
 
 
-_MATRIX_BUILDERS = {
-    GateKind.RX: lambda p: rx_matrix(p[0]),
-    GateKind.RY: lambda p: ry_matrix(p[0]),
-    GateKind.RZ: lambda p: rz_matrix(p[0]),
-    GateKind.ROT: lambda p: rot_matrix(p[0], p[1], p[2]),
+#: the angles (phi, theta, omega) of the Rot that each rotation kind is, from
+#: the gate's own angles ``a``, with ``fixed`` turning a float into a fixed
+#: angle: Rx(t) = Rz(-pi/2) Ry(t) Rz(pi/2).  ``matrix_builder`` and the
+#: trainable blocks of ``circuits`` both read it, so every rotation matrix
+#: comes from ``rot_matrix``.
+ROT_ANGLES = {
+    GateKind.ROT: lambda a, fixed: tuple(a),
+    GateKind.RZ: lambda a, fixed: (a[0], fixed(0.0), fixed(0.0)),
+    GateKind.RY: lambda a, fixed: (fixed(0.0), a[0], fixed(0.0)),
+    GateKind.RX: lambda a, fixed: (fixed(np.pi / 2), a[0], fixed(-np.pi / 2)),
 }
 
 
 def matrix_builder(kind: GateKind):
-    """Angle-sequence -> (2, 2) + batch matrix builder for a rotation gate kind."""
-    try:
-        return _MATRIX_BUILDERS[kind]
-    except KeyError:
-        raise StructuralError(f"{kind.value} has no angle-parameterized matrix") from None
+    """Angle-sequence -> (2, 2) + batch matrix builder for a rotation gate
+    kind: ``rot_matrix`` at the kind's ``ROT_ANGLES``."""
+    if kind not in ROT_ANGLES:
+        raise StructuralError(f"{kind.value} has no angle-parameterized matrix")
+    return lambda angles: rot_matrix(*ROT_ANGLES[kind](angles, float))
 
 
 def _check_indices(n_qubits: int, qubits: Iterable[int]) -> None:

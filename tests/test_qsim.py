@@ -4,7 +4,8 @@ invariants of the gate kernels."""
 import numpy as np
 import pytest
 
-from qteach import kernels, qsim
+from qteach import circuits, kernels, qsim
+from qteach.circuits import ParamRef, SlotOp
 from qteach.errors import ConfigurationError, StructuralError
 from qteach.qsim import (
     GateKind,
@@ -220,10 +221,26 @@ class TestDenseOracle:
 
 
 def test_rot_is_rz_ry_rz_product(rng):
+    """rot_matrix against the oracle's textbook Rz(omega) Ry(theta) Rz(phi)."""
+    def textbook(kind, angle):
+        return gate_unitary(GateOp(kind, (0,), params=(angle,)), 1)
+
     for _ in range(20):
         phi, theta, omega = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-        product = qsim.rz_matrix(omega) @ qsim.ry_matrix(theta) @ qsim.rz_matrix(phi)
+        product = textbook(GateKind.RZ, omega) @ textbook(GateKind.RY, theta) @ textbook(GateKind.RZ, phi)
         np.testing.assert_allclose(qsim.rot_matrix(phi, theta, omega), product, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ], ids=lambda k: k.value)
+def test_rotation_matrix_is_the_trainable_blocks_rot(kind, rng):
+    """A data or fixed rotation's matrix equals, bit for bit, the one a
+    trainable block builds for that rotation: the first factor of the
+    block's kron(U, I), which the ROT builder makes at the kind's Rot
+    angles."""
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, 7)
+    fused = circuits._fuse((SlotOp(kind, (0,), angles=(ParamRef(0),)),), 2)
+    krons = fused.krons(fused.angles(np.zeros((1, 2)), len(angles)), angles[:, None])
+    np.testing.assert_array_equal(qsim.matrix_builder(kind)([angles]), krons[0::2, 0::2, 0, :, 0])
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 1), (3, 4)], ids=str)
