@@ -67,9 +67,8 @@ def circular_dataset(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0
 
 def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> np.ndarray:
     """(n, 4) outcome probabilities of the two data qubits after applying
-    only the encoding gates the architecture builders emit to |00>: a
-    circuit of those gates whose measured third qubit, idle, ``_program``
-    drops."""
+    only the encoding gates the architecture builders emit to |00>, as a
+    circuit measuring an idle third qubit, which ``_program`` drops."""
     builder = circuits._Builder(encoding)
     builder.encode(0, 1)
     return circuits._measured(builder.finish(3, 2), data.points, np.empty(0),

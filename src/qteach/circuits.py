@@ -438,12 +438,11 @@ _BLOCK_BYTES = 1 << 20
 def _measured(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray, measure,
               width: tuple[int, ...] = ()) -> np.ndarray:
     """(B,) + width array of ``measure(amps, signs)`` for the states the
-    readout program (``_program``) takes |0...0> to at the (B, 2) points
-    ``xs`` under one parameter vector ``w``, with ``signs`` its +-1
-    diagonal: each block of points is one ``CompiledCircuit`` evolved
-    once.  The blocks hold about ``_BLOCK_BYTES`` of amplitudes, counting
-    at least 16 per point: a fused data block holds a 4 x 4 matrix per
-    point (``_fuse``)."""
+    readout program (``_program``, with ``signs`` its +-1 diagonal) takes
+    |0...0> to at the (B, 2) points ``xs`` under one parameter vector
+    ``w``: one ``CompiledCircuit`` per block of about ``_BLOCK_BYTES`` of
+    amplitudes, counting at least 16 per point, since a fused data block
+    holds a 4 x 4 matrix per point (``_fuse``)."""
     step = max(1, _BLOCK_BYTES // (16 << max(_program(circuit)[1], 4)))
     out = np.empty((len(xs),) + width)
     for start in range(0, len(xs), step):
@@ -867,15 +866,20 @@ class CompiledCircuit:
     def backward(self, cotangent=None) -> np.ndarray:
         """Derivatives of the last ``forward``'s predictions: with a (runs,
         N) ``cotangent`` c, the (runs, P) sums over points of c times
-        d preds / d w; without one, the (runs, P, N) Jacobian."""
+        d preds / d w; without one, the (runs, P, N) Jacobian.  Each
+        ``forward`` is taken back once."""
+        runs, n_points, fused = self.runs, self.n_points, self._fused
+        if self._sweep is None:
+            raise ConfigurationError("backward needs a forward first, and takes each forward back once")
+        cotangent = None if cotangent is None else np.asarray(cotangent, dtype=float)
+        if cotangent is not None and cotangent.shape != (runs, n_points):
+            raise ConfigurationError(f"expected a ({runs}, {n_points}) cotangent, got shape {cotangent.shape}")
         psi, plans, blocks = self._sweep
         self._sweep = None  # the sweep walks psi back in place
-        runs, n_points, fused = self.runs, self.n_points, self._fused
         if not self._trainable:
             return np.zeros((runs, 0, n_points)[:2 + (cotangent is None)])
         # lam = c O psi, stored batch-minor like psi (``empty_like`` keeps its order)
-        lam = np.multiply(psi, self.signs if cotangent is None else
-                          np.multiply.outer(np.asarray(cotangent, dtype=float).ravel(), self.signs),
+        lam = np.multiply(psi, self.signs if cotangent is None else np.multiply.outer(cotangent.ravel(), self.signs),
                           out=np.empty_like(psi))
         summed = cotangent is not None and not fused.per_point
         grads = np.empty((self.circuit.n_params, runs, 1 if summed else n_points), dtype=complex)
@@ -952,12 +956,10 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
 def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, 2) array of [p(|0>), p(|1>)] of the measured qubit per point:
     the weights of the readout program's +1 and -1 sign entries."""
-    xs, w = _points(xs), _params(circuit, w)
-
     def measure(amps, signs):
         return (qsim._probabilities(amps)[:, None] * np.array([signs > 0, signs < 0], dtype=float)).sum(axis=-1)
 
-    return _measured(circuit, xs, w, measure, (2,))
+    return _measured(circuit, _points(xs), _params(circuit, w), measure, (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,8 @@ def accuracy(predictions: Sequence[float], y_binary: Sequence[float]) -> float:
         raise StructuralError(
             f"length mismatch: {predictions.shape} predictions vs {y_binary.shape} labels"
         )
+    if predictions.size == 0:
+        raise StructuralError("accuracy of no points is undefined")
     return float(np.mean(binarize(predictions) == y_binary))
 
 

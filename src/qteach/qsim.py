@@ -160,11 +160,9 @@ def rot_matrix(phi, theta, omega) -> np.ndarray:
     return m
 
 
-#: the angles (phi, theta, omega) of the Rot that each rotation kind is, from
-#: the gate's own angles ``a``, with ``fixed`` turning a float into a fixed
-#: angle: Rx(t) = Rz(-pi/2) Ry(t) Rz(pi/2).  ``matrix_builder`` and the
-#: trainable blocks of ``circuits`` both read it, so every rotation matrix
-#: comes from ``rot_matrix``.
+#: the Rot angles (phi, theta, omega) of each rotation kind from its own angles
+#: ``a``, ``fixed`` making a float a fixed angle (Rx(t) = Rz(-pi/2) Ry(t) Rz(pi/2));
+#: ``matrix_builder`` and the trainable blocks of ``circuits`` both read it
 ROT_ANGLES = {
     GateKind.ROT: lambda a, fixed: tuple(a),
     GateKind.RZ: lambda a, fixed: (a[0], fixed(0.0), fixed(0.0)),
@@ -174,8 +172,7 @@ ROT_ANGLES = {
 
 
 def matrix_builder(kind: GateKind):
-    """Angle-sequence -> (2, 2) + batch matrix builder for a rotation gate
-    kind: ``rot_matrix`` at the kind's ``ROT_ANGLES``."""
+    """Angle-sequence -> (2, 2) + batch builder: ``rot_matrix`` at the kind's ``ROT_ANGLES``."""
     if kind not in ROT_ANGLES:
         raise StructuralError(f"{kind.value} has no angle-parameterized matrix")
     return lambda angles: rot_matrix(*ROT_ANGLES[kind](angles, float))

@@ -504,6 +504,44 @@ class TestCompiledCircuit:
         np.testing.assert_array_equal(preds, kept[0])
         np.testing.assert_array_equal(dpreds, kept[1])
 
+    def test_backward_needs_its_own_forward(self, rng):
+        """backward without a forward, or a second time after one, is a
+        ConfigurationError, not a failed unpacking of no sweep."""
+        circuit = COMPILED_MODELS["reuploading:2@rot_h"]
+        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
+        with pytest.raises(ConfigurationError, match="forward first"):
+            compiled.backward()
+        compiled.forward(rng.uniform(0, 2 * np.pi, (1, circuit.n_params)))
+        compiled.backward()
+        with pytest.raises(ConfigurationError, match="forward first"):
+            compiled.backward()
+
+    @pytest.mark.parametrize("shape", [(18,), (2, 10), (9,), (1, 2, 9)], ids=str)
+    def test_backward_rejects_a_misshaped_cotangent(self, shape, rng):
+        """A cotangent not shaped (runs, N) is a ConfigurationError naming
+        that shape, not a numpy broadcast error, and leaves the sweep for a
+        well-shaped one."""
+        circuit = COMPILED_MODELS["reuploading:2@rot_h"]
+        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)), runs=2)
+        w = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
+        cotangent = rng.uniform(-1, 1, (2, 9))
+        compiled.forward(w)
+        expected = compiled.backward(cotangent)
+        compiled.forward(w)
+        with pytest.raises(ConfigurationError, match=r"expected a \(2, 9\) cotangent"):
+            compiled.backward(np.ones(shape))
+        np.testing.assert_array_equal(compiled.backward(cotangent), expected)
+
+    def test_non_finite_parameters_flow_through_forward(self, rng):
+        """forward does not check that parameters are finite: training
+        trains on, and names the diverging run from the non-finite loss."""
+        circuit = COMPILED_MODELS["reuploading:2@rot_h"]
+        compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)), runs=2)
+        w = rng.uniform(0, 2 * np.pi, (2, circuit.n_params))
+        w[1, 3] = np.nan
+        preds = compiled.forward(w)
+        assert np.all(np.isfinite(preds[0])) and np.all(np.isnan(preds[1]))
+
     def test_warm_evaluation_peaks_below_six_states(self, rng):
         """A warm evaluation of qnn_two_qp on R = 40 runs of its 25
         periodic samples (a 1 MiB state on the program's 6 qubits) holds

@@ -349,6 +349,11 @@ class TestAccuracy:
         with pytest.raises(StructuralError):
             accuracy([1.0], [1.0, -1.0])
 
+    def test_no_points_rejected(self):
+        """The accuracy of no points is an error, not NaN."""
+        with pytest.raises(StructuralError, match="no points"):
+            accuracy([], [])
+
 
 class TestMapCsv:
     def test_round_trip(self, tmp_path, rng):
