@@ -71,8 +71,8 @@ def encoding_probability_vectors(encoding: Encoding, data: CircularDataset) -> n
     circuit measuring an idle third qubit, which ``_program`` drops."""
     builder = circuits._Builder(encoding)
     builder.encode(0, 1)
-    return circuits._measured(builder.finish(3, 2), data.points, np.empty(0),
-                              lambda amps, signs: qsim.probability_vector_kernel(amps, 2, (0, 1)), (4,))
+    return circuits._measured(builder.finish(3, 2), data.points, np.empty((1, 0)),
+                              lambda amps, signs: qsim.probability_vector_kernel(amps, 2, (0, 1)), (4,))[0]
 
 
 @dataclass

@@ -35,7 +35,7 @@ qubits; ``rot_h`` applies H then Rot(x1, x2, 0) on each data qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence, Union
@@ -151,14 +151,37 @@ class ParamRef:
 AngleExpr = Union[Const, DataRef, ParamRef]
 
 
+class _HashedOnce:
+    """Base of the frozen dataclasses the caches of ``_program`` and
+    ``_fuse`` key on: the hash of the fields, the one a frozen dataclass
+    computes, is kept from ``__post_init__`` (``_keep_hash``), so a cache
+    lookup does not rehash every op and angle.  A pickle rebuilds the
+    instance from its fields, since an enum's hash differs between
+    processes.  Each subclass sets ``__hash__ = _HashedOnce.__hash__``:
+    ``dataclass`` replaces an inherited one."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def _keep_hash(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 @dataclass(frozen=True)
-class SlotOp:
+class SlotOp(_HashedOnce):
     """Gate with symbolic angles; wiring as in qsim.GateOp."""
 
     kind: GateKind
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     angles: tuple[AngleExpr, ...] = ()
+    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -170,13 +193,14 @@ class SlotOp:
             )
         # wiring checks are shared with GateOp; build one to validate
         GateOp(self.kind, self.targets, self.controls, (0.0,) * ANGLE_COUNTS[self.kind])
+        self._keep_hash()
 
     def is_encoding(self) -> bool:
         return any(isinstance(a, DataRef) for a in self.angles)
 
 
 @dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(_HashedOnce):
     """Ordered gate program with data and trainable-parameter slots."""
 
     n_qubits: int
@@ -184,6 +208,7 @@ class CircuitSpec:
     measured_qubit: int
     n_params: int
     encoding_count: int
+    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -203,6 +228,7 @@ class CircuitSpec:
             raise StructuralError(
                 f"parameter slots must be 0..{self.n_params - 1} each exactly once, got {sorted(seen)}"
             )
+        self._keep_hash()
 
 
 # ---------------------------------------------------------------------------
@@ -437,18 +463,20 @@ _BLOCK_BYTES = 1 << 20
 
 def _measured(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray, measure,
               width: tuple[int, ...] = ()) -> np.ndarray:
-    """(B,) + width array of ``measure(amps, signs)`` for the states the
+    """(R, B) + width array of ``measure(amps, signs)`` for the states the
     readout program (``_program``, with ``signs`` its +-1 diagonal) takes
-    |0...0> to at the (B, 2) points ``xs`` under one parameter vector
-    ``w``: one ``CompiledCircuit`` per block of about ``_BLOCK_BYTES`` of
-    amplitudes, counting at least 16 per point, since a fused data block
-    holds a 4 x 4 matrix per point (``_fuse``)."""
+    |0...0> to at the (B, 2) points ``xs`` under each of the R parameter
+    rows of ``w``: one ``CompiledCircuit`` per block of about
+    ``_BLOCK_BYTES`` of amplitudes, counting at least 16 per point, since a
+    fused data block holds a 4 x 4 matrix per point (``_fuse``), evolves
+    the rows one at a time, without derivative matrices."""
     step = max(1, _BLOCK_BYTES // (16 << max(_program(circuit)[1], 4)))
-    out = np.empty((len(xs),) + width)
+    out = np.empty((len(w), len(xs)) + width)
     for start in range(0, len(xs), step):
         # once measured, a block keeps only its compiled prefix state, freed when the next block compiles
         compiled = CompiledCircuit(circuit, xs[start:start + step])
-        out[start:start + step] = measure(compiled.evolve(w[None])[0], compiled.signs)
+        for r in range(len(w)):
+            out[r, start:start + step] = measure(compiled.evolve(w[r:r + 1], derivatives=False)[0], compiled.signs)
     return out
 
 
@@ -456,7 +484,7 @@ def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndar
     """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
     under one parameter vector ``w``; shape (B,)."""
     xs, w = _points(xs), _params(circuit, w)
-    return _measured(circuit, xs, w, qsim.expectation_z_kernel)
+    return _measured(circuit, xs, w[None], qsim.expectation_z_kernel)[0]
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -724,14 +752,16 @@ class _Fused:
         krons = mats[:, :, :half][:, None, :, None] * mats[:, :, half:][None, :, None, :]
         return krons.reshape((4, 4) + krons.shape[4:])
 
-    def block(self, step: _Step, krons: np.ndarray, base: int) -> np.ndarray:
+    def block(self, step: _Step, krons: np.ndarray, base: int, derivatives: bool = True) -> np.ndarray:
         """(4, 4, 1 + D, ...): a trainable block's matrix S L P, with L its
         first layer and P and S the products of its chain before and after
         L, then for each of its D trainable angles 2 d(matrix)/da = S' K P',
         with K from ``krons`` and S', P' the chain after and before the
-        angle's layer.  ``krons`` is the part of the stack from entry
+        angle's layer; (4, 4, 1, ...), the matrix alone, without
+        ``derivatives``.  ``krons`` is the part of the stack from entry
         ``base`` on, with the batch axes after the stack's (``blocks``)."""
-        first, last = min(step.parts), max(step.parts)
+        first = min(step.parts)
+        last = max(step.parts) if derivatives else first
         befores, acc = {}, None
         for item in step.chain:
             if isinstance(item, int):
@@ -740,23 +770,25 @@ class _Fused:
                     break
                 item = krons[:, :, item - base]
             acc = item if acc is None else _dot(item, acc)
-        out = np.empty((4, 4, step.size) + krons.shape[3:], dtype=complex)
+        out = np.empty((4, 4, step.size if derivatives else 1) + krons.shape[3:], dtype=complex)
         acc = None
         for item in reversed(step.chain):
             if isinstance(item, int):
-                start, stop, offset = step.parts[item]
-                stack, part = krons[:, :, start - base:stop - base], out[:, :, offset:offset + stop - start]
-                if befores[item] is None:
-                    _dot(acc, stack, part) if acc is not None else np.copyto(part, stack)
-                else:
-                    _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
+                if item in befores:
+                    # without derivatives, only L's own kron, the first entry of its part
+                    start, stop, offset = step.parts[item] if derivatives else (item, item + 1, 0)
+                    stack, part = krons[:, :, start - base:stop - base], out[:, :, offset:offset + stop - start]
+                    if befores[item] is None:
+                        _dot(acc, stack, part) if acc is not None else np.copyto(part, stack)
+                    else:
+                        _dot(stack if acc is None else _dot(acc, stack), befores[item], part)
                 if item == first:
                     break
                 item = krons[:, :, item - base]
             acc = item if acc is None else _dot(acc, item)
         return out
 
-    def blocks(self, krons: np.ndarray) -> dict:
+    def blocks(self, krons: np.ndarray, derivatives: bool = True) -> dict:
         """{step: its ``block``} for every trainable step;
         consecutive blocks of one structure are built in one go, as one
         more batch axis of the kron stack."""
@@ -767,7 +799,7 @@ class _Fused:
             size = group[0].size + len(group[0].parts) - 1
             stacks = krons[:, :, start:start + len(group) * size]
             stacks = stacks.reshape((4, 4, len(group), size) + krons.shape[3:]).swapaxes(2, 3)
-            out = self.block(group[0], stacks, start)
+            out = self.block(group[0], stacks, start, derivatives)
             built.update((step, out[:, :, :, g]) for g, step in enumerate(group))
         return built
 
@@ -790,9 +822,9 @@ class CompiledCircuit:
     """The one evaluator of a circuit: compiled once at fixed points
     ``xs`` for ``runs`` parameter vectors at a time, then evaluated at any
     number of (runs, P) parameter arrays.  ``forward_many``,
-    ``ancilla_probabilities`` and the encoding study evolve one instance
-    per block of points (``_measured``), ``forward_with_adjoint`` and
-    training keep one.
+    ``ancilla_probabilities``, the encoding study and training's final
+    predictions evolve one instance per block of points (``_measured``),
+    ``forward_with_adjoint`` and training's epochs keep one.
 
     It evolves the circuit's readout program (``_program``: n' qubits and
     a +-1 diagonal observable O, ``signs``) fused into blocks (``_fuse``).
@@ -804,8 +836,9 @@ class CompiledCircuit:
     (data at the points tiled once per run) and the per-point matrix of
     each trainable block's head.  ``evolve`` builds, from one ROT builder
     call, every trainable block's (4, 4, runs, 1) matrix T and its
-    derivative matrices G = 2 dT/da for every trainable angle a, and
-    evolves the state; ``forward`` measures O on it.  ``backward`` then
+    derivative matrices G = 2 dT/da for every trainable angle a (T alone
+    when no backward sweep follows), and evolves the state; ``forward``
+    measures O on it.  ``backward`` then
     sweeps back through the step inverses (Jones & Gacon,
     arXiv:2009.02823), carrying psi and lam = c O psi for a cotangent c.
     At a trainable block with input psi and output cotangent lam, the
@@ -835,18 +868,19 @@ class CompiledCircuit:
                        for k in self._trainable}
         self._sweep = None
 
-    def evolve(self, w) -> tuple[np.ndarray, list, dict]:
+    def evolve(self, w, derivatives: bool = True) -> tuple[np.ndarray, list, dict]:
         """``(psi, plans, blocks)`` at the (runs, P) parameters ``w``: the
         (runs * N, 2^n') states the program takes |0...0> to, every step
         after the prefix lowered, and each trainable step's ``_Fused.block``
-        by its index among them."""
+        by its index among them, with the derivative matrices a backward
+        sweep needs only if ``derivatives``."""
         runs, n_points, fused = self.runs, self.n_points, self._fused
         w = np.asarray(w, dtype=float)
         if w.shape != (runs, self.circuit.n_params):
             raise ConfigurationError(
                 f"expected a ({runs}, {self.circuit.n_params}) parameter array, got shape {w.shape}")
         plans, blocks = list(self._plans), {}
-        built = fused.blocks(fused.krons(self._angles, w)) if self._trainable else {}
+        built = fused.blocks(fused.krons(self._angles, w), derivatives) if self._trainable else {}
         for k in self._trainable:
             step = self._steps[k]
             blocks[k] = built[step]
@@ -959,7 +993,7 @@ def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -
     def measure(amps, signs):
         return (qsim._probabilities(amps)[:, None] * np.array([signs > 0, signs < 0], dtype=float)).sum(axis=-1)
 
-    return _measured(circuit, _points(xs), _params(circuit, w), measure, (2,))
+    return _measured(circuit, _points(xs), _params(circuit, w)[None], measure, (2,))[0]
 
 
 # ---------------------------------------------------------------------------

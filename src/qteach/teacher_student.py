@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import seeding
 from .circuits import ArchitectureId, build, forward_batch
 from .errors import ConfigurationError, StructuralError, TrainingDivergedError
 from .metrics import PredictionMap, accuracy, prediction_map, relative_entropy
@@ -38,14 +39,15 @@ DEFAULT_RADIUS = float(np.pi / np.sqrt(2.0))
 def derive_seed(*parts: int) -> int:
     """Deterministic 64-bit seed from a tuple of integers in [0, 2^32)
     (independent streams for teachers and students come from distinct role
-    tags).  A part outside that range is a ConfigurationError:
-    ``SeedSequence`` splits a larger part into 32-bit words and pads a
-    short entropy list with zeros, so (11 + 2^32, 0, 0) would hash as
-    (11, 1, 0)."""
+    tags): numpy's ``SeedSequence(parts).generate_state(1, np.uint64)[0]``,
+    computed by ``seeding.generate_state`` without numpy's random package.  A
+    part outside that range is a ConfigurationError: the hash splits a
+    larger part into 32-bit words and pads a short entropy list with
+    zeros, so (11 + 2^32, 0, 0) would hash as (11, 1, 0)."""
     parts = [int(p) for p in parts]
     if not all(0 <= p < 2**32 for p in parts):
         raise ConfigurationError(f"seed parts must be in [0, 2^32), got {parts}")
-    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
+    return seeding.generate_state(parts, 1)[0]
 
 
 @dataclass
@@ -95,7 +97,7 @@ def generate_dataset(teacher: ArchitectureId, grid: np.ndarray, seed: int) -> La
     """Label a grid with a teacher drawn from the seeded uniform
     [0, ``INIT_HIGH``) initialization that students start from too."""
     circuit = build(teacher)
-    params = np.random.default_rng(seed).uniform(0.0, INIT_HIGH, circuit.n_params)
+    params = seeding.uniform(seed, 0.0, INIT_HIGH, circuit.n_params)
     grid = np.asarray(grid, dtype=float)
     y = forward_batch(circuit, grid, params)
     return LabeledGrid(

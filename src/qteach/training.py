@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import circuits
+from . import circuits, qsim, seeding
 from .circuits import CircuitSpec, CompiledCircuit, forward_many, interpolation_weights, periodic_samples
 from .errors import ConfigurationError, TrainingDivergedError
 
@@ -198,8 +198,7 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
     sampling = _sampling(circuit, points, len(runs))
     y = np.array(targets)
     positive = np.array([np.asarray(data.y_binary, dtype=float) for data, _, _ in runs]) > 0.0
-    w = np.array([np.random.default_rng(run_cfg.seed).uniform(0.0, INIT_HIGH, circuit.n_params)
-                  for _, run_cfg, _ in runs])
+    w = np.array([seeding.uniform(run_cfg.seed, 0.0, INIT_HIGH, circuit.n_params) for _, run_cfg, _ in runs])
 
     loss_curves = np.empty((len(runs), cfg.epochs))
     acc_curves = np.empty((len(runs), cfg.epochs))
@@ -225,19 +224,20 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
     del sampling  # frees the compiled circuit and the interpolation weights before the final evaluations
+    # every run's final predictions, bit for bit forward_many's, from one compile per block of points
+    final_preds = circuits._measured(circuit, points, w, qsim.expectation_z_kernel)
     trained = []
     for r, ((_, run_cfg, label_kind), y_run) in enumerate(zip(runs, targets)):
         if not np.all(np.isfinite(w[r])):
             raise TrainingDivergedError(f"parameters are not finite after {cfg.epochs} epochs", run=start + r)
-        final_preds = forward_many(circuit, points, w[r])
-        final_loss = float(np.mean((y_run - final_preds) ** 2))
+        final_loss = float(np.mean((y_run - final_preds[r]) ** 2))
         if not np.isfinite(final_loss):
             raise TrainingDivergedError(f"final loss is not finite after {cfg.epochs} epochs", run=start + r)
         trained.append(TrainRun(
             loss_curve=loss_curves[r].copy(),
             accuracy_curve=acc_curves[r].copy() if label_kind == "binary" else None,
             final_params=w[r].copy(),
-            final_preds=final_preds,
+            final_preds=final_preds[r].copy(),
             final_loss=final_loss,
             config=run_cfg,
         ))

@@ -1,8 +1,9 @@
 """Architecture builders, slot binding, and model evaluation."""
 
 import itertools
+import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,45 @@ class TestBuild:
         for op in circuit.ops:
             seen.extend(a.index for a in op.angles if isinstance(a, ParamRef))
         assert seen == list(range(circuit.n_params))
+
+
+class TestHashedOnce:
+    """``CircuitSpec`` and ``SlotOp`` keep the hash a frozen dataclass
+    computes from their fields, so the caches of ``_program`` and ``_fuse``
+    do not rehash every op; equality is the dataclass's."""
+
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES, ids=lambda a: a.name)
+    def test_hash_and_equality_are_the_fields(self, arch):
+        circuit, again = build(arch), build(arch)
+        assert circuit is not again and circuit == again and hash(circuit) == hash(again)
+        assert hash(circuit) == hash(tuple(getattr(circuit, f.name) for f in fields(circuit)))
+        for op in circuit.ops:
+            assert hash(op) == hash((op.kind, op.targets, op.controls, op.angles))
+        flipped = append_x_on_measured(circuit)
+        assert flipped != circuit and hash(flipped) == hash(tuple(getattr(flipped, f.name) for f in fields(flipped)))
+        op = circuit.ops[0]
+        assert replace(op, targets=(1,)) != op and replace(op, targets=op.targets) == op
+
+    def test_cache_hits_hash_nothing_again(self, monkeypatch):
+        """A cache hit of ``_program`` and ``_fuse`` reads the kept hashes:
+        no angle is hashed, and an equal circuit built again hits."""
+        circuit, again = build(parse_architecture("deep_teacher4")), build(parse_architecture("deep_teacher4"))
+        ops, n, _ = circuits._program(circuit)
+        fused = circuits._fuse(ops, n)
+        calls = []
+        monkeypatch.setattr(ParamRef, "__hash__", lambda self: calls.append(self) or hash(self.index))
+        assert circuits._program(circuit)[0] is ops and circuits._program(again)[0] is ops
+        assert circuits._fuse(ops, n) is fused
+        assert calls == []
+
+    def test_pickle_rebuilds_from_the_fields(self):
+        """An enum's hash differs between processes, so a pickle carries the
+        fields, not the kept hash."""
+        circuit = build(parse_architecture("qnn_two_qp@rot_h"))
+        _, args = circuit.__reduce__()
+        assert args == tuple(getattr(circuit, f.name) for f in fields(circuit))
+        again = pickle.loads(pickle.dumps(circuit))
+        assert again == circuit and hash(again) == hash(circuit)
 
 
 class TestParseArchitecture:
@@ -245,6 +285,30 @@ class TestForward:
         monkeypatch.setattr(circuits, "CompiledCircuit", spy)
         np.testing.assert_array_equal(forward_many(circuit, xs, w), whole)
         assert sizes == [block_rows] * (len(xs) // block_rows) + [len(xs) % block_rows]
+
+    @pytest.mark.parametrize("block_rows", [3, 49])
+    def test_parameter_rows_compile_once_per_block(self, block_rows, rng, monkeypatch):
+        """``_measured`` evaluates R parameter rows through one compile per
+        block of points, and row r is ``forward_many`` at w[r], bit for
+        bit."""
+        circuit = build(ArchitectureId(Family.QNN_TWO_QP))
+        xs = rng.uniform(-np.pi, np.pi, (50, 2))
+        w = rng.uniform(0, 2 * np.pi, (4, circuit.n_params))
+        singles = [forward_many(circuit, xs, row) for row in w]
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._program(circuit)[1])
+        compiles = []
+        compiled = circuits.CompiledCircuit
+
+        def spy(circuit, block, runs=1):
+            compiles.append(len(block))
+            return compiled(circuit, block, runs)
+
+        monkeypatch.setattr(circuits, "CompiledCircuit", spy)
+        rows = circuits._measured(circuit, xs, w, qsim.expectation_z_kernel)
+        assert rows.shape == (4, 50)
+        for got, want in zip(rows, singles):
+            np.testing.assert_array_equal(got, want)
+        assert len(compiles) == -(-len(xs) // block_rows)
 
     def test_working_set_bounded_by_block(self, rng):
         """A large map allocates a few blocks' worth, not its whole state."""
@@ -451,6 +515,25 @@ class TestCompiledCircuit:
                     np.testing.assert_array_equal(preds[r], ref_preds[0])
                     np.testing.assert_array_equal(dpreds[r], ref_dpreds[0])
 
+    @pytest.mark.parametrize("model", all_models() + [pytest.param(None, id="mixed_spec")])
+    def test_forward_only_evolve_equals_the_evolve_a_backward_sweep_needs(self, model, rng):
+        """Without derivatives, ``evolve`` builds each trainable block's
+        matrix alone, and the states and plans are bit for bit the ones
+        ``forward`` keeps for ``backward``."""
+        circuit = mixed_spec() if model is None else build(model)
+        xs = rng.uniform(-np.pi, np.pi, (7, 2))
+        for runs in (1, 3):
+            compiled = CompiledCircuit(circuit, xs, runs)
+            w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
+            psi, plans, blocks = compiled.evolve(w)
+            alone, alone_plans, matrices = compiled.evolve(w, derivatives=False)
+            np.testing.assert_array_equal(alone, psi)
+            assert matrices.keys() == blocks.keys()
+            for k, matrix in matrices.items():
+                assert matrix.shape[2] == 1
+                np.testing.assert_array_equal(matrix, blocks[k][:, :, :1])
+                np.testing.assert_array_equal(alone_plans[k].payload, plans[k].payload)
+
     @pytest.mark.parametrize("model", all_models())
     def test_stacked_runs_match_dense_oracle(self, model, rng):
         """The hot path on R = 3 stacked runs of many points, and
@@ -627,6 +710,26 @@ class TestBlockGroups:
             assert len(built) == sum(step.chain is not None for step in fused.steps)
             for step, block in built.items():
                 np.testing.assert_array_equal(block, fused.block(step, krons, 0))
+
+    def test_matrix_alone_equals_the_first_entry_of_the_full_build(self, rng):
+        """Without derivatives, ``blocks`` gives each trainable step's
+        matrix alone, bit for bit the first entry of the full build, for
+        the grouped models, ``mixed_spec`` and random programs."""
+        programs = [circuits._program(circuit)[:2] for circuit in
+                    [build(parse_architecture(name)) for name in ("reuploading:2", "deep_teacher4", "eight_gate_qp")]
+                    + [mixed_spec()]]
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            programs.append((tuple(random_slot_ops(rng, n, int(rng.integers(1, 40)), 5)), n))
+        for ops, n in programs:
+            fused = circuits._fuse(tuple(ops), n)
+            xs = rng.uniform(-np.pi, np.pi, (5, 2))
+            krons = fused.krons(fused.angles(xs, 3), rng.uniform(0, 2 * np.pi, (3, fused.n_params)))
+            full, alone = fused.blocks(krons), fused.blocks(krons, derivatives=False)
+            assert alone.keys() == full.keys()
+            for step, matrix in alone.items():
+                assert matrix.shape == (4, 4, 1) + full[step].shape[3:]
+                np.testing.assert_array_equal(matrix, full[step][:, :, :1])
 
 
 def folded_spec():

@@ -367,6 +367,21 @@ def test_cli_import_leaves_analysis_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_teacher_student_run_leaves_numpy_random_unloaded(tmp_path):
+    """Seeds and initial draws come from ``qteach.seeding``: a fresh
+    interpreter that runs a teacher_student config loads neither
+    ``numpy.random`` nor the ``secrets`` and ``hashlib`` it imports."""
+    config_path = tmp_path / "small.cfg"
+    config_path.write_text(SMALL_RUN)
+    probe = ("import sys, qteach.cli; "
+             f"status = qteach.cli.main(['--config', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+             "print(status, sorted(m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert done.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def diverged_run(tmp_path, config_text):
     """Run ``config_text`` with a learning rate that makes training diverge
     through ``main``; return the one line of its FAILED.txt."""
