@@ -80,9 +80,9 @@ def uniform(seed: int, low: float, high: float, size) -> np.ndarray:
     seeded from ``SeedSequence(seed)``, one 53-bit double per draw."""
     s0, s1, s2, s3 = generate_state([seed], 4)
     inc = ((s2 << 64 | s3) << 1 | 1) & _M128
-    state = inc  # one step from state 0
-    state = ((state + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _M128
-    shape = (size,) if isinstance(size, int) else tuple(size)
+    # state 0 stepped once is inc; add the initial state and step again
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULTIPLIER + inc) & _M128
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
     span, draws = high - low, []
     for _ in range(int(np.prod(shape))):
         state = (state * _PCG_MULTIPLIER + inc) & _M128

@@ -31,7 +31,7 @@ def test_generate_state_equals_seed_sequence(rng):
         assert seeding.generate_state(parts, n) == [int(v) for v in want], parts
 
 
-@pytest.mark.parametrize("size", [0, 1, 7, 24, (5, 2), (0, 2)], ids=str)
+@pytest.mark.parametrize("size", [0, 1, 7, 24, np.int64(3), (5, 2), (0, 2)], ids=repr)
 def test_uniform_equals_default_rng(size, rng):
     for seed in EDGE_SEEDS + [random_seed(rng) for _ in range(300)]:
         low = float(rng.uniform(-5.0, 5.0))
