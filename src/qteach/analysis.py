@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuits, qsim
+from . import circuits, qsim, seeding
 from .circuits import (
     ArchitectureId,
     CircuitSpec,
@@ -59,8 +59,7 @@ def circular_dataset(n: int = 500, radius: float = DEFAULT_RADIUS, seed: int = 0
         raise ConfigurationError(f"radius must be finite and > 0, got {radius}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(-np.pi, np.pi, size=(n, 2))
+    points = seeding.uniform(seed, -np.pi, np.pi, (n, 2))
     labels = np.where(np.sum(points**2, axis=1) < radius**2, -1.0, 1.0)
     return CircularDataset(points=points, labels=labels, radius=float(radius), seed=seed)
 

@@ -822,9 +822,9 @@ class CompiledCircuit:
     """The one evaluator of a circuit: compiled once at fixed points
     ``xs`` for ``runs`` parameter vectors at a time, then evaluated at any
     number of (runs, P) parameter arrays.  ``forward_many``,
-    ``ancilla_probabilities``, the encoding study and training's final
-    predictions evolve one instance per block of points (``_measured``),
-    ``forward_with_adjoint`` and training's epochs keep one.
+    ``ancilla_probabilities`` and the encoding study evolve one instance
+    per block of points (``_measured``); ``forward_with_adjoint`` keeps
+    one, and training one for its epochs and its final predictions.
 
     It evolves the circuit's readout program (``_program``: n' qubits and
     a +-1 diagonal observable O, ``signs``) fused into blocks (``_fuse``).

@@ -49,6 +49,17 @@ def _clipped_real(sums: np.ndarray) -> np.ndarray:
     return np.clip(real, -1.0, 1.0, out=real)
 
 
+def _grid_axis(resolution, lo, hi, error=ConfigurationError) -> tuple[int, float, float]:
+    """``(resolution, lo, hi)`` of an inclusive grid axis: an integer (numpy's
+    too) resolution >= 2 and finite bounds with lo < hi, else an ``error``."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise error(f"resolution must be an integer >= 2, got {resolution!r}")
+    lo, hi = float(lo), float(hi)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise error(f"bounds must be finite with lo < hi, got ({lo}, {hi})")
+    return int(resolution), lo, hi
+
+
 class PredictionMap:
     """Model outputs on the resolution x resolution grid over [lo, hi]^2.
 
@@ -63,11 +74,7 @@ class PredictionMap:
 
     def __init__(self, resolution: int, lo: float, hi: float, values=None, *,
                  coefficients: Optional[np.ndarray] = None):
-        if resolution < 2:
-            raise StructuralError(f"resolution must be >= 2, got {resolution}")
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise StructuralError(f"bounds must be finite with lo < hi, got ({lo}, {hi})")
-        self.resolution, self.lo, self.hi = resolution, lo, hi
+        self.resolution, self.lo, self.hi = _grid_axis(resolution, lo, hi, StructuralError)
         self.coefficients = None if coefficients is None else np.asarray(coefficients, dtype=complex)
         if self.coefficients is not None:
             if values is not None or self.coefficients.ndim != 2 or not np.all(np.isfinite(self.coefficients)):
@@ -145,11 +152,7 @@ def prediction_map(circuit: CircuitSpec, w: np.ndarray, resolution: int,
     """The model's map on a resolution x resolution grid over ``bounds``,
     kept as its ``fourier_coefficients``: the series is summed on the grid,
     and clipped to [-1, 1], block by block when the values are used."""
-    if resolution < 2:
-        raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ConfigurationError(f"map bounds must be finite with lo < hi, got {bounds}")
+    resolution, lo, hi = _grid_axis(resolution, *bounds)
     return PredictionMap(resolution, lo, hi, coefficients=fourier_coefficients(circuit, w))
 
 

@@ -7,8 +7,9 @@ bit: both are plain integer arithmetic, the SeedSequence hash and the
 PCG64 generator (O'Neill, HMC-CS-2014-0905, XSL-RR output), redone here
 on Python integers.  So the seeds and draws do not change with the
 installed numpy, and a run does not pay for importing the random package
-(which loads ``secrets``, ``hashlib`` and OpenSSL).  They suit the few
-dozen numbers a run draws; numpy is faster for large draws.
+(which loads ``secrets``, ``hashlib`` and OpenSSL).  A draw costs about
+0.5 us (0.5 ms for ``analysis.circular_dataset``'s default 500 points),
+so against the import's 8 ms or so it breaks even near 16,000 draws.
 """
 
 from __future__ import annotations

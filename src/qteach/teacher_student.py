@@ -19,7 +19,7 @@ import numpy as np
 from . import seeding
 from .circuits import ArchitectureId, build, forward_batch
 from .errors import ConfigurationError, StructuralError, TrainingDivergedError
-from .metrics import PredictionMap, accuracy, prediction_map, relative_entropy
+from .metrics import PredictionMap, _grid_axis, accuracy, prediction_map, relative_entropy
 # train is not called here, but stays importable as teacher_student.train,
 # the name perfbench/spans.py wraps
 from .training import INIT_HIGH, TrainConfig, TrainRun, binarize, train, train_lockstep  # noqa: F401
@@ -86,8 +86,7 @@ class LabeledGrid:
 
 def make_grid(resolution: int, lo: float = -np.pi, hi: float = np.pi) -> np.ndarray:
     """(resolution^2, 2) regular grid, endpoints inclusive, x1 varying slowest."""
-    if resolution < 2:
-        raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
+    resolution, lo, hi = _grid_axis(resolution, lo, hi)
     axis = np.linspace(lo, hi, resolution)
     x1, x2 = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([x1.ravel(), x2.ravel()])
@@ -162,6 +161,8 @@ class ExperimentResult:
 
 
 def _grid_bounds(grid: np.ndarray) -> tuple[float, float]:
+    if grid.size == 0:
+        raise ConfigurationError("grid is empty")
     return float(grid.min()), float(grid.max())
 
 

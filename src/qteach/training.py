@@ -22,7 +22,9 @@ evolved once), and every epoch evaluates it forward at the current
 parameters, preds = K f(t), and sweeps back with the cotangent
 (2 / B) K^T r, r = preds - y, which gives the loss gradient
 (2 / B) df(t) (K^T r) without the (P, N) Jacobian df(t).  For any B this
-equals the adjoint on the B points themselves up to rounding.
+equals the adjoint on the B points themselves up to rounding.  The final
+predictions are K f(t) at the final parameters, from one forward
+evaluation of the samples: within 1e-12 of ``forward_batch`` on the points.
 
 ``train_lockstep`` trains R runs of one circuit that share the points,
 ``epochs``, ``learning_rate`` and ``optimizer`` (seeds and labels may
@@ -78,8 +80,8 @@ class TrainRun:
     """Result of one training: per-epoch curves plus the final parameters.
 
     loss_curve[t] is the loss at the parameters before update t (entry 0
-    is the initialization loss); final_preds are the model outputs at
-    final_params on the training points, and final_loss is their loss.
+    is the initialization loss); final_preds are K f(t) at final_params,
+    within 1e-12 of ``forward_batch``, and final_loss is their loss.
     """
 
     loss_curve: np.ndarray
@@ -121,6 +123,19 @@ def _sampling(circuit: CircuitSpec, points: np.ndarray, runs: int = 1) -> tuple[
     return CompiledCircuit(circuit, periodic_samples(circuit)[1], runs), weights
 
 
+def _sampled_preds(sampling, w, sweep: bool = True) -> np.ndarray:
+    """Predictions K f(t) (R, B) at the training points of R runs, run r at
+    ``w[r]``; the compiled circuit keeps the sweep for ``backward`` if ``sweep``."""
+    compiled, weights = sampling
+    if sweep:
+        values = compiled.forward(w)
+    else:  # no derivative matrices, and no sweep kept
+        values = qsim.expectation_z_kernel(compiled.evolve(w, derivatives=False)[0], compiled.signs)
+    # einsum keeps the sums in numpy's own loops (no threaded BLAS); each
+    # run's sums are the ones a single run makes, bit for bit
+    return np.einsum("nb,rn->rb", weights, values.reshape(len(w), -1))
+
+
 def _loss_grad_preds(w, sampling, y):
     """Losses (R,), gradients (R, P) and predictions at the training points
     (R, B) of R runs, run r at the parameters ``w[r]`` against the labels
@@ -128,10 +143,7 @@ def _loss_grad_preds(w, sampling, y):
     ``_sampling`` samples: the backward sweep takes the cotangent
     (2 / B) K^T r of the residuals r."""
     compiled, weights = sampling
-    values = compiled.forward(w)
-    # einsum keeps the sums in numpy's own loops (no threaded BLAS); each
-    # run's sums are the ones a single run makes, bit for bit
-    preds = np.einsum("nb,rn->rb", weights, values)
+    preds = _sampled_preds(sampling, w)
     residual = preds - y
     grad = compiled.backward((2.0 / y.shape[1]) * np.einsum("nb,rb->rn", weights, residual))
     return np.add.reduce(residual**2, axis=1) / y.shape[1], grad, preds
@@ -223,9 +235,8 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
             v_hat = v / (1.0 - beta2 ** (t + 1))
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    del sampling  # frees the compiled circuit and the interpolation weights before the final evaluations
-    # every run's final predictions, bit for bit forward_many's, from one compile per block of points
-    final_preds = circuits._measured(circuit, points, w, qsim.expectation_z_kernel)
+    final_preds = _sampled_preds(sampling, w, sweep=False)  # forward only, at the final parameters
+    del sampling
     trained = []
     for r, ((_, run_cfg, label_kind), y_run) in enumerate(zip(runs, targets)):
         if not np.all(np.isfinite(w[r])):

@@ -368,18 +368,24 @@ def test_cli_import_leaves_analysis_unloaded():
 
 
 def test_teacher_student_run_leaves_numpy_random_unloaded(tmp_path):
-    """Seeds and initial draws come from ``qteach.seeding``: a fresh
-    interpreter that runs a teacher_student config loads neither
-    ``numpy.random`` nor the ``secrets`` and ``hashlib`` it imports."""
-    config_path = tmp_path / "small.cfg"
-    config_path.write_text(SMALL_RUN)
-    probe = ("import sys, qteach.cli; "
-             f"status = qteach.cli.main(['--config', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-             "print(status, sorted(m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
-                          env=fresh_env(), timeout=120)
-    assert done.stdout.strip() == "0 []"
-    assert (tmp_path / "out" / "summary.json").exists()
+    """Seeds, initial draws and circular datasets come from
+    ``qteach.seeding``: a fresh interpreter that runs a teacher_student,
+    encoding_pca or labelling config loads neither ``numpy.random`` nor
+    the ``secrets`` and ``hashlib`` it imports."""
+    configs = {"teacher_student": SMALL_RUN,
+               "encoding_pca": "experiment = encoding_pca\nn_points = 60\nseed = 2\n",
+               "labelling": "experiment = labelling\nn_points = 40\nepochs = 3\nmap_resolution = 9\n"}
+    for name, config in configs.items():
+        config_path = tmp_path / f"{name}.cfg"
+        config_path.write_text(config)
+        out = tmp_path / name
+        probe = ("import sys, qteach.cli; "
+                 f"status = qteach.cli.main(['--config', {str(config_path)!r}, '--out', {str(out)!r}]); "
+                 "print(status, sorted(m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                              env=fresh_env(), timeout=120)
+        assert done.stdout.strip() == "0 []", name
+        assert (out / "summary.json").exists(), name
 
 
 def diverged_run(tmp_path, config_text):

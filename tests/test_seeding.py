@@ -49,6 +49,14 @@ def test_initial_draws_equal_default_rng():
         np.testing.assert_array_equal(seeding.uniform(seed, 0.0, 2.0 * np.pi, 48), want)
 
 
+@pytest.mark.parametrize("n", [1, 3, 500, 2048])
+def test_point_draws_equal_default_rng(n):
+    """The (n, 2) draws of ``analysis.circular_dataset``."""
+    for seed in (0, 4, 2**32, 2**64 - 1):
+        want = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(n, 2))
+        assert seeding.uniform(seed, -np.pi, np.pi, (n, 2)).tobytes() == want.tobytes(), (seed, n)
+
+
 def test_derive_seed_equals_seed_sequence(rng):
     for _ in range(500):
         parts = [int(p) for p in rng.integers(0, 2**32, rng.integers(1, 5))] + [2**32 - 1] * int(rng.integers(2))

@@ -183,12 +183,20 @@ class TestTrain:
     @pytest.mark.parametrize("label_kind", LABEL_KINDS)
     def test_final_preds_are_the_model_at_final_params(self, rng, label_kind):
         """Callers score accuracy from final_preds instead of evaluating
-        the model again, so they must be those outputs bit for bit."""
+        the model again.  They are the epoch formula K f(t) at final_params
+        bit for bit, final_loss is their mean squared error bit for bit,
+        and both lie within 1e-12 of the model evaluated on the points."""
         circuit = build(reuploading(2))
         data = tiny_dataset(rng, 12)
         run = train(circuit, data, TrainConfig(epochs=4, seed=3), label_kind)
-        np.testing.assert_array_equal(run.final_preds, forward_batch(circuit, data.points, run.final_params))
-        assert run.final_loss == loss(circuit, run.final_params, data, label_kind)
+        y = data.y_continuous if label_kind == "continuous" else data.y_binary
+        sampling = training._sampling(circuit, data.points)
+        preds = training._loss_grad_preds(run.final_params[None], sampling, y[None])[2][0]
+        np.testing.assert_array_equal(run.final_preds, preds)
+        assert run.final_loss == float(np.mean((y - preds) ** 2))
+        np.testing.assert_allclose(run.final_preds, forward_batch(circuit, data.points, run.final_params),
+                                   rtol=0, atol=1e-12)
+        assert abs(run.final_loss - loss(circuit, run.final_params, data, label_kind)) <= 1e-12
 
     def test_loss_curve_nonnegative(self, rng):
         circuit = build(reuploading(2))
@@ -483,6 +491,30 @@ class TestLockstep:
             monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_bytes)
             assert_same_runs(train_lockstep(circuit, runs), whole)
         assert sizes == [2, 2, 2] + [1] * 6
+
+    @pytest.mark.parametrize("model", all_models())
+    def test_final_preds_are_the_model_on_every_architecture(self, model):
+        """``train`` and ``train_lockstep`` at R = 3 give the same final
+        predictions bit for bit, within 1e-12 of ``forward_batch``."""
+        circuit = build(model)
+        data = generate_dataset(reuploading(2), make_grid(21), seed=5)
+        runs = [(data, TrainConfig(epochs=2, seed=seed), kind)
+                for seed, kind in zip((1, 2, 3), LABEL_KINDS + ("continuous",))]
+        for alone, together in zip([train(circuit, *run) for run in runs], train_lockstep(circuit, runs)):
+            np.testing.assert_array_equal(alone.final_preds, together.final_preds)
+            np.testing.assert_allclose(together.final_preds, forward_batch(circuit, data.points, together.final_params),
+                                       rtol=0, atol=1e-12)
+
+    def test_training_never_evaluates_the_circuit_on_its_points(self, monkeypatch):
+        """Every prediction training makes, the final ones too, comes from
+        the periodic samples."""
+        runs = lockstep_runs()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training evaluated the circuit on its points")
+
+        monkeypatch.setattr(circuits, "_measured", refuse)
+        assert len(train_lockstep(build(reuploading(2)), runs)) == len(runs)
 
     @pytest.mark.parametrize("change", [{"epochs": 5}, {"learning_rate": 0.1},
                                         {"optimizer": Optimizer.VANILLA_GD}],
