@@ -463,20 +463,19 @@ _BLOCK_BYTES = 1 << 20
 
 def _measured(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray, measure,
               width: tuple[int, ...] = ()) -> np.ndarray:
-    """(R, B) + width array of ``measure(amps, signs)`` for the states the
+    """(B,) + width array of ``measure(amps, signs)`` for the states the
     readout program (``_program``, with ``signs`` its +-1 diagonal) takes
-    |0...0> to at the (B, 2) points ``xs`` under each of the R parameter
-    rows of ``w``: one ``CompiledCircuit`` per block of about
-    ``_BLOCK_BYTES`` of amplitudes, counting at least 16 per point, since a
-    fused data block holds a 4 x 4 matrix per point (``_fuse``), evolves
-    the rows one at a time, without derivative matrices."""
+    |0...0> to at the (B, 2) points ``xs`` under the parameter vector
+    ``w``: one ``CompiledCircuit`` per block of about ``_BLOCK_BYTES`` of
+    amplitudes, counting at least 16 per point, since a fused data block
+    holds a 4 x 4 matrix per point (``_fuse``), evolved without derivative
+    matrices."""
     step = max(1, _BLOCK_BYTES // (16 << max(_program(circuit)[1], 4)))
-    out = np.empty((len(w), len(xs)) + width)
+    out = np.empty((len(xs),) + width)
     for start in range(0, len(xs), step):
         # once measured, a block keeps only its compiled prefix state, freed when the next block compiles
         compiled = CompiledCircuit(circuit, xs[start:start + step])
-        for r in range(len(w)):
-            out[r, start:start + step] = measure(compiled.evolve(w[r:r + 1], derivatives=False)[0], compiled.signs)
+        out[start:start + step] = measure(compiled.evolve(w[None], derivatives=False)[0], compiled.signs)
     return out
 
 
@@ -484,7 +483,7 @@ def forward_many(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndar
     """Model outputs (ancilla Z expectations) at the (B, 2) points ``xs``
     under one parameter vector ``w``; shape (B,)."""
     xs, w = _points(xs), _params(circuit, w)
-    return _measured(circuit, xs, w[None], qsim.expectation_z_kernel)[0]
+    return _measured(circuit, xs, w, qsim.expectation_z_kernel)
 
 
 def forward_batch(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -993,7 +992,7 @@ def ancilla_probabilities(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray) -
     def measure(amps, signs):
         return (qsim._probabilities(amps)[:, None] * np.array([signs > 0, signs < 0], dtype=float)).sum(axis=-1)
 
-    return _measured(circuit, _points(xs), _params(circuit, w)[None], measure, (2,))[0]
+    return _measured(circuit, _points(xs), _params(circuit, w), measure, (2,))
 
 
 # ---------------------------------------------------------------------------

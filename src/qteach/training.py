@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import circuits, qsim, seeding
+from . import circuits, seeding
 from .circuits import CircuitSpec, CompiledCircuit, forward_many, interpolation_weights, periodic_samples
 from .errors import ConfigurationError, TrainingDivergedError
 
@@ -123,17 +123,13 @@ def _sampling(circuit: CircuitSpec, points: np.ndarray, runs: int = 1) -> tuple[
     return CompiledCircuit(circuit, periodic_samples(circuit)[1], runs), weights
 
 
-def _sampled_preds(sampling, w, sweep: bool = True) -> np.ndarray:
+def _sampled_preds(sampling, w) -> np.ndarray:
     """Predictions K f(t) (R, B) at the training points of R runs, run r at
-    ``w[r]``; the compiled circuit keeps the sweep for ``backward`` if ``sweep``."""
+    ``w[r]``; the compiled circuit keeps the sweep for ``backward``."""
     compiled, weights = sampling
-    if sweep:
-        values = compiled.forward(w)
-    else:  # no derivative matrices, and no sweep kept
-        values = qsim.expectation_z_kernel(compiled.evolve(w, derivatives=False)[0], compiled.signs)
     # einsum keeps the sums in numpy's own loops (no threaded BLAS); each
     # run's sums are the ones a single run makes, bit for bit
-    return np.einsum("nb,rn->rb", weights, values.reshape(len(w), -1))
+    return np.einsum("nb,rn->rb", weights, compiled.forward(w))
 
 
 def _loss_grad_preds(w, sampling, y):
@@ -235,7 +231,7 @@ def _train_block(circuit, points, runs, targets, start) -> list[TrainRun]:
             v_hat = v / (1.0 - beta2 ** (t + 1))
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    final_preds = _sampled_preds(sampling, w, sweep=False)  # forward only, at the final parameters
+    final_preds = _sampled_preds(sampling, w)
     del sampling
     trained = []
     for r, ((_, run_cfg, label_kind), y_run) in enumerate(zip(runs, targets)):

@@ -287,28 +287,24 @@ class TestForward:
         assert sizes == [block_rows] * (len(xs) // block_rows) + [len(xs) % block_rows]
 
     @pytest.mark.parametrize("block_rows", [3, 49])
-    def test_parameter_rows_compile_once_per_block(self, block_rows, rng, monkeypatch):
-        """``_measured`` evaluates R parameter rows through one compile per
-        block of points, and row r is ``forward_many`` at w[r], bit for
-        bit."""
+    def test_probabilities_compile_once_per_block(self, block_rows, rng, monkeypatch):
+        """``ancilla_probabilities`` compiles once per block of points, and
+        its (B, 2) rows do not change with the blocks."""
         circuit = build(ArchitectureId(Family.QNN_TWO_QP))
         xs = rng.uniform(-np.pi, np.pi, (50, 2))
-        w = rng.uniform(0, 2 * np.pi, (4, circuit.n_params))
-        singles = [forward_many(circuit, xs, row) for row in w]
-        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._program(circuit)[1])
-        compiles = []
+        w = rng.uniform(0, 2 * np.pi, circuit.n_params)
+        whole = ancilla_probabilities(circuit, xs, w)
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * (16 << max(circuits._program(circuit)[1], 4)))
+        sizes = []
         compiled = circuits.CompiledCircuit
 
         def spy(circuit, block, runs=1):
-            compiles.append(len(block))
+            sizes.append(len(block))
             return compiled(circuit, block, runs)
 
         monkeypatch.setattr(circuits, "CompiledCircuit", spy)
-        rows = circuits._measured(circuit, xs, w, qsim.expectation_z_kernel)
-        assert rows.shape == (4, 50)
-        for got, want in zip(rows, singles):
-            np.testing.assert_array_equal(got, want)
-        assert len(compiles) == -(-len(xs) // block_rows)
+        np.testing.assert_array_equal(ancilla_probabilities(circuit, xs, w), whole)
+        assert sizes == [block_rows] * (len(xs) // block_rows) + [len(xs) % block_rows]
 
     def test_working_set_bounded_by_block(self, rng):
         """A large map allocates a few blocks' worth, not its whole state."""

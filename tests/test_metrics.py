@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qteach import circuits
+from qteach import circuits, metrics
 from qteach.circuits import (
     ArchitectureId,
     CircuitSpec,
@@ -82,6 +82,12 @@ class TestPredictionMap:
     def test_resolution_must_be_at_least_two(self):
         with pytest.raises(ConfigurationError):
             prediction_map(build(dissipative_qp()), np.zeros(12), resolution=1)
+
+    def test_resolution_must_be_an_integer(self, monkeypatch):
+        """Refused before the circuit is sampled, not when the values are used."""
+        monkeypatch.setattr(metrics, "fourier_coefficients", None)
+        with pytest.raises(ConfigurationError):
+            prediction_map(build(dissipative_qp()), np.zeros(12), resolution=5.5)
 
     @pytest.mark.parametrize("bounds", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)])
     def test_bounds_must_be_finite(self, bounds):

@@ -36,33 +36,11 @@ class TestMakeGrid:
         with pytest.raises(ConfigurationError):
             make_grid(1)
 
-
-def refuse(*args, **kwargs):
-    raise AssertionError("work started before the input was checked")
-
-
-class TestDegenerateGridsAndMapSizes:
-    """Each is a ConfigurationError raised before any work, where numpy
-    raised its own error or returned a degenerate grid."""
-
-    def test_empty_grid(self, monkeypatch):
-        monkeypatch.setattr(teacher_student, "build", refuse)
-        with pytest.raises(ConfigurationError, match="grid is empty"):
-            run_experiment(dissipative_qp(), [reuploading(2)], 1, TrainConfig(epochs=1), np.zeros((0, 2)))
-
-    def test_fractional_grid_resolution(self):
-        with pytest.raises(ConfigurationError, match="integer"):
-            make_grid(2.5)
-
-    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)])
-    def test_degenerate_grid_bounds(self, lo, hi):
-        with pytest.raises(ConfigurationError, match="bounds"):
-            make_grid(3, lo, hi)
-
-    def test_fractional_map_resolution(self, monkeypatch):
-        monkeypatch.setattr(metrics, "fourier_coefficients", refuse)
-        with pytest.raises(ConfigurationError, match="integer"):
-            metrics.prediction_map(build(dissipative_qp()), np.zeros(12), 5.5)
+    @pytest.mark.parametrize("resolution, lo, hi", [(2.5, -1.0, 1.0), (3, 1.0, 1.0), (3, np.nan, 1.0),
+                                                    (3, 0.0, np.nan), (3, 0.0, np.inf)])
+    def test_fractional_resolution_and_degenerate_bounds(self, resolution, lo, hi):
+        with pytest.raises(ConfigurationError):
+            make_grid(resolution, lo, hi)
 
     def test_numpy_integer_sizes_accepted(self):
         np.testing.assert_array_equal(make_grid(np.int64(3)), make_grid(3))
@@ -161,6 +139,13 @@ def small_result():
 
 
 class TestRunExperiment:
+    def test_empty_grid(self, monkeypatch):
+        """A ConfigurationError before any circuit is built, not numpy's
+        error from the bounds of an empty array."""
+        monkeypatch.setattr(teacher_student, "build", None)
+        with pytest.raises(ConfigurationError, match="grid is empty"):
+            run_experiment(dissipative_qp(), [reuploading(2)], 1, TrainConfig(epochs=1), np.zeros((0, 2)))
+
     def test_shapes(self, small_result):
         assert small_result.n_seeds == 2
         assert len(small_result.datasets) == 2
