@@ -35,7 +35,7 @@ qubits; ``rot_h`` applies H then Rot(x1, x2, 0) on each data qubit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence, Union
@@ -151,37 +151,14 @@ class ParamRef:
 AngleExpr = Union[Const, DataRef, ParamRef]
 
 
-class _HashedOnce:
-    """Base of the frozen dataclasses the caches of ``_program`` and
-    ``_fuse`` key on: the hash of the fields, the one a frozen dataclass
-    computes, is kept from ``__post_init__`` (``_keep_hash``), so a cache
-    lookup does not rehash every op and angle.  A pickle rebuilds the
-    instance from its fields, since an enum's hash differs between
-    processes.  Each subclass sets ``__hash__ = _HashedOnce.__hash__``:
-    ``dataclass`` replaces an inherited one."""
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def _keep_hash(self) -> None:
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
 @dataclass(frozen=True)
-class SlotOp(_HashedOnce):
+class SlotOp:
     """Gate with symbolic angles; wiring as in qsim.GateOp."""
 
     kind: GateKind
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     angles: tuple[AngleExpr, ...] = ()
-    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -193,14 +170,13 @@ class SlotOp(_HashedOnce):
             )
         # wiring checks are shared with GateOp; build one to validate
         GateOp(self.kind, self.targets, self.controls, (0.0,) * ANGLE_COUNTS[self.kind])
-        self._keep_hash()
 
     def is_encoding(self) -> bool:
         return any(isinstance(a, DataRef) for a in self.angles)
 
 
 @dataclass(frozen=True)
-class CircuitSpec(_HashedOnce):
+class CircuitSpec:
     """Ordered gate program with data and trainable-parameter slots."""
 
     n_qubits: int
@@ -208,7 +184,6 @@ class CircuitSpec(_HashedOnce):
     measured_qubit: int
     n_params: int
     encoding_count: int
-    __hash__ = _HashedOnce.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -228,7 +203,6 @@ class CircuitSpec(_HashedOnce):
             raise StructuralError(
                 f"parameter slots must be 0..{self.n_params - 1} each exactly once, got {sorted(seen)}"
             )
-        self._keep_hash()
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +390,6 @@ def _evolve(plans: Sequence[kernels.PlannedOp], n_qubits: int, rows: int) -> np.
 _FLIPS = (GateKind.X, GateKind.CNOT, GateKind.MCX)
 
 
-@lru_cache(maxsize=64)
 def _program(circuit: CircuitSpec) -> tuple[tuple[SlotOp, ...], int, np.ndarray]:
     """``(ops, n_qubits, signs)``: what every evaluator simulates so that
     <signs> of the state ``ops`` take |0...0> to on ``n_qubits`` qubits
@@ -439,7 +412,6 @@ def _program(circuit: CircuitSpec) -> tuple[tuple[SlotOp, ...], int, np.ndarray]
     kept = sorted({q for op in ops for q in op.targets + op.controls})
     renumber = {q: i for i, q in enumerate(kept)}
     signs = signs.reshape((2,) * n)[tuple(slice(None) if q in renumber else 0 for q in range(n))].ravel()
-    signs.setflags(write=False)
     hoisted, rest, busy = [], [], set()
     for op in ops:
         op = replace(op, targets=tuple(renumber[q] for q in op.targets),
@@ -464,13 +436,13 @@ _BLOCK_BYTES = 1 << 20
 def _measured(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray, measure,
               width: tuple[int, ...] = ()) -> np.ndarray:
     """(B,) + width array of ``measure(amps, signs)`` for the states the
-    readout program (``_program``, with ``signs`` its +-1 diagonal) takes
-    |0...0> to at the (B, 2) points ``xs`` under the parameter vector
-    ``w``: one ``CompiledCircuit`` per block of about ``_BLOCK_BYTES`` of
-    amplitudes, counting at least 16 per point, since a fused data block
-    holds a 4 x 4 matrix per point (``_fuse``), evolved without derivative
-    matrices."""
-    step = max(1, _BLOCK_BYTES // (16 << max(_program(circuit)[1], 4)))
+    compiled readout program (``_compile``, with ``signs`` its +-1
+    diagonal) takes |0...0> to at the (B, 2) points ``xs`` under the
+    parameter vector ``w``: one ``CompiledCircuit`` per block of about
+    ``_BLOCK_BYTES`` of amplitudes, counting at least 16 per point, since
+    a fused data block holds a 4 x 4 matrix per point, evolved without
+    derivative matrices."""
+    step = max(1, _BLOCK_BYTES // (16 << max(_compile(circuit).n_qubits, 4)))
     out = np.empty((len(xs),) + width)
     for start in range(0, len(xs), step):
         # once measured, a block keeps only its compiled prefix state, freed when the next block compiles
@@ -812,9 +784,16 @@ class _Fused:
 
 
 @lru_cache(maxsize=64)
-def _fuse(ops: tuple[SlotOp, ...], n_qubits: int) -> _Fused:
-    """``ops`` on ``n_qubits`` fused into steps; shared, never mutated."""
-    return _Fused(ops, n_qubits)
+def _compile(circuit: CircuitSpec) -> _Fused:
+    """The circuit's readout program (``_program``) fused into steps, with
+    ``signs`` its read-only +-1 diagonal over the fused qubits (an idle
+    partner repeats each entry); compiled once per circuit, shared, never
+    mutated."""
+    ops, n, signs = _program(circuit)
+    fused = _Fused(ops, n)
+    fused.signs = np.repeat(signs, 2) if fused.n_qubits > n else signs
+    fused.signs.setflags(write=False)
+    return fused
 
 
 class CompiledCircuit:
@@ -825,8 +804,8 @@ class CompiledCircuit:
     per block of points (``_measured``); ``forward_with_adjoint`` keeps
     one, and training one for its epochs and its final predictions.
 
-    It evolves the circuit's readout program (``_program``: n' qubits and
-    a +-1 diagonal observable O, ``signs``) fused into blocks (``_fuse``).
+    It evolves the circuit's compiled readout program (``_compile``: n'
+    qubits fused into blocks and a +-1 diagonal observable O, ``signs``).
     The runs are stacked as rows: the state holds runs * N amplitude rows,
     run r in rows r N .. (r + 1) N - 1, stored batch-minor as a (2^n',
     runs * N) array (``kernels``), and every step is one kernel call for
@@ -852,9 +831,8 @@ class CompiledCircuit:
     def __init__(self, circuit: CircuitSpec, xs, runs: int = 1):
         xs = _points(xs)
         self.circuit, self.runs, self.n_points = circuit, runs, len(xs)
-        ops, n, signs = _program(circuit)
-        self._fused = fused = _fuse(ops, n)
-        self.signs = np.repeat(signs, 2) if fused.n_qubits > n else signs  # idle partner bit
+        self._fused = fused = _compile(circuit)
+        self.signs = fused.signs
         steps = fused.steps
         first = next((i for i, step in enumerate(steps) if step.chain is not None), len(steps))
         self._prefix = _evolve([fused.fixed_plan(step, xs) for step in steps[:first]], fused.n_qubits, len(xs))
@@ -960,9 +938,9 @@ def forward_with_adjoint(circuit: CircuitSpec, xs: np.ndarray, w: np.ndarray):
 
     Returns ``(preds, dpreds)``: preds (B,) equal ``forward_many`` at
     ``w`` bit for bit, and dpreds (P, B) holds d preds / d w_j.  Both
-    sweeps run on the circuit's readout program (``_program``) fused into
-    blocks of at most two qubits (``_fuse``), whose +-1 diagonal O is the
-    measured Z pulled back through the trailing flips and CZs.  After one
+    sweeps run on the circuit's readout program fused into blocks of at
+    most two qubits (``_compile``), whose +-1 diagonal O is the measured Z
+    pulled back through the trailing flips and CZs.  After one
     forward sweep, a backward sweep (Jones & Gacon, arXiv:2009.02823)
     carries the state psi and lam = O psi back through the block inverses.
     At a trainable block T with psi its input and lam the observable

@@ -318,8 +318,8 @@ def run(config: ExperimentConfig, n_workers: int = 1) -> int:
     """Execute one experiment; returns a process exit status.
 
     A failure writes ``FAILED.txt``: a diverging training run names its
-    student, seed and label kind, any other failure the phase it stopped
-    in ("preparing the output directory", "running the <experiment>
+    student, seed and label kind, any other failure (a typed error, an OS
+    error or running out of memory) the phase it stopped in ("preparing the output directory", "running the <experiment>
     experiment" or "writing artifacts"), then the exception text."""
     # n_workers is ignored: seeds train in lockstep on one thread.  perfbench's
     # child.py still passes it positionally; both go together (ROADMAP
@@ -338,7 +338,7 @@ def run(config: ExperimentConfig, n_workers: int = 1) -> int:
         phase = "writing artifacts"
         write(out)
         _write_summary(out, summary)
-    except (QTeachError, OSError) as exc:
+    except (QTeachError, OSError, MemoryError) as exc:
         message = str(exc) if isinstance(exc, TrainingDivergedError) else f"{phase}: {exc}"
         if out.is_dir():
             (out / "FAILED.txt").write_text(f"{message}\n")

@@ -14,6 +14,8 @@ so against the import's 8 ms or so it breaks even near 16,000 draws.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -22,12 +24,22 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def integer(value, what: str) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything
+    else is a ConfigurationError naming ``what``, not truncated by
+    ``int`` (numpy's SeedSequence rejects a float seed too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _words(parts) -> list[int]:
     """The non-negative integers ``parts`` as one list of little-endian
     32-bit words (0 gives one zero word)."""
     words = []
     for part in parts:
-        part = int(part)
+        part = integer(part, "seed parts")
         if part < 0:
             raise ConfigurationError(f"seed parts must be >= 0, got {part}")
         words.append(part & _M32)

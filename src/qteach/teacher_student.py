@@ -41,10 +41,11 @@ def derive_seed(*parts: int) -> int:
     (independent streams for teachers and students come from distinct role
     tags): numpy's ``SeedSequence(parts).generate_state(1, np.uint64)[0]``,
     computed by ``seeding.generate_state`` without numpy's random package.  A
-    part outside that range is a ConfigurationError: the hash splits a
-    larger part into 32-bit words and pads a short entropy list with
-    zeros, so (11 + 2^32, 0, 0) would hash as (11, 1, 0)."""
-    parts = [int(p) for p in parts]
+    part that is not an integer is a ConfigurationError, as is one outside
+    that range: the hash splits a larger part into 32-bit words and pads a
+    short entropy list with zeros, so (11 + 2^32, 0, 0) would hash as
+    (11, 1, 0)."""
+    parts = [seeding.integer(p, "seed parts") for p in parts]
     if not all(0 <= p < 2**32 for p in parts):
         raise ConfigurationError(f"seed parts must be in [0, 2^32), got {parts}")
     return seeding.generate_state(parts, 1)[0]

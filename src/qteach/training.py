@@ -67,11 +67,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "optimizer", Optimizer(self.optimizer))  # "gd" and "adam" too
+        except ValueError:
+            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}") from None
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
+        if seeding.integer(self.epochs, "epochs") < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
+        if seeding.integer(self.seed, "seed") < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -171,10 +175,11 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple]) -> list[TrainRun
     that one epoch loop serves them all: each epoch evaluates the compiled
     adjoint for every run of a block in one sweep (module docstring).
     Blocks hold as many runs as fit ``circuits._BLOCK_BYTES`` of
-    amplitudes of the circuit's readout program (2^n' per sample and run,
-    ``circuits._program``), and at least one.  A ``TrainingDivergedError``
-    names in ``run`` the index of the run it stopped; within a block that
-    is the first run to diverge, at the earliest epoch.
+    amplitudes of the circuit's compiled readout program (2^n' per sample
+    and run, ``circuits._compile``), and at least one.  A
+    ``TrainingDivergedError`` names in ``run`` the index of the run it
+    stopped; within a block that is the first run to diverge, at the
+    earliest epoch.
     """
     runs = list(runs)
     if not runs:
@@ -189,7 +194,7 @@ def train_lockstep(circuit: CircuitSpec, runs: Sequence[tuple]) -> list[TrainRun
         if not np.array_equal(np.asarray(data.points, dtype=float), points):
             raise ConfigurationError("runs trained in lockstep must share their training points")
     n_samples = len(periodic_samples(circuit)[1])
-    per_block = max(1, circuits._BLOCK_BYTES // (n_samples * 16 << circuits._program(circuit)[1]))
+    per_block = max(1, circuits._BLOCK_BYTES // (n_samples * 16 << circuits._compile(circuit).n_qubits))
     trained: list[TrainRun] = []
     for start in range(0, len(runs), per_block):
         block = slice(start, start + per_block)

@@ -2,13 +2,15 @@
 
 import itertools
 import pickle
+import re
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qteach import analysis, circuits, kernels, qsim
+from qteach import analysis, circuits, cli, kernels, qsim
 from qteach.circuits import (
     ArchitectureId,
     CompiledCircuit,
@@ -109,15 +111,24 @@ class TestBuild:
         assert seen == list(range(circuit.n_params))
 
 
-class TestHashedOnce:
-    """``CircuitSpec`` and ``SlotOp`` keep the hash a frozen dataclass
-    computes from their fields, so the caches of ``_program`` and ``_fuse``
-    do not rehash every op; equality is the dataclass's."""
+class TestCompile:
+    """``_compile`` is the one cache of compiled circuits, keyed on the
+    ``CircuitSpec``, whose hash and equality are the frozen dataclass's
+    own, computed from the fields."""
+
+    @pytest.mark.parametrize("arch", ALL_ARCHITECTURES, ids=lambda a: a.name)
+    def test_equal_circuits_share_one_compile(self, arch):
+        circuit, again = build(arch), build(arch)
+        assert circuit is not again and circuits._compile(circuit) is circuits._compile(again)
+        flipped = circuits._compile(append_x_on_measured(circuit))
+        assert flipped is not circuits._compile(circuit)
+        np.testing.assert_array_equal(flipped.signs, -circuits._compile(circuit).signs)
+        assert not flipped.signs.flags.writeable
 
     @pytest.mark.parametrize("arch", ALL_ARCHITECTURES, ids=lambda a: a.name)
     def test_hash_and_equality_are_the_fields(self, arch):
         circuit, again = build(arch), build(arch)
-        assert circuit is not again and circuit == again and hash(circuit) == hash(again)
+        assert circuit == again and hash(circuit) == hash(again)
         assert hash(circuit) == hash(tuple(getattr(circuit, f.name) for f in fields(circuit)))
         for op in circuit.ops:
             assert hash(op) == hash((op.kind, op.targets, op.controls, op.angles))
@@ -126,26 +137,35 @@ class TestHashedOnce:
         op = circuit.ops[0]
         assert replace(op, targets=(1,)) != op and replace(op, targets=op.targets) == op
 
-    def test_cache_hits_hash_nothing_again(self, monkeypatch):
-        """A cache hit of ``_program`` and ``_fuse`` reads the kept hashes:
-        no angle is hashed, and an equal circuit built again hits."""
-        circuit, again = build(parse_architecture("deep_teacher4")), build(parse_architecture("deep_teacher4"))
-        ops, n, _ = circuits._program(circuit)
-        fused = circuits._fuse(ops, n)
-        calls = []
-        monkeypatch.setattr(ParamRef, "__hash__", lambda self: calls.append(self) or hash(self.index))
-        assert circuits._program(circuit)[0] is ops and circuits._program(again)[0] is ops
-        assert circuits._fuse(ops, n) is fused
-        assert calls == []
-
-    def test_pickle_rebuilds_from_the_fields(self):
-        """An enum's hash differs between processes, so a pickle carries the
-        fields, not the kept hash."""
+    def test_pickle_round_trip(self, rng):
+        """A pickled circuit loads equal, with an equal hash, and evaluates
+        bit for bit as the original."""
         circuit = build(parse_architecture("qnn_two_qp@rot_h"))
-        _, args = circuit.__reduce__()
-        assert args == tuple(getattr(circuit, f.name) for f in fields(circuit))
         again = pickle.loads(pickle.dumps(circuit))
-        assert again == circuit and hash(again) == hash(circuit)
+        assert again is not circuit and again == circuit and hash(again) == hash(circuit)
+        xs, w = rng.uniform(-np.pi, np.pi, (7, 2)), rng.uniform(0, 2 * np.pi, circuit.n_params)
+        np.testing.assert_array_equal(forward_batch(again, xs, w), forward_batch(circuit, xs, w))
+
+    def test_readme_run_compiles_each_circuit_once(self, tmp_path, monkeypatch):
+        """The README config at 2 seeds fuses one program per distinct
+        circuit: 2, since its teacher reuploading:2 is also a student."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        config = cli.parse_config(re.search(r"```ini\n(.*?)```", text, re.S).group(1))
+        config.out, config.n_seeds = str(tmp_path), 2
+        built = []
+        fused = circuits._Fused
+
+        def spy(ops, n_qubits):
+            built.append(ops)
+            return fused(ops, n_qubits)
+
+        monkeypatch.setattr(circuits, "_Fused", spy)
+        circuits._compile.cache_clear()
+        try:
+            assert cli.run(config) == 0
+        finally:
+            circuits._compile.cache_clear()
+        assert len(built) == 2 and built[0] != built[1]
 
 
 class TestParseArchitecture:
@@ -274,7 +294,7 @@ class TestForward:
         assert len(xs) % block_rows != 0  # the last block is ragged
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
         whole = forward_many(circuit, xs, w)
-        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._program(circuit)[1])
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * 16 << circuits._compile(circuit).n_qubits)
         sizes = []
         compiled = circuits.CompiledCircuit
 
@@ -294,7 +314,7 @@ class TestForward:
         xs = rng.uniform(-np.pi, np.pi, (50, 2))
         w = rng.uniform(0, 2 * np.pi, circuit.n_params)
         whole = ancilla_probabilities(circuit, xs, w)
-        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * (16 << max(circuits._program(circuit)[1], 4)))
+        monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_rows * (16 << max(circuits._compile(circuit).n_qubits, 4)))
         sizes = []
         compiled = circuits.CompiledCircuit
 
@@ -554,7 +574,7 @@ class TestCompiledCircuit:
         the benchmark tracer reads rows and amplitudes from.  A
         ``forward_many`` makes one kernel call per block or flip."""
         circuit = COMPILED_MODELS["reuploading:2@rot_h"]
-        fused = circuits._fuse(*circuits._program(circuit)[:2])  # fused once, before the count
+        fused = circuits._compile(circuit)  # compiled once, before the count
         dim, runs, xs = 1 << fused.n_qubits, 3, rng.uniform(-np.pi, np.pi, (9, 2))
         shapes = []
         apply_planned = kernels.apply_planned
@@ -628,7 +648,7 @@ class TestCompiledCircuit:
         its traced peak stays below 6 states."""
         circuit = build(ArchitectureId(Family.QNN_TWO_QP))
         xs, runs = periodic_samples(circuit)[1], 40
-        state = runs * len(xs) * 16 << circuits._program(circuit)[1]
+        state = runs * len(xs) * 16 << circuits._compile(circuit).n_qubits
         compiled = CompiledCircuit(circuit, xs, runs)
         w = rng.uniform(0, 2 * np.pi, (runs, circuit.n_params))
         compiled.forward_with_adjoint(w)
@@ -651,7 +671,7 @@ class TestCompiledCircuit:
         that one (T2's M comes from its output, T1's input is the prefix
         again): 3.  No call applies a data block alone."""
         for circuit, blocks, calls in ((COMPILED_MODELS["dissipative_qp"], 1, 1), (build(reuploading(2)), 2, 3)):
-            fused = circuits._fuse(*circuits._program(circuit)[:2])
+            fused = circuits._compile(circuit)
             assert fused.steps[0].data is not None
             assert [step.chain is not None for step in fused.steps[1:]] == [True] * blocks
             compiled = CompiledCircuit(circuit, rng.uniform(-np.pi, np.pi, (9, 2)))
@@ -684,7 +704,7 @@ class TestBlockGroups:
 
     @pytest.mark.parametrize("name, sizes", [("reuploading:2", [2]), ("deep_teacher4", [4]), ("qnn_two_qp", [3])])
     def test_models_group_their_trainable_blocks(self, name, sizes):
-        fused = circuits._fuse(*circuits._program(build(parse_architecture(name)))[:2])
+        fused = circuits._compile(build(parse_architecture(name)))
         assert [len(group) for group in fused.groups] == sizes
 
     def test_grouped_build_equals_each_block_alone(self, rng):
@@ -699,7 +719,7 @@ class TestBlockGroups:
             n = int(rng.integers(1, 5))
             programs.append((tuple(random_slot_ops(rng, n, int(rng.integers(1, 40)), 5)), n))
         for ops, n in programs:
-            fused = circuits._fuse(tuple(ops), n)
+            fused = circuits._Fused(tuple(ops), n)
             xs = rng.uniform(-np.pi, np.pi, (5, 2))
             krons = fused.krons(fused.angles(xs, 3), rng.uniform(0, 2 * np.pi, (3, fused.n_params)))
             built = fused.blocks(krons)
@@ -718,7 +738,7 @@ class TestBlockGroups:
             n = int(rng.integers(1, 5))
             programs.append((tuple(random_slot_ops(rng, n, int(rng.integers(1, 40)), 5)), n))
         for ops, n in programs:
-            fused = circuits._fuse(tuple(ops), n)
+            fused = circuits._Fused(tuple(ops), n)
             xs = rng.uniform(-np.pi, np.pi, (5, 2))
             krons = fused.krons(fused.angles(xs, 3), rng.uniform(0, 2 * np.pi, (3, fused.n_params)))
             full, alone = fused.blocks(krons), fused.blocks(krons, derivatives=False)

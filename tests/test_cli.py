@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import fresh_env
+from qteach import cli
 from qteach.cli import ExperimentConfig, format_config, main, parse_config, run
 from qteach.errors import ConfigParseError
 
@@ -194,6 +195,19 @@ class TestRerunIntoSameDirectory:
         text = (tmp_path / "FAILED.txt").read_text()
         assert text.startswith("writing artifacts: ") and "map_teacher_0.csv" in text
         assert not (tmp_path / "summary.json").exists()
+
+    def test_failure_marker_names_the_phase_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        """Running out of memory (a grid or map too large to allocate) is a
+        failure like any other: FAILED.txt names the phase, exit status 1."""
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+        assert self._run(SMALL_RUN, tmp_path) == 1
+        message = "running the teacher_student experiment: Unable to allocate 298. GiB"
+        assert (tmp_path / "FAILED.txt").read_text() == message + "\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FAILED.txt", "config.txt"]
 
     def test_seed_of_2_32_leaves_the_previous_run(self, tmp_path, capsys):
         """A config seed of 2^32 or more would alias a smaller one, so it is

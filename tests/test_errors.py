@@ -10,6 +10,7 @@ from qteach.circuits import (ArchitectureId, CircuitSpec, DataRef, Family, Param
                              dissipative_qp, parse_architecture)
 from qteach.errors import ConfigParseError, ConfigurationError, QTeachError, StructuralError
 from qteach.qsim import GateKind, GateOp, QuantumState
+from qteach.teacher_student import derive_seed, generate_dataset, make_grid
 from qteach.training import TrainConfig, loss
 
 from conftest import tiny_dataset
@@ -54,11 +55,18 @@ TYPED_ERRORS = {
     "prediction_map_values_shape": (StructuralError, lambda: metrics.PredictionMap(3, -1.0, 1.0, np.zeros((2, 2)))),
     # analysis
     "negative_dataset_seed": (ConfigurationError, lambda: circular_dataset(10, seed=-1)),
+    "fractional_dataset_seed": (ConfigurationError, lambda: circular_dataset(10, seed=1.5)),
     "separability_lengths": (
         StructuralError,
         lambda: separability_score(PcaProjection(np.eye(2), np.zeros((3, 2)), np.ones(2)), np.ones(2))),
     # training
     "negative_train_seed": (ConfigurationError, lambda: TrainConfig(seed=-1)),
+    "fractional_train_seed": (ConfigurationError, lambda: TrainConfig(seed=1.5)),
+    "fractional_epochs": (ConfigurationError, lambda: TrainConfig(epochs=2.5)),
+    "unknown_train_optimizer": (ConfigurationError, lambda: TrainConfig(optimizer="sgd")),
+    # teacher_student
+    "fractional_seed_part": (ConfigurationError, lambda: derive_seed(1.5, 0)),
+    "fractional_teacher_seed": (ConfigurationError, lambda: generate_dataset(dissipative_qp(), make_grid(3), 1.5)),
     "unknown_label_kind": (
         ConfigurationError,
         lambda: loss(build(dissipative_qp()), np.zeros(12), tiny_dataset(np.random.default_rng(0)), "ternary")),

@@ -238,7 +238,7 @@ def test_rotation_matrix_is_the_trainable_blocks_rot(kind, rng):
     block's kron(U, I), which the ROT builder makes at the kind's Rot
     angles."""
     angles = rng.uniform(-2 * np.pi, 2 * np.pi, 7)
-    fused = circuits._fuse((SlotOp(kind, (0,), angles=(ParamRef(0),)),), 2)
+    fused = circuits._Fused((SlotOp(kind, (0,), angles=(ParamRef(0),)),), 2)
     krons = fused.krons(fused.angles(np.zeros((1, 2)), len(angles)), angles[:, None])
     np.testing.assert_array_equal(qsim.matrix_builder(kind)([angles]), krons[0::2, 0::2, 0, :, 0])
 

@@ -223,6 +223,17 @@ class TestTrain:
 
 
 class TestTrainConfigValidation:
+    @pytest.mark.parametrize("optimizer", list(Optimizer), ids=lambda o: o.value)
+    def test_optimizer_names_train_as_their_members(self, optimizer, rng):
+        """``optimizer="gd"`` trains with vanilla gradient descent and
+        "adam" with Adam, bit for bit as the enum members do."""
+        circuit, data = build(dissipative_qp()), tiny_dataset(rng)
+        named = TrainConfig(learning_rate=0.1, epochs=5, optimizer=optimizer.value, seed=3)
+        assert named.optimizer is optimizer
+        runs = [train(circuit, data, cfg) for cfg in (named, replace(named, optimizer=optimizer))]
+        np.testing.assert_array_equal(runs[0].loss_curve, runs[1].loss_curve)
+        np.testing.assert_array_equal(runs[0].final_params, runs[1].final_params)
+
     def test_learning_rate_positive(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=0.0)
@@ -486,7 +497,7 @@ class TestLockstep:
             return train_block(circuit, points, block, *rest)
 
         monkeypatch.setattr(training, "_train_block", spy)
-        run_bytes = len(periodic_samples(circuit)[1]) * 16 << circuits._program(circuit)[1]
+        run_bytes = len(periodic_samples(circuit)[1]) * 16 << circuits._compile(circuit).n_qubits
         for block_bytes in (2 * run_bytes, 1):  # 1 byte still holds one run
             monkeypatch.setattr(circuits, "_BLOCK_BYTES", block_bytes)
             assert_same_runs(train_lockstep(circuit, runs), whole)
